@@ -204,15 +204,21 @@ class State:
 
 
 class StateSequence:
-    """Non-empty ordered list of states; timestamps run 0..n."""
+    """Non-empty ordered list of states; timestamps run 0..n.
 
-    __slots__ = ("states", "_hash")
+    `parent` is the sequence this one was made from by `extend`, None
+    otherwise; it lets perspectives over a sequence be built from those over
+    its one-step prefix.
+    """
+
+    __slots__ = ("states", "_hash", "parent")
 
     def __init__(self, states: Iterable[State]):
         self.states = tuple(states)
         if not self.states:
             raise ValidationError("a state sequence must contain at least one state")
         self._hash = hash(self.states)
+        self.parent: Optional[StateSequence] = None
 
     @property
     def sig(self) -> Signature:
@@ -240,7 +246,9 @@ class StateSequence:
         return StateSequence(self.states[: t + 1])
 
     def extend(self, state: State) -> "StateSequence":
-        return StateSequence(self.states + (state,))
+        child = StateSequence(self.states + (state,))
+        child.parent = self
+        return child
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -149,10 +149,17 @@ def _parse_constant(text: str) -> Value:
         return text
 
 
+# Deepest formula accepted: nodes on the longest path from the root to an
+# atom. Parsing, validation and evaluation recurse once or a few times per
+# level, so the limit keeps them well inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+
 def parse_formula(text: str, sig: Signature, first_line: int = 1) -> Formula:
-    """Parse and validate one formula; trailing input is an error."""
+    """Parse and validate one formula; trailing input is an error, and so is
+    nesting deeper than MAX_FORMULA_DEPTH."""
     stream = _TokenStream(_tokenize(text, first_line))
-    phi = _parse_formula(stream, sig)
+    phi, _ = _parse_formula(stream, sig, 1)
     extra = stream.peek()
     if extra is not None:
         raise ParseError(f"unexpected trailing input {extra.text!r}", extra.line, extra.col)
@@ -163,28 +170,43 @@ def parse_formula(text: str, sig: Signature, first_line: int = 1) -> Formula:
     return phi
 
 
-def _parse_formula(stream: _TokenStream, sig: Signature) -> Formula:
+def _too_deep(tok: Token) -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
+                      tok.line, tok.col)
+
+
+def _parse_formula(stream: _TokenStream, sig: Signature,
+                   depth: int) -> Tuple[Formula, int]:
+    """One formula at `depth` (the root is at 1), and its height (an atom's
+    is 1)."""
     opener = stream.next("a formula")
     if opener.text != "(":
         raise ParseError(f"expected '(' to start a formula, found {opener.text!r}",
                          opener.line, opener.col)
+    if depth > MAX_FORMULA_DEPTH:
+        raise _too_deep(opener)
     head = stream.next("an operator or relation")
     name = head.text
     if name in _RELS:
-        return _parse_atom(stream, sig, name, head)
+        return _parse_atom(stream, sig, name, head), 1
     if name == "not":
-        child = _parse_formula(stream, sig)
+        child, height = _parse_formula(stream, sig, depth + 1)
         _expect_close(stream, head)
-        return Not(child)
+        return Not(child), height + 1
     if name == "and":
-        parts = [_parse_formula(stream, sig), _parse_formula(stream, sig)]
-        while stream.peek() is not None and stream.peek().text == "(":
-            parts.append(_parse_formula(stream, sig))
+        parts = []
+        while len(parts) < 2 or (stream.peek() is not None and stream.peek().text == "("):
+            parts.append(_parse_formula(stream, sig, depth + 1))
         _expect_close(stream, head)
-        phi = parts[0]
-        for part in parts[1:]:
+        # folded to the left, so the first two parts sit deepest
+        count = len(parts)
+        height = max(h + count - max(j, 1) for j, (_, h) in enumerate(parts))
+        if depth + height - 1 > MAX_FORMULA_DEPTH:
+            raise _too_deep(head)
+        phi = parts[0][0]
+        for part, _ in parts[1:]:
             phi = And(phi, part)
-        return phi
+        return phi, height
     if name in _SINGLE_OPS:
         agent_tok = stream.next("an agent name")
         if agent_tok.text in "()":
@@ -194,10 +216,10 @@ def _parse_formula(stream: _TokenStream, sig: Signature) -> Formula:
         if name == "S" and arg is not None and arg.text != "(":
             var_tok = stream.next("a variable")
             _expect_close(stream, head)
-            return SeesVar(agent_tok.text, var_tok.text)
-        child = _parse_formula(stream, sig)
+            return SeesVar(agent_tok.text, var_tok.text), 1
+        child, height = _parse_formula(stream, sig, depth + 1)
         _expect_close(stream, head)
-        return node(agent_tok.text, child)
+        return node(agent_tok.text, child), height + 1
     if name in _GROUP_OPS:
         node, mode = _GROUP_OPS[name]
         group = _parse_group(stream)
@@ -205,10 +227,10 @@ def _parse_formula(stream: _TokenStream, sig: Signature) -> Formula:
         if name in ("ES", "DS", "CS") and arg is not None and arg.text != "(":
             var_tok = stream.next("a variable")
             _expect_close(stream, head)
-            return GroupSeesVar(mode, group, var_tok.text)
-        child = _parse_formula(stream, sig)
+            return GroupSeesVar(mode, group, var_tok.text), 1
+        child, height = _parse_formula(stream, sig, depth + 1)
         _expect_close(stream, head)
-        return node(mode, group, child)
+        return node(mode, group, child), height + 1
     raise ParseError(f"unknown operator {name!r}", head.line, head.col)
 
 

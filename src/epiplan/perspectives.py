@@ -6,13 +6,16 @@ justified in believing: what it currently sees plus remembered values, with
 never-seen variables left absent. Group variants pool observations (the
 distributed view) or iterate everyone's views to a fixed point (the common
 view).
+
+A view of s_0..s_t depends only on that prefix, so views are built by one
+left-to-right fold, and `PerspectiveCache` extends the views of a sequence's
+one-step prefix by the last state instead of rebuilding them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from .core import (
     EngineError,
@@ -24,9 +27,6 @@ from .core import (
 )
 
 PerspectiveSet = FrozenSet[StateSequence]
-
-# cache maps ("jp", agent, seq) / ("df", group, seq) -> StateSequence
-Cache = Dict[tuple, StateSequence]
 
 
 class AxiomViolation(EngineError):
@@ -106,20 +106,10 @@ def retrieve_value(seq: StateSequence, ts: int, var: str) -> Optional[Value]:
     n = len(seq) - 1
     if not -1 <= ts <= n:
         raise IndexError(f"timestamp {ts} outside -1..{n}")
-    occ = [t for t in range(len(seq)) if var in seq[t]]
-    return _retrieve(seq, occ, ts, n, var)
-
-
-def _retrieve(seq: StateSequence, occ: Sequence[int], ts: int, limit: int,
-              var: str) -> Optional[Value]:
-    # occ: sorted timestamps where var carries a value; limit: last usable index
-    pos = bisect_left(occ, ts)
-    if pos < len(occ) and occ[pos] == ts:
-        return seq[ts].get(var)
-    if pos > 0:
-        return seq[occ[pos - 1]].get(var)
-    if pos < len(occ) and occ[pos] <= limit:
-        return seq[occ[pos]].get(var)
+    for t in (*range(ts, -1, -1), *range(ts + 1, n + 1)):
+        value = seq[t].get(var)
+        if value is not None:
+            return value
     return None
 
 
@@ -127,47 +117,112 @@ def _retrieve(seq: StateSequence, occ: Sequence[int], ts: int, limit: int,
 # Individual and pooled perspectives
 # --------------------------------------------------------------------------
 
-def _believed_sequence(seq: StateSequence,
-                       visible_at: Callable[[int, str], bool],
-                       transparent: FrozenSet[str]) -> StateSequence:
-    """Build the sequence a viewer believes, given its visibility per timestamp.
+_NO_INDICES: FrozenSet[int] = frozenset()
+_UNREAD = object()   # marks an input value that is still to be read back
 
-    For each variable and each timestamp t, take the last time (<= t) the
-    viewer could see the variable and look its value up in the prefix
-    [s_0..s_t] via the retrieval rule. A variable the viewer has not yet seen
-    stays absent: with no sighting there is nothing to justify a value, and
-    filling one in from later states would fabricate evidence.
+
+class Perspective(StateSequence):
+    """A believed sequence, as built by `_believed_sequence`.
+
+    `unresolved` holds the indices of the variables the viewer has seen but
+    the input has never assigned. With the last state and the input, it is
+    all the next fold step needs.
+    """
+
+    __slots__ = ("unresolved",)
+
+    def __init__(self, states: Iterable[State], unresolved: FrozenSet[int],
+                 parent: Optional[StateSequence] = None):
+        super().__init__(states)
+        self.unresolved = unresolved
+        self.parent = parent
+
+
+def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
+                       seq: StateSequence,
+                       before: Optional[Perspective] = None) -> Perspective:
+    """The sequence `viewers`, pooling their observations, believe after
+    watching `seq` (one viewer: an individual perspective).
+
+    A left-to-right fold over timestamps that applies the retrieval rule to
+    the prefix [s_0..s_t]. A variable some viewer sees at t takes its value
+    at t, else the input's most recent earlier value; one not seen at t keeps
+    its value from t - 1. A variable seen before the input ever assigned it
+    takes the input's first later value. A variable never seen stays absent:
+    with no sighting there is nothing to justify a value, and filling one in
+    from later states would fabricate evidence.
+
+    Without `before` this is the fold from t = 0. With `before`, the same
+    viewers' view of `seq.parent`, it is the one step for the last state.
     """
     sig = seq.sig
-    length = len(seq)
     variables = sig.variables
-    columns: list[list[Optional[Value]]] = []
-    for var in variables:
-        occ = [t for t in range(length) if var in seq[t]]
-        if var in transparent and len(occ) == length:
-            columns.append([seq[t].get(var) for t in range(length)])
-            continue
-        column: list[Optional[Value]] = [None] * length
-        last_seen = -1
-        for t in range(length):
-            if visible_at(t, var):
-                last_seen = t
-            if last_seen >= 0:
-                column[t] = _retrieve(seq, occ, last_seen, t, var)
-        columns.append(column)
-    states = [sig.state_from_values(tuple(col[t] for col in columns))
-              for t in range(length)]
-    return StateSequence(states)
+    transparent = model.transparent_variables()
+    sees = model.sees
+    states = seq.states
+    if before is None:
+        start, prior, unresolved = 0, (None,) * len(variables), set()
+        # the input's last value of each variable before t
+        last: list = [None] * len(variables)
+    else:
+        start, prior = len(states) - 1, before.last.vals
+        unresolved = set(before.unresolved)
+        last = [_UNREAD] * len(variables)
+    built = []
+    for t in range(start, len(states)):
+        state = states[t]
+        vals = state.vals
+        row = []
+        for idx, var in enumerate(variables):
+            given = value = vals[idx]
+            if var in transparent:
+                seen = True
+            else:
+                seen = False
+                for agent in viewers:
+                    if sees(agent, state, var):
+                        seen = True
+                        break
+            if seen:
+                if value is None:
+                    value = last[idx]
+                    if value is _UNREAD:
+                        value = _last_value(states, start, idx)
+                    if value is None:
+                        unresolved.add(idx)
+                elif unresolved:
+                    unresolved.discard(idx)
+            elif prior[idx] is not None:
+                value = prior[idx]
+            elif idx in unresolved:
+                if value is not None:
+                    unresolved.discard(idx)
+            else:
+                value = None
+            if given is not None:
+                last[idx] = given
+            row.append(value)
+        prior = tuple(row)
+        built.append(sig.state_from_values(prior))
+    flags = frozenset(unresolved) if unresolved else _NO_INDICES
+    if before is None:
+        return Perspective(built, flags)
+    return Perspective(before.states + tuple(built), flags, before)
+
+
+def _last_value(states: Tuple[State, ...], end: int, idx: int) -> Optional[Value]:
+    """The value of variable `idx` in the last of states[:end] that assigns it."""
+    for t in range(end - 1, -1, -1):
+        value = states[t].vals[idx]
+        if value is not None:
+            return value
+    return None
 
 
 def justified_perspective(model: ObservationModel, agent: str,
                           seq: StateSequence) -> StateSequence:
     """The local sequence `agent` believes after watching `seq`."""
-    return _believed_sequence(
-        seq,
-        lambda t, var: model.sees(agent, seq[t], var),
-        model.transparent_variables(),
-    )
+    return _believed_sequence(model, (agent,), seq)
 
 
 def distributed_perspective(model: ObservationModel, group: Iterable[str],
@@ -177,28 +232,81 @@ def distributed_perspective(model: ObservationModel, group: Iterable[str],
     members = tuple(group)
     if not members:
         raise ValidationError("a group must contain at least one agent")
-    return _believed_sequence(
-        seq,
-        lambda t, var: any(model.sees(i, seq[t], var) for i in members),
-        model.transparent_variables(),
-    )
+    return _believed_sequence(model, members, seq)
+
+
+Viewer = Union[str, Tuple[str, ...]]
+
+
+class PerspectiveCache:
+    """Perspectives over the sequence being evaluated and its one-step prefix.
+
+    Entries map (viewer, input) to the viewer's view of the input; a viewer
+    is an agent name or a group of pooled agents. Set `target` to the
+    sequence about to be evaluated. The first request after it changes
+    re-focuses the cache, keeping only the entries over the new target and
+    over its `parent`. A view is as long as its input, so an entry's length
+    tells which of the two it is over.
+
+    A miss on an input with a `parent` builds the view of the parent (kept,
+    so that siblings share it) and extends it by one state. Every view built
+    from scratch comes from the `build` function passed in.
+    """
+
+    __slots__ = ("model", "target", "_focus", "_views")
+
+    def __init__(self, model: ObservationModel):
+        self.model = model
+        self.target: Optional[StateSequence] = None
+        self._focus: Optional[StateSequence] = None
+        self._views: Dict[Tuple[Viewer, StateSequence], Perspective] = {}
+
+    def get(self, viewer: Viewer, seq: StateSequence,
+            build: Callable[[ObservationModel, Viewer, StateSequence], Perspective]
+            ) -> Perspective:
+        if self._focus is not self.target:
+            self._refocus()
+        views = self._views
+        key = (viewer, seq)
+        found = views.get(key)
+        if found is None:
+            parent = seq.parent
+            if parent is None:
+                found = build(self.model, viewer, seq)
+            else:
+                before = views.get((viewer, parent))
+                if before is None:
+                    before = views[(viewer, parent)] = build(self.model, viewer, parent)
+                viewers = (viewer,) if isinstance(viewer, str) else viewer
+                found = _believed_sequence(self.model, viewers, seq, before)
+            views[key] = found
+        return found
+
+    def _refocus(self) -> None:
+        old = self._focus
+        new = self._focus = self.target
+        if not self._views:
+            return
+        if old is None or new is None:
+            self._views.clear()
+            return
+        # an old level (the old target or its prefix) survives if it is one
+        # of the new levels
+        levels = (new, new.parent)
+        keep = {len(seq) for seq in (old, old.parent) if seq is not None and seq in levels}
+        self._views = {key: view for key, view in self._views.items() if len(view) in keep}
 
 
 def _cached_perspective(model: ObservationModel, agent: str, seq: StateSequence,
-                        cache: Optional[Cache]) -> StateSequence:
+                        cache: Optional[PerspectiveCache]) -> StateSequence:
     if cache is None:
         return justified_perspective(model, agent, seq)
-    key = ("jp", agent, seq)
-    found = cache.get(key)
-    if found is None:
-        found = justified_perspective(model, agent, seq)
-        cache[key] = found
-    return found
+    return cache.get(agent, seq, justified_perspective)
 
 
 def uniform_perspectives(model: ObservationModel, group: Iterable[str],
                          seq: StateSequence,
-                         cache: Optional[Cache] = None) -> PerspectiveSet:
+                         cache: Optional[PerspectiveCache] = None) -> PerspectiveSet:
     """Everyone's individual perspectives, as a duplicate-free set."""
     members = tuple(group)
     if not members:
@@ -216,7 +324,7 @@ class FixedPointStats:
 
 def common_perspectives(model: ObservationModel, group: Iterable[str],
                         seed: PerspectiveSet,
-                        cache: Optional[Cache] = None
+                        cache: Optional[PerspectiveCache] = None
                         ) -> Tuple[PerspectiveSet, FixedPointStats]:
     """Least fixed point of repeatedly taking everyone's perspectives.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .core import (
     And,
@@ -26,8 +26,8 @@ from .core import (
     validate_formula,
 )
 from .perspectives import (
-    Cache,
     ObservationModel,
+    PerspectiveCache,
     common_observation,
     common_perspectives,
     distributed_perspective,
@@ -75,16 +75,19 @@ class Evaluator:
     """Evaluates formulas against state sequences under one observation model.
 
     Evaluation is a pure function of (sequence, formula): repeated calls give
-    identical truth values and identical fixed-point iteration counts. The
-    evaluator mutates only its `stats`, which can be merged across instances.
-    Perspectives are cached per top-level call, since the common-belief fixed
-    point revisits the same individual perspectives many times.
+    identical truth values and identical fixed-point iteration counts, in any
+    order. Besides its `stats`, which can be merged across instances, the
+    evaluator keeps a perspective cache across calls: the views over the
+    sequence of the latest call that needed one and over that sequence's
+    one-step prefix, so a search node extends its parent's views by one state.
+    The cache makes an evaluator unsafe to share between threads; use one per
+    thread.
     """
 
     def __init__(self, model: ObservationModel):
         self.model = model
         self.stats = EvalStats()
-        self._cache: Optional[Cache] = None
+        self._views = PerspectiveCache(model)
         # keeps validated formulas alive so ids cannot be recycled
         self._checked_formulas: dict[int, Formula] = {}
 
@@ -93,29 +96,13 @@ class Evaluator:
             validate_formula(seq.sig, phi)
             self._checked_formulas[id(phi)] = phi
         start = time.perf_counter()
-        self._cache = {}
+        self._views.target = seq
         try:
             result = self._eval(seq, phi)
         finally:
-            self._cache = None
             self.stats.external_calls += 1
             self.stats.eval_time += time.perf_counter() - start
         return result
-
-    # -- helpers ------------------------------------------------------------
-
-    def _perspective(self, agent: str, seq: StateSequence) -> StateSequence:
-        return _cached_perspective(self.model, agent, seq, self._cache)
-
-    def _pooled_perspective(self, group, seq: StateSequence) -> StateSequence:
-        cache = self._cache
-        key = ("df", group, seq)
-        if cache is not None and key in cache:
-            return cache[key]
-        pooled = distributed_perspective(self.model, group, seq)
-        if cache is not None:
-            cache[key] = pooled
-        return pooled
 
     # -- dispatch -----------------------------------------------------------
 
@@ -139,7 +126,8 @@ class Evaluator:
                 return Ternary.FALSE
             return min(held, self._sees_formula(seq, phi.agent, phi.child))
         if isinstance(phi, Believes):
-            return self._eval(self._perspective(phi.agent, seq), phi.child)
+            return self._eval(_cached_perspective(self.model, phi.agent, seq, self._views),
+                              phi.child)
         if isinstance(phi, GroupSeesVar):
             return self._group_sees_var(seq, phi)
         if isinstance(phi, GroupSees):
@@ -212,11 +200,12 @@ class Evaluator:
 
     def _group_believes(self, seq: StateSequence, phi: GroupBelieves) -> Ternary:
         if phi.mode is GroupMode.UNIFORM:
-            views = uniform_perspectives(self.model, phi.group, seq, self._cache)
+            views = uniform_perspectives(self.model, phi.group, seq, self._views)
             return min(self._eval(w, phi.child) for w in views)
         if phi.mode is GroupMode.DISTRIBUTED:
-            return self._eval(self._pooled_perspective(phi.group, seq), phi.child)
+            pooled = self._views.get(phi.group, seq, distributed_perspective)
+            return self._eval(pooled, phi.child)
         views, fp = common_perspectives(self.model, phi.group,
-                                        frozenset([seq]), self._cache)
+                                        frozenset([seq]), self._views)
         self.stats.cf_iteration_counts.append(fp.iterations)
         return min(self._eval(w, phi.child) for w in views)

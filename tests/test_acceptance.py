@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite completes in well under the stated runtime ceilings.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from epiplan.semantics import Evaluator
 
 TABLE_LENGTHS = {"N0": 4, "N1": 2, "N2": 4, "N3": 6, "N4": 8, "N5": 4, "N6": 4}
 EXACT_GROUP_INSTANCES = {"G0": 1, "BBL0": 1}
+EXPECTED_ROWS = Path(__file__).resolve().parents[1] / "epibench" / "expected.json"
 INNER_ATOM = {"number": "(< n 2)", "grapevine": "(= sct_a t)", "bbl": "(= o_2 2)"}
 
 
@@ -223,3 +226,21 @@ def test_criterion_9_fixed_point_depth_statistic(bench_runs):
         seen[instance_id] = result.common_max
     top = max(seen.values())
     _ok(f"9 fixed-point iteration statistic bounded (max observed {top} <= 5)")
+
+
+def test_bundled_rows_match_expected(bench_runs):
+    """The bundled gate: plan length (or status), node counts and fixed-point
+    statistics of every instance equal the recorded rows, byte for byte."""
+    expected = json.loads(EXPECTED_ROWS.read_text(encoding="utf-8"))["bundled"]
+    assert sorted(expected) == sorted(bench_runs)
+    for instance_id, (_, _, _, result, _) in bench_runs.items():
+        row = {
+            "plan_length": result.plan_length if result.plan is not None else result.status,
+            "expanded": result.expanded,
+            "generated": result.generated,
+            "common_max": result.common_max,
+            "common_avg": round(result.common_avg, 3),
+        }
+        assert json.dumps(row, sort_keys=True) == \
+            json.dumps(expected[instance_id], sort_keys=True), instance_id
+    _ok(f"bundled gate ({len(expected)} rows match {EXPECTED_ROWS.parent.name}/expected.json)")

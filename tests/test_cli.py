@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from epiplan.cli import main
+from epiplan.parser import MAX_FORMULA_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,16 @@ class TestSolve:
         assert main(["solve", paths["number.dom"], "/does/not/exist.prob"]) == 2
 
 
+def _nested_beliefs(depth: int) -> str:
+    """`depth - 1` beliefs of a around an atom that holds in a's view of plan1."""
+    return "(B a " * (depth - 1) + "(= n 2)" + ")" * (depth - 1)
+
+
+def _conjunction(depth: int) -> str:
+    """A flat conjunction that folds into an And chain `depth` nodes deep."""
+    return "(and" + " (< n 3)" * depth + ")"
+
+
 class TestEval:
     def test_plan1_common_belief(self, paths, capsys):
         code = main(["eval", paths["number.dom"], paths["plan1.trace"],
@@ -110,6 +121,24 @@ class TestEval:
     def test_bad_formula_exit_code(self, paths, capsys):
         assert main(["eval", paths["number.dom"], paths["plan1.trace"],
                      "(K a (B b (= n 2)))"]) == 2
+
+    @pytest.mark.parametrize("formula", [
+        "(B a " * 5000 + "(= peeking_a true)" + ")" * 5000,
+        "(and" + " (= peeking_a true)" * 3000 + ")",
+    ], ids=["nested-beliefs", "flat-conjunction"])
+    def test_deeply_nested_formula_exit_code(self, paths, capsys, formula):
+        code = main(["eval", paths["number.dom"], paths["plan1.trace"], formula])
+        assert code == 2
+        assert f"deeper than {MAX_FORMULA_DEPTH} levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build", [_nested_beliefs, _conjunction])
+    def test_formula_at_depth_limit_evaluates(self, paths, capsys, build):
+        code = main(["eval", paths["number.dom"], paths["plan1.trace"],
+                     build(MAX_FORMULA_DEPTH)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert main(["eval", paths["number.dom"], paths["plan1.trace"],
+                     build(MAX_FORMULA_DEPTH + 1)]) == 2
 
 
 class TestBench:

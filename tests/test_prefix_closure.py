@@ -1,0 +1,224 @@
+"""Property tests for prefix-closure of perspectives.
+
+The retrieval rule reads only [s_0..s_t] when it fills in timestamp t, so the
+view of a prefix is the prefix of the view. The evaluator relies on this to
+extend a parent's perspectives by one state instead of rebuilding them; these
+tests pin the invariant down on random rule-table models and on the three
+bundled observation models.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_instance, random_states
+from epiplan.cli import load_benchmark
+from epiplan.core import (
+    And,
+    Atom,
+    Believes,
+    GroupBelieves,
+    GroupMode,
+    Knows,
+    Not,
+    StateSequence,
+    make_group,
+)
+from epiplan.parser import parse_formula
+from epiplan.perspectives import (
+    _believed_sequence,
+    common_perspectives,
+    distributed_perspective,
+    justified_perspective,
+    retrieve_value,
+)
+from epiplan.semantics import Evaluator
+
+BUNDLED = {name: load_benchmark(name, problem)[0]
+           for name, problem in (("number", "n0"), ("grapevine", "g0"), ("bbl", "bbl0"))}
+MODELS = ("random",) + tuple(BUNDLED)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _instance(kind: str, rng: random.Random, max_len: int = 6):
+    """(signature, model, sequence); the sequence is built with `extend`, so
+    each of its prefixes is linked to the one before."""
+    if kind == "random":
+        sig, model, seq = random_instance(rng, max_vars=4, max_domain=3, max_len=max_len)
+        states = list(seq)
+    else:
+        domain = BUNDLED[kind]
+        sig, model = domain.signature, domain.model
+        states = random_states(rng, sig, rng.randint(1, max_len))
+    seq = StateSequence(states[:1])
+    for state in states[1:]:
+        seq = seq.extend(state)
+    return sig, model, seq
+
+
+def _cut(view: StateSequence, t: int) -> StateSequence:
+    return StateSequence(view.states[: t + 1])
+
+
+def _nested(model, path, seq):
+    for agent in path:
+        seq = justified_perspective(model, agent, seq)
+    return seq
+
+
+def _by_definition(model, viewers, seq):
+    """The retrieval rule applied literally: at each t, each variable takes
+    its value at the last time <= t some viewer saw it, looked up in the
+    prefix [s_0..s_t]; a variable not yet seen is absent."""
+    sig = seq.sig
+    states = []
+    for t in range(len(seq)):
+        vals = []
+        for var in sig.variables:
+            seen = [u for u in range(t + 1)
+                    if any(model.sees(i, seq[u], var) for i in viewers)]
+            vals.append(retrieve_value(seq.prefix(t), seen[-1], var) if seen else None)
+        states.append(sig.state_from_values(tuple(vals)))
+    return StateSequence(states)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_fold_follows_the_retrieval_rule(kind, seed):
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng)
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    nested = justified_perspective(model, rng.choice(sig.agents), seq)
+    for source in (seq, nested):
+        for agent in sig.agents:
+            assert justified_perspective(model, agent, source) == \
+                _by_definition(model, (agent,), source)
+        assert distributed_perspective(model, group, source) == \
+            _by_definition(model, group, source)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_individual_and_pooled_views_are_prefix_closed(kind, seed):
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng)
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    for t in range(len(seq)):
+        prefix = seq.prefix(t)
+        for agent in sig.agents:
+            assert justified_perspective(model, agent, prefix) == \
+                _cut(justified_perspective(model, agent, seq), t)
+        assert distributed_perspective(model, group, prefix) == \
+            _cut(distributed_perspective(model, group, seq), t)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_nested_views_are_prefix_closed(kind, seed):
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng)
+    for _ in range(3):
+        path = [rng.choice(sig.agents) for _ in range(rng.randint(2, 3))]
+        full = _nested(model, path, seq)
+        for t in range(len(seq)):
+            assert _nested(model, path, seq.prefix(t)) == _cut(full, t), path
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_common_views_are_prefix_closed(kind, seed):
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng, max_len=5)
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    full, _ = common_perspectives(model, group, frozenset([seq]))
+    for t in range(len(seq)):
+        views, _ = common_perspectives(model, group, frozenset([seq.prefix(t)]))
+        assert views == frozenset(_cut(w, t) for w in full)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_step_extension_equals_full_build(kind, seed):
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng)
+    if seq.parent is None:
+        return
+    # inputs: the sequence and a view of it built by extension, both linked
+    # to their one-step prefix
+    outer = (rng.choice(sig.agents),)
+    nested = _believed_sequence(model, outer, seq,
+                                _believed_sequence(model, outer, seq.parent))
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    for source in (seq, nested):
+        for members in [(agent,) for agent in sig.agents] + [group]:
+            before = _believed_sequence(model, members, source.parent)
+            extended = _believed_sequence(model, members, source, before)
+            full = _believed_sequence(model, members, source)
+            assert extended == full
+            assert extended.unresolved == full.unresolved
+            assert extended.parent is before
+
+
+def _random_formula(rng: random.Random, sig):
+    agents = sig.agents
+    var = rng.choice([v for v in sig.variables if not sig.is_agent(v)])
+    pool = sig.domain(var)
+    phi = Atom("=", var, pool[rng.randrange(len(pool))])
+    if rng.random() < 0.3:
+        phi = Knows(rng.choice(agents), phi)
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.4:
+            phi = Believes(rng.choice(agents), phi)
+        else:
+            group = make_group(rng.sample(agents, rng.randint(1, len(agents))))
+            phi = GroupBelieves(rng.choice(list(GroupMode)), group, phi)
+        if rng.random() < 0.2:
+            phi = Not(phi)
+    if rng.random() < 0.3:
+        phi = And(phi, Believes(rng.choice(agents), Atom("=", var, pool[0])))
+    return phi
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
+    rng = random.Random(seed)
+    sig, model, child = _instance(kind, rng, max_len=5)
+    while child.parent is None:
+        sig, model, child = _instance(kind, rng, max_len=5)
+    parent = child.parent
+    sibling = parent.extend(random_states(rng, sig, 1)[0])
+    unrelated = StateSequence(random_states(rng, sig, rng.randint(1, 5)))
+    formulas = [_random_formula(rng, sig) for _ in range(4)]
+    calls = [(seq, phi) for seq in (child, unrelated, parent, child, sibling, parent)
+             for phi in formulas]
+    long_lived = Evaluator(model)
+    fresh_counts = []
+    for seq, phi in calls:
+        fresh = Evaluator(model)
+        assert long_lived.evaluate(seq, phi) is fresh.evaluate(seq, phi), phi
+        fresh_counts.extend(fresh.stats.cf_iteration_counts)
+    assert long_lived.stats.cf_iteration_counts == fresh_counts
+
+
+def test_cache_holds_views_over_two_nodes_only(number_dom, plan1):
+    """Walking a trace forwards, the cache keeps views over the current
+    prefix and the one before it; an unrelated sequence clears the rest."""
+    evaluator = Evaluator(number_dom.model)
+    phi = parse_formula("(and (CB (a b) (< n 3)) (B a (B b (= n 1))))",
+                        number_dom.signature)
+    chain = [plan1]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent)
+    for seq in reversed(chain):
+        fresh = Evaluator(number_dom.model).evaluate(seq, phi)
+        assert evaluator.evaluate(seq, phi) is fresh
+        lengths = {len(view) for view in evaluator._views._views.values()}
+        assert lengths <= {len(seq), len(seq) - 1} and len(seq) in lengths
+    unrelated = StateSequence(reversed(plan1.states))
+    evaluator.evaluate(unrelated, phi)
+    assert {len(view) for view in evaluator._views._views.values()} == {len(plan1)}
+    assert (("a", unrelated) in evaluator._views._views
+            and ("a", plan1) not in evaluator._views._views)
