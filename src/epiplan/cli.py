@@ -23,7 +23,7 @@ from .parser import (
     parse_trace,
 )
 from .perspectives import justified_perspective
-from .planner import SOLVED, UNSOLVABLE, PlanResult, breadth_first_plan
+from .planner import DEFAULT_MAX_DEPTH, SOLVED, UNSOLVABLE, PlanResult, breadth_first_plan
 from .semantics import Evaluator
 
 REPORT_COLUMNS = ("id", "expanded", "generated", "common_max", "common_avg",
@@ -70,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("domain")
     solve.add_argument("problem")
     solve.add_argument("--max-depth", type=int, default=None,
-                       help="override the search depth limit (default 12 or the "
-                            "problem's max-depth)")
+                       help="override the search depth limit (default "
+                            f"{DEFAULT_MAX_DEPTH} or the problem's max-depth)")
     solve.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     solve.add_argument("--time-budget", type=float, default=None,
                        help="abort the search after this many seconds")
@@ -153,13 +153,18 @@ def _print_rows(rows: List[dict], fmt: str) -> None:
         print("  ".join(str(row[c]).ljust(widths[c]) for c in REPORT_COLUMNS))
 
 
+def _depth_limit(problem: ProblemFile, override: Optional[int] = None) -> int:
+    """The search depth: `override`, else the problem's max-depth, else the default."""
+    if override is not None:
+        return override
+    return problem.max_depth if problem.max_depth is not None else DEFAULT_MAX_DEPTH
+
+
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
     with open(args.problem, encoding="utf-8") as handle:
         problem = parse_problem(handle.read(), domain)
-    max_depth = args.max_depth
-    if max_depth is None:
-        max_depth = problem.max_depth if problem.max_depth is not None else 12
+    max_depth = _depth_limit(problem, args.max_depth)
     result = breadth_first_plan(domain.model, domain.actions, problem.initial,
                                 problem.goals, max_depth=max_depth,
                                 node_budget=args.node_budget,
@@ -221,7 +226,7 @@ def _cmd_bench(args) -> int:
             domain, problem = load_benchmark(domain_dir, problem_name)
             result = breadth_first_plan(
                 domain.model, domain.actions, problem.initial, problem.goals,
-                max_depth=problem.max_depth if problem.max_depth is not None else 12,
+                max_depth=_depth_limit(problem),
                 node_budget=args.node_budget, time_budget=args.time_budget)
             rows.append(_result_row(instance_id, result, _goal_text(problem)))
         except EngineError as exc:

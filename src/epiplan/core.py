@@ -302,30 +302,6 @@ class And:
 
 
 @dataclass(frozen=True)
-class SeesVar:
-    agent: str
-    var: str
-
-
-@dataclass(frozen=True)
-class Sees:
-    agent: str
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Knows:
-    agent: str
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Believes:
-    agent: str
-    child: "Formula"
-
-
-@dataclass(frozen=True)
 class GroupSeesVar:
     mode: GroupMode
     group: Tuple[str, ...]
@@ -353,13 +329,31 @@ class GroupBelieves:
     child: "Formula"
 
 
-Formula = Union[
-    Atom, Not, And, SeesVar, Sees, Knows, Believes,
-    GroupSeesVar, GroupSees, GroupKnows, GroupBelieves,
-]
+Formula = Union[Atom, Not, And, GroupSeesVar, GroupSees, GroupKnows, GroupBelieves]
 
-_KNOWLEDGE_NODES = (SeesVar, Sees, Knows, GroupSeesVar, GroupSees, GroupKnows)
-_BELIEF_NODES = (Believes, GroupBelieves)
+
+# An individual operator is the UNIFORM operator of a group of one agent:
+# `SeesVar("a", v)` builds `GroupSeesVar(GroupMode.UNIFORM, ("a",), v)`, and
+# likewise for the others. No AST node has these classes as its type.
+
+class SeesVar(GroupSeesVar):
+    def __new__(cls, agent: str, var: str) -> GroupSeesVar:
+        return GroupSeesVar(GroupMode.UNIFORM, (agent,), var)
+
+
+class Sees(GroupSees):
+    def __new__(cls, agent: str, child: Formula) -> GroupSees:
+        return GroupSees(GroupMode.UNIFORM, (agent,), child)
+
+
+class Knows(GroupKnows):
+    def __new__(cls, agent: str, child: Formula) -> GroupKnows:
+        return GroupKnows(GroupMode.UNIFORM, (agent,), child)
+
+
+class Believes(GroupBelieves):
+    def __new__(cls, agent: str, child: Formula) -> GroupBelieves:
+        return GroupBelieves(GroupMode.UNIFORM, (agent,), child)
 
 
 def make_group(names: Iterable[str]) -> Tuple[str, ...]:
@@ -382,17 +376,6 @@ def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> None:
     elif isinstance(phi, And):
         _validate(sig, phi.left, inside_knowledge)
         _validate(sig, phi.right, inside_knowledge)
-    elif isinstance(phi, SeesVar):
-        _check_agent(sig, phi.agent)
-        sig.domain(phi.var)
-    elif isinstance(phi, (Sees, Knows)):
-        _check_agent(sig, phi.agent)
-        _validate(sig, phi.child, True)
-    elif isinstance(phi, Believes):
-        if inside_knowledge:
-            raise ValidationError("a belief operator may not appear under seeing/knowledge")
-        _check_agent(sig, phi.agent)
-        _validate(sig, phi.child, False)
     elif isinstance(phi, GroupSeesVar):
         _check_group(sig, phi.group)
         sig.domain(phi.var)
@@ -428,18 +411,14 @@ def _validate_atom(sig: Signature, atom: Atom) -> None:
         raise ValidationError(f"relation {atom.rel!r} requires integer operands")
 
 
-def _check_agent(sig: Signature, agent: str) -> None:
-    if not sig.is_agent(agent):
-        raise ValidationError(f"unknown agent {agent!r}")
-
-
 def _check_group(sig: Signature, group: Tuple[str, ...]) -> None:
     if not group:
         raise ValidationError("a group must contain at least one agent")
     if len(set(group)) != len(group):
         raise ValidationError(f"group {group!r} contains duplicates")
     for agent in group:
-        _check_agent(sig, agent)
+        if not sig.is_agent(agent):
+            raise ValidationError(f"unknown agent {agent!r}")
 
 
 def interpret_atom(state: State, atom: Atom) -> Ternary:

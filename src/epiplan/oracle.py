@@ -15,7 +15,6 @@ from typing import Iterator
 from .core import (
     And,
     Atom,
-    Believes,
     EngineError,
     Formula,
     GroupBelieves,
@@ -23,10 +22,7 @@ from .core import (
     GroupMode,
     GroupSees,
     GroupSeesVar,
-    Knows,
     Not,
-    Sees,
-    SeesVar,
     Signature,
     State,
     StateSequence,
@@ -40,7 +36,6 @@ from .perspectives import (
     common_perspectives,
     distributed_perspective,
     group_observation,
-    justified_perspective,
     uniform_perspectives,
 )
 
@@ -106,27 +101,19 @@ def _holds(model: ObservationModel, space: CompletionSpace,
         return _holds(model, space, seq, phi.left) and _holds(model, space, seq, phi.right)
     if isinstance(phi, Not):
         return not _holds(model, space, seq, phi.child)
-    if isinstance(phi, SeesVar):
-        return phi.var in model.observe(phi.agent, seq.last)
-    if isinstance(phi, Sees):
-        observed = StateSequence([model.observe(phi.agent, s) for s in seq])
-        return (_forall(model, space, observed, phi.child)
-                or _forall(model, space, observed, Not(phi.child)))
-    if isinstance(phi, Knows):
-        return (_holds(model, space, seq, phi.child)
-                and _holds(model, space, seq, Sees(phi.agent, phi.child)))
-    if isinstance(phi, Believes):
-        return _forall(model, space, justified_perspective(model, phi.agent, seq), phi.child)
     if isinstance(phi, GroupSeesVar):
         last = seq.last
         if phi.mode is GroupMode.UNIFORM:
-            return all(_holds(model, space, seq, SeesVar(i, phi.var)) for i in phi.group)
+            return all(phi.var in model.observe(i, last) for i in phi.group)
         if phi.mode is GroupMode.DISTRIBUTED:
             return phi.var in group_observation(model, phi.group, last)
         return phi.var in common_observation(model, phi.group, last)
     if isinstance(phi, GroupSees):
         if phi.mode is GroupMode.UNIFORM:
-            return all(_holds(model, space, seq, Sees(i, phi.child)) for i in phi.group)
+            # each member on its own observation of every state
+            observed = [StateSequence([model.observe(i, s) for s in seq]) for i in phi.group]
+            return all(_forall(model, space, local, phi.child)
+                       or _forall(model, space, local, Not(phi.child)) for local in observed)
         if phi.mode is GroupMode.DISTRIBUTED:
             pooled = StateSequence([group_observation(model, phi.group, s) for s in seq])
             return (_forall(model, space, pooled, phi.child)

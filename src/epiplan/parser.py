@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .core import (
     And,
     Atom,
-    Believes,
     EngineError,
     Formula,
     GroupBelieves,
@@ -20,10 +19,7 @@ from .core import (
     GroupMode,
     GroupSees,
     GroupSeesVar,
-    Knows,
     Not,
-    Sees,
-    SeesVar,
     Signature,
     State,
     StateSequence,
@@ -106,17 +102,13 @@ def _strip_comment(line: str) -> str:
 # --------------------------------------------------------------------------
 
 _RELS = {"=", "!=", "<", "<=", ">", ">="}
-_SINGLE_OPS = {"S": Sees, "K": Knows, "B": Believes}
-_GROUP_OPS: Dict[str, Tuple[type, GroupMode]] = {
-    "ES": (GroupSees, GroupMode.UNIFORM),
-    "DS": (GroupSees, GroupMode.DISTRIBUTED),
-    "CS": (GroupSees, GroupMode.COMMON),
-    "EK": (GroupKnows, GroupMode.UNIFORM),
-    "DK": (GroupKnows, GroupMode.DISTRIBUTED),
-    "CK": (GroupKnows, GroupMode.COMMON),
-    "EB": (GroupBelieves, GroupMode.UNIFORM),
-    "DB": (GroupBelieves, GroupMode.DISTRIBUTED),
-    "CB": (GroupBelieves, GroupMode.COMMON),
+# operator -> (node, mode); an individual operator (mode None) takes one agent
+# and stands for the UNIFORM group of that agent
+_OPERATORS: Dict[str, Tuple[type, Optional[GroupMode]]] = {
+    prefix + letter: (node, mode)
+    for letter, node in (("S", GroupSees), ("K", GroupKnows), ("B", GroupBelieves))
+    for prefix, mode in (("", None), ("E", GroupMode.UNIFORM),
+                         ("D", GroupMode.DISTRIBUTED), ("C", GroupMode.COMMON))
 }
 
 
@@ -207,24 +199,17 @@ def _parse_formula(stream: _TokenStream, sig: Signature,
         for part, _ in parts[1:]:
             phi = And(phi, part)
         return phi, height
-    if name in _SINGLE_OPS:
-        agent_tok = stream.next("an agent name")
-        if agent_tok.text in "()":
-            raise ParseError("expected an agent name", agent_tok.line, agent_tok.col)
-        node = _SINGLE_OPS[name]
+    if name in _OPERATORS:
+        node, mode = _OPERATORS[name]
+        if mode is None:
+            agent_tok = stream.next("an agent name")
+            if agent_tok.text in "()":
+                raise ParseError("expected an agent name", agent_tok.line, agent_tok.col)
+            mode, group = GroupMode.UNIFORM, (agent_tok.text,)
+        else:
+            group = _parse_group(stream)
         arg = stream.peek()
-        if name == "S" and arg is not None and arg.text != "(":
-            var_tok = stream.next("a variable")
-            _expect_close(stream, head)
-            return SeesVar(agent_tok.text, var_tok.text), 1
-        child, height = _parse_formula(stream, sig, depth + 1)
-        _expect_close(stream, head)
-        return node(agent_tok.text, child), height + 1
-    if name in _GROUP_OPS:
-        node, mode = _GROUP_OPS[name]
-        group = _parse_group(stream)
-        arg = stream.peek()
-        if name in ("ES", "DS", "CS") and arg is not None and arg.text != "(":
+        if node is GroupSees and arg is not None and arg.text != "(":
             var_tok = stream.next("a variable")
             _expect_close(stream, head)
             return GroupSeesVar(mode, group, var_tok.text), 1
@@ -276,8 +261,13 @@ def _expect_close(stream: _TokenStream, opener: Token) -> None:
                          f"{opener.line})", tok.line, tok.col)
 
 
+_LETTER_OF = {GroupSeesVar: "S", GroupSees: "S", GroupKnows: "K", GroupBelieves: "B"}
+
+
 def format_formula(phi: Formula) -> str:
-    """Render a formula as an s-expression that parses back to an equal AST."""
+    """Render a formula as an s-expression that parses back to an equal AST.
+
+    A UNIFORM group of one agent prints in individual form, `(S a ...)`."""
     if isinstance(phi, Atom):
         rhs = phi.rhs.name if isinstance(phi.rhs, Var) else format_value(phi.rhs)
         return f"({phi.rel} {phi.lhs} {rhs})"
@@ -285,23 +275,13 @@ def format_formula(phi: Formula) -> str:
         return f"(not {format_formula(phi.child)})"
     if isinstance(phi, And):
         return f"(and {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, SeesVar):
-        return f"(S {phi.agent} {phi.var})"
-    if isinstance(phi, Sees):
-        return f"(S {phi.agent} {format_formula(phi.child)})"
-    if isinstance(phi, Knows):
-        return f"(K {phi.agent} {format_formula(phi.child)})"
-    if isinstance(phi, Believes):
-        return f"(B {phi.agent} {format_formula(phi.child)})"
-    if isinstance(phi, GroupSeesVar):
-        return f"({phi.mode.value}S ({' '.join(phi.group)}) {phi.var})"
-    if isinstance(phi, GroupSees):
-        return f"({phi.mode.value}S ({' '.join(phi.group)}) {format_formula(phi.child)})"
-    if isinstance(phi, GroupKnows):
-        return f"({phi.mode.value}K ({' '.join(phi.group)}) {format_formula(phi.child)})"
-    if isinstance(phi, GroupBelieves):
-        return f"({phi.mode.value}B ({' '.join(phi.group)}) {format_formula(phi.child)})"
-    raise TypeError(f"not a formula node: {phi!r}")
+    letter = _LETTER_OF.get(type(phi))
+    if letter is None:
+        raise TypeError(f"not a formula node: {phi!r}")
+    arg = phi.var if isinstance(phi, GroupSeesVar) else format_formula(phi.child)
+    if phi.mode is GroupMode.UNIFORM and len(phi.group) == 1:
+        return f"({letter} {phi.group[0]} {arg})"
+    return f"({phi.mode.value}{letter} ({' '.join(phi.group)}) {arg})"
 
 
 # --------------------------------------------------------------------------

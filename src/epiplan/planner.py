@@ -29,6 +29,9 @@ SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
 ABORTED = "aborted"
 
+# search depth limit when neither the caller nor the problem file sets one
+DEFAULT_MAX_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class Effect:
@@ -126,7 +129,7 @@ def breadth_first_plan(model: ObservationModel,
                        actions: Sequence[Action],
                        initial: State,
                        goals: Iterable[Goal],
-                       max_depth: int = 12,
+                       max_depth: int = DEFAULT_MAX_DEPTH,
                        node_budget: Optional[int] = None,
                        time_budget: Optional[float] = None) -> PlanResult:
     """Shortest plan reaching all goal targets, FIFO order, duplicates pruned.

@@ -9,17 +9,14 @@ from typing import List
 from .core import (
     And,
     Atom,
-    Believes,
     Formula,
     GroupBelieves,
     GroupKnows,
     GroupMode,
     GroupSees,
     GroupSeesVar,
-    Knows,
     Not,
-    Sees,
-    SeesVar,
+    State,
     StateSequence,
     Ternary,
     interpret_atom,
@@ -116,18 +113,6 @@ class Evaluator:
             return min(left, self._eval(seq, phi.right))
         if isinstance(phi, Not):
             return self._eval(seq, phi.child).negate()
-        if isinstance(phi, SeesVar):
-            return self._sees_var(seq, phi.agent, phi.var)
-        if isinstance(phi, Sees):
-            return self._sees_formula(seq, phi.agent, phi.child)
-        if isinstance(phi, Knows):
-            held = self._eval(seq, phi.child)
-            if held is Ternary.FALSE:
-                return Ternary.FALSE
-            return min(held, self._sees_formula(seq, phi.agent, phi.child))
-        if isinstance(phi, Believes):
-            return self._eval(_cached_perspective(self.model, phi.agent, seq, self._views),
-                              phi.child)
         if isinstance(phi, GroupSeesVar):
             return self._group_sees_var(seq, phi)
         if isinstance(phi, GroupSees):
@@ -142,64 +127,60 @@ class Evaluator:
         raise TypeError(f"not a formula node: {phi!r}")
 
     # -- seeing -------------------------------------------------------------
-
-    def _sees_var(self, seq: StateSequence, agent: str, var: str) -> Ternary:
-        last = seq.last
-        if agent not in last or var not in last:
-            return Ternary.UNKNOWN
-        if not self.model.sees(agent, last, var):
-            return Ternary.FALSE
-        return Ternary.TRUE
-
-    def _sees_formula(self, seq: StateSequence, agent: str, child: Formula) -> Ternary:
-        if self._eval(seq, child) is Ternary.UNKNOWN or agent not in seq.last:
-            return Ternary.UNKNOWN
-        observed = StateSequence([self.model.observe(agent, s) for s in seq])
-        if self._eval(observed, child) is Ternary.UNKNOWN:
-            return Ternary.FALSE
-        return Ternary.TRUE
+    #
+    # An individual operator is the UNIFORM mode over a group of one. Only
+    # belief-free formulas may appear under seeing and knowledge, and those
+    # read the last state alone, so every mode judges its child on an
+    # observation of the last state.
 
     def _group_sees_var(self, seq: StateSequence, phi: GroupSeesVar) -> Ternary:
-        last = seq.last
+        last, var, group = seq.last, phi.var, phi.group
+        if var not in last:
+            return Ternary.UNKNOWN
         if phi.mode is GroupMode.UNIFORM:
-            return min(self._sees_var(seq, i, phi.var) for i in phi.group)
+            return min(Ternary.UNKNOWN if i not in last
+                       else Ternary.from_bool(self.model.sees(i, last, var))
+                       for i in group)
         if phi.mode is GroupMode.DISTRIBUTED:
-            if phi.var not in last or not any(i in last for i in phi.group):
+            if not any(i in last for i in group):
                 return Ternary.UNKNOWN
-            if not any(self.model.sees(i, last, phi.var) for i in phi.group):
-                return Ternary.FALSE
-            return Ternary.TRUE
+            return Ternary.from_bool(any(self.model.sees(i, last, var) for i in group))
         # common: every member must be present, and the variable must survive
         # the intersection fixed point
-        if phi.var not in last or not all(i in last for i in phi.group):
+        if not all(i in last for i in group):
             return Ternary.UNKNOWN
-        if phi.var not in common_observation(self.model, phi.group, last):
-            return Ternary.FALSE
-        return Ternary.TRUE
+        return Ternary.from_bool(var in common_observation(self.model, group, last))
 
     def _group_sees_formula(self, seq: StateSequence, mode: GroupMode,
                             group, child: Formula) -> Ternary:
+        if self._eval(seq, child) is Ternary.UNKNOWN:
+            return Ternary.UNKNOWN
         last = seq.last
         if mode is GroupMode.UNIFORM:
-            return min(self._sees_formula(seq, i, child) for i in group)
+            return min(Ternary.UNKNOWN if i not in last
+                       else self._decides(self.model.observe(i, last), child)
+                       for i in group)
         if mode is GroupMode.DISTRIBUTED:
-            if self._eval(seq, child) is Ternary.UNKNOWN or not any(i in last for i in group):
+            if not any(i in last for i in group):
                 return Ternary.UNKNOWN
-            pooled = group_observation(self.model, group, last)
-            if self._eval(StateSequence([pooled]), child) is Ternary.UNKNOWN:
-                return Ternary.FALSE
-            return Ternary.TRUE
-        if self._eval(seq, child) is Ternary.UNKNOWN or not all(i in last for i in group):
+            return self._decides(group_observation(self.model, group, last), child)
+        if not all(i in last for i in group):
             return Ternary.UNKNOWN
-        shared = StateSequence([common_observation(self.model, group, s) for s in seq])
-        if self._eval(shared, child) is Ternary.UNKNOWN:
-            return Ternary.FALSE
-        return Ternary.TRUE
+        return self._decides(common_observation(self.model, group, last), child)
+
+    def _decides(self, observed: State, child: Formula) -> Ternary:
+        """Whether the observed state settles `child` one way or the other."""
+        return Ternary.from_bool(
+            self._eval(StateSequence([observed]), child) is not Ternary.UNKNOWN)
 
     # -- believing ----------------------------------------------------------
 
     def _group_believes(self, seq: StateSequence, phi: GroupBelieves) -> Ternary:
         if phi.mode is GroupMode.UNIFORM:
+            if len(phi.group) == 1:
+                # an individual belief: the member's view, without the set
+                view = _cached_perspective(self.model, phi.group[0], seq, self._views)
+                return self._eval(view, phi.child)
             views = uniform_perspectives(self.model, phi.group, seq, self._views)
             return min(self._eval(w, phi.child) for w in views)
         if phi.mode is GroupMode.DISTRIBUTED:

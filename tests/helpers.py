@@ -6,7 +6,21 @@ import random
 from importlib import resources
 from typing import Dict, Optional, Tuple
 
-from epiplan.core import Signature, State, StateSequence
+from epiplan.core import (
+    And,
+    Atom,
+    GroupKnows,
+    GroupMode,
+    GroupSees,
+    GroupSeesVar,
+    Knows,
+    Not,
+    Sees,
+    SeesVar,
+    Signature,
+    State,
+    StateSequence,
+)
 from epiplan.cli import load_benchmark
 from epiplan.parser import DomainFile, parse_trace
 from epiplan.perspectives import ObservationModel
@@ -140,6 +154,42 @@ def random_states(rng: random.Random, sig: Signature, count: int):
             assignment[var] = pool[rng.randrange(len(pool))]
         out.append(sig.global_state(assignment))
     return out
+
+
+def random_belief_free_formula(rng: random.Random, sig: Signature, depth: int):
+    """A random formula without belief operators over `sig`'s variables and
+    agents: the formulas the grammar allows under seeing and knowledge.
+
+    Seeing and knowing come individually and in all three group modes.
+    """
+    variables = [v for v in sig.variables if not sig.is_agent(v)]
+    var = rng.choice(variables)
+    pool = sig.domain(var)
+    atom = Atom("=" if rng.random() < 0.7 else "!=", var, pool[rng.randrange(len(pool))])
+    if depth == 0:
+        return atom
+    agent = rng.choice(sig.agents)
+    group = tuple(a for a in sig.agents if rng.random() < 0.6) or (agent,)
+    mode = rng.choice(list(GroupMode))
+    roll = rng.randrange(9)
+    if roll == 0:
+        return atom
+    if roll == 1:
+        return Not(random_belief_free_formula(rng, sig, depth - 1))
+    if roll == 2:
+        return And(random_belief_free_formula(rng, sig, depth - 1),
+                   random_belief_free_formula(rng, sig, depth - 1))
+    if roll == 3:
+        return SeesVar(agent, var)
+    if roll == 4:
+        return Sees(agent, random_belief_free_formula(rng, sig, depth - 1))
+    if roll == 5:
+        return Knows(agent, random_belief_free_formula(rng, sig, depth - 1))
+    if roll == 6:
+        return GroupSeesVar(mode, group, var)
+    if roll == 7:
+        return GroupSees(mode, group, random_belief_free_formula(rng, sig, depth - 1))
+    return GroupKnows(mode, group, random_belief_free_formula(rng, sig, depth - 1))
 
 
 # --------------------------------------------------------------------------

@@ -141,6 +141,23 @@ def _random_legal_formula(rng, sig, depth, under_knowledge):
     return atom
 
 
+@pytest.mark.parametrize("individual, grouped", [
+    ("(S a n)", "(ES (a) n)"),
+    ("(S a (= n 1))", "(ES (a) (= n 1))"),
+    ("(K a (= ok true))", "(EK (a) (= ok true))"),
+    ("(B a (not (S b colour)))", "(EB (a) (not (ES (b) colour)))"),
+])
+def test_individual_operator_is_singleton_uniform_group(sig, individual, grouped):
+    phi = parse_formula(individual, sig)
+    assert parse_formula(grouped, sig) == phi
+    assert phi.mode is GroupMode.UNIFORM and phi.group == ("a",)
+    assert format_formula(parse_formula(grouped, sig)) == individual
+    assert format_formula(phi) == individual
+    assert parse_formula(format_formula(phi), sig) == phi
+    # the individual names stay types, so isinstance accepts them
+    isinstance(phi, (Sees, Knows, Believes, SeesVar))
+
+
 def test_round_trip_on_random_formulas(sig):
     rng = random.Random(424242)
     for _ in range(400):

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_instance
+from helpers import random_belief_free_formula, random_instance
 from epiplan.core import (
     And,
     Atom,
     Believes,
     GroupBelieves,
+    GroupKnows,
     GroupMode,
+    GroupSees,
     GroupSeesVar,
     Knows,
     Not,
@@ -93,6 +96,19 @@ class TestSeeing:
                 assert ev.evaluate(seq, atom) is Ternary.TRUE
         assert checked > 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_belief_free_formulas_read_only_the_last_state(self, seed):
+        # the grammar allows only belief-free formulas under seeing and
+        # knowledge, so every seeing mode may judge them on the last state
+        rng = random.Random(seed)
+        sig, model, seq = random_instance(rng, max_vars=3, max_len=5)
+        last_only = StateSequence([seq.last])
+        ev = Evaluator(model)
+        for _ in range(6):
+            phi = random_belief_free_formula(rng, sig, rng.randint(0, 3))
+            assert ev.evaluate(seq, phi) is ev.evaluate(last_only, phi)
+
     def test_absent_agent_marker_gives_unknown(self):
         from epiplan.perspectives import ObservationModel
 
@@ -151,6 +167,13 @@ class TestGroupBelief:
                 seq, GroupBelieves(GroupMode.COMMON, (agent,), atom)) is individual
             assert ev.evaluate(
                 seq, GroupBelieves(GroupMode.DISTRIBUTED, (agent,), atom)) is individual
+            pairs = [(SeesVar(agent, var), lambda mode: GroupSeesVar(mode, (agent,), var)),
+                     (Sees(agent, atom), lambda mode: GroupSees(mode, (agent,), atom)),
+                     (Knows(agent, atom), lambda mode: GroupKnows(mode, (agent,), atom))]
+            for single, grouped in pairs:
+                individual = ev.evaluate(seq, single)
+                for mode in GroupMode:
+                    assert ev.evaluate(seq, grouped(mode)) is individual
 
     def test_distributed_belief_on_plan1(self, number_dom, plan1):
         assert evaluate(number_dom, plan1, "(DB (a b) (= n 1))") is Ternary.TRUE
