@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from typing import List, Optional, Sequence, Tuple
@@ -69,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="find a shortest plan for a problem")
     solve.add_argument("domain")
     solve.add_argument("problem")
-    solve.add_argument("--max-depth", type=int, default=None,
+    solve.add_argument("--max-depth", type=_count, default=None,
                        help="override the search depth limit (default "
                             f"{DEFAULT_MAX_DEPTH} or the problem's max-depth)")
     solve.add_argument("--format", choices=("text", "tsv", "json"), default="text")
-    solve.add_argument("--time-budget", type=float, default=None,
+    solve.add_argument("--time-budget", type=_seconds, default=None,
                        help="abort the search after this many seconds")
-    solve.add_argument("--node-budget", type=int, default=None,
+    solve.add_argument("--node-budget", type=_count, default=None,
                        help="abort the search after generating this many nodes")
     solve.add_argument("--seed", type=int, default=None,
                        help="accepted for harness uniformity; the search is "
@@ -94,16 +95,43 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("set", nargs="?", default="all",
                        help="number | grapevine | bbl | all")
     bench.add_argument("--format", choices=("text", "tsv", "json"), default="text")
-    bench.add_argument("--time-budget", type=float, default=60.0,
+    bench.add_argument("--time-budget", type=_seconds, default=60.0,
                        help="per-instance time budget in seconds (default 60)")
-    bench.add_argument("--node-budget", type=int, default=None)
+    bench.add_argument("--node-budget", type=_count, default=None)
     bench.set_defaults(func=_cmd_bench)
     return parser
 
 
-def _load_domain(path: str) -> DomainFile:
+def _at_least_zero(kind: type, noun: str):
+    """An argparse type for options that take a `kind` value >= 0; anything
+    else, NaN too, makes argparse exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"expected {noun} >= 0, got {text!r}")
+        return value
+    return parse
+
+
+_count = _at_least_zero(int, "a whole number")
+_seconds = _at_least_zero(float, "a number of seconds")
+
+
+def _read(path: str) -> str:
+    """The text of a UTF-8 input file; undecodable bytes are a ParseError."""
     with open(path, encoding="utf-8") as handle:
-        return parse_domain(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} "
+                             f"({exc.object[exc.start]:#04x}) {exc.reason}") from None
+
+
+def _load_domain(path: str) -> DomainFile:
+    return parse_domain(_read(path))
 
 
 def _goal_text(problem: ProblemFile) -> str:
@@ -162,8 +190,7 @@ def _depth_limit(problem: ProblemFile, override: Optional[int] = None) -> int:
 
 def _cmd_solve(args) -> int:
     domain = _load_domain(args.domain)
-    with open(args.problem, encoding="utf-8") as handle:
-        problem = parse_problem(handle.read(), domain)
+    problem = parse_problem(_read(args.problem), domain)
     max_depth = _depth_limit(problem, args.max_depth)
     result = breadth_first_plan(domain.model, domain.actions, problem.initial,
                                 problem.goals, max_depth=max_depth,
@@ -187,8 +214,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     domain = _load_domain(args.domain)
-    with open(args.trace, encoding="utf-8") as handle:
-        seq = parse_trace(handle.read(), domain)
+    seq = parse_trace(_read(args.trace), domain)
     phi = parse_formula(args.formula, domain.signature)
     evaluator = Evaluator(domain.model)
     verdict = evaluator.evaluate(seq, phi)

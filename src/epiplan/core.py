@@ -141,7 +141,7 @@ class State:
 
     Unassigned is how the model represents a value hidden from a viewer, so
     lookups are total. Equality and hashing are structural over the
-    assignment set.
+    assignment set; states of two signature objects are never equal.
     """
 
     __slots__ = ("sig", "vals", "_hash")
@@ -193,7 +193,8 @@ class State:
             return True
         if not isinstance(other, State):
             return NotImplemented
-        return self._hash == other._hash and self.vals == other.vals
+        return (self._hash == other._hash and self.vals == other.vals
+                and self.sig is other.sig)
 
     def __hash__(self) -> int:
         return self._hash

@@ -9,7 +9,9 @@ view).
 
 A view of s_0..s_t depends only on that prefix, so views are built by one
 left-to-right fold, and `PerspectiveCache` extends the views of a sequence's
-one-step prefix by the last state instead of rebuilding them.
+one-step prefix by the last state instead of rebuilding them. A `FoldMemo`
+carries what the fold has worked out across builds: which variables a group
+of viewers sees in a state, and one `State` object per distinct view row.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class ObservationModel:
     than a projection: a viewer can recognise *that* someone sees a variable
     (e.g. a peeking flag is visible) even when the variable's value is absent
     from the viewer's own local state. Perspective building relies on this.
+
+    ``sees`` must be a deterministic function of (agent, state, variable):
+    perspective building caches its answers per state.
     """
 
     name = "unnamed"
@@ -138,9 +143,63 @@ class Perspective(StateSequence):
         self.parent = parent
 
 
+class _Visibility:
+    """Which variables a group of viewers sees, state by state, under one
+    signature and one observation model.
+
+    `masks` maps a state's values to one flag per variable. A miss asks the
+    model only about the variables that are not transparent, and asks a
+    viewer only about those no earlier viewer sees.
+    """
+
+    __slots__ = ("masks", "_viewers", "_sees", "_always", "_gated")
+
+    def __init__(self, model: ObservationModel, sig: Signature,
+                 viewers: Tuple[str, ...]):
+        transparent = model.transparent_variables()
+        self.masks: Dict[tuple, Tuple[bool, ...]] = {}
+        self._viewers = viewers
+        self._sees = model.sees
+        self._always = [var in transparent for var in sig.variables]
+        self._gated = tuple((idx, var) for idx, var in enumerate(sig.variables)
+                            if var not in transparent)
+
+    def compute(self, state: State) -> Tuple[bool, ...]:
+        """The mask of `state`, worked out and stored."""
+        sees, viewers = self._sees, self._viewers
+        mask = self._always.copy()
+        for idx, var in self._gated:
+            for agent in viewers:
+                if sees(agent, state, var):
+                    mask[idx] = True
+                    break
+        found = self.masks[state.vals] = tuple(mask)
+        return found
+
+
+class FoldMemo:
+    """What the fold has worked out, kept across the builds that share it;
+    one memo serves one observation model.
+
+    `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
+    is asked once per (viewers, state). `rows` maps a signature to a table
+    from a view row's values to the one `State` holding them, so equal view
+    states are one object and compare by identity. Both tables are keyed by
+    value tuples, which say nothing of the signature, so each signature has
+    tables of its own.
+    """
+
+    __slots__ = ("visibility", "rows")
+
+    def __init__(self):
+        self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
+        self.rows: Dict[Signature, Dict[tuple, State]] = {}
+
+
 def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
                        seq: StateSequence,
-                       before: Optional[Perspective] = None) -> Perspective:
+                       before: Optional[Perspective] = None,
+                       memo: Optional[FoldMemo] = None) -> Perspective:
     """The sequence `viewers`, pooling their observations, believe after
     watching `seq` (one viewer: an individual perspective).
 
@@ -154,35 +213,37 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
 
     Without `before` this is the fold from t = 0. With `before`, the same
     viewers' view of `seq.parent`, it is the one step for the last state.
+    `memo` (a fresh one if not given) supplies visibility and view states.
     """
     sig = seq.sig
-    variables = sig.variables
-    transparent = model.transparent_variables()
-    sees = model.sees
+    if memo is None:
+        memo = FoldMemo()
+    visibility = memo.visibility.get((sig, viewers))
+    if visibility is None:
+        visibility = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
+    masks = visibility.masks
+    rows = memo.rows.get(sig)
+    if rows is None:
+        rows = memo.rows[sig] = {}
     states = seq.states
     if before is None:
-        start, prior, unresolved = 0, (None,) * len(variables), set()
+        start, prior, unresolved = 0, (None,) * len(sig.variables), set()
         # the input's last value of each variable before t
-        last: list = [None] * len(variables)
+        last: list = [None] * len(sig.variables)
     else:
         start, prior = len(states) - 1, before.last.vals
         unresolved = set(before.unresolved)
-        last = [_UNREAD] * len(variables)
+        last = [_UNREAD] * len(sig.variables)
     built = []
     for t in range(start, len(states)):
         state = states[t]
         vals = state.vals
+        mask = masks.get(vals)
+        if mask is None:
+            mask = visibility.compute(state)
         row = []
-        for idx, var in enumerate(variables):
+        for idx, seen in enumerate(mask):
             given = value = vals[idx]
-            if var in transparent:
-                seen = True
-            else:
-                seen = False
-                for agent in viewers:
-                    if sees(agent, state, var):
-                        seen = True
-                        break
             if seen:
                 if value is None:
                     value = last[idx]
@@ -202,8 +263,12 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
             if given is not None:
                 last[idx] = given
             row.append(value)
-        prior = tuple(row)
-        built.append(sig.state_from_values(prior))
+        row = tuple(row)
+        view_state = rows.get(row)
+        if view_state is None:
+            view_state = rows[row] = sig.state_from_values(row)
+        prior = view_state.vals
+        built.append(view_state)
     flags = frozenset(unresolved) if unresolved else _NO_INDICES
     if before is None:
         return Perspective(built, flags)
@@ -220,19 +285,21 @@ def _last_value(states: Tuple[State, ...], end: int, idx: int) -> Optional[Value
 
 
 def justified_perspective(model: ObservationModel, agent: str,
-                          seq: StateSequence) -> StateSequence:
+                          seq: StateSequence,
+                          memo: Optional[FoldMemo] = None) -> StateSequence:
     """The local sequence `agent` believes after watching `seq`."""
-    return _believed_sequence(model, (agent,), seq)
+    return _believed_sequence(model, (agent,), seq, memo=memo)
 
 
 def distributed_perspective(model: ObservationModel, group: Iterable[str],
-                            seq: StateSequence) -> StateSequence:
+                            seq: StateSequence,
+                            memo: Optional[FoldMemo] = None) -> StateSequence:
     """The pooled sequence of a group: the union of members' observations
     drives visibility, so the most recent sighting by anyone wins."""
     members = tuple(group)
     if not members:
         raise ValidationError("a group must contain at least one agent")
-    return _believed_sequence(model, members, seq)
+    return _believed_sequence(model, members, seq, memo=memo)
 
 
 Viewer = Union[str, Tuple[str, ...]]
@@ -250,19 +317,22 @@ class PerspectiveCache:
 
     A miss on an input with a `parent` builds the view of the parent (kept,
     so that siblings share it) and extends it by one state. Every view built
-    from scratch comes from the `build` function passed in.
+    from scratch comes from the `build` function passed in. All builds share
+    the cache's `memo`, which outlives re-focusing.
     """
 
-    __slots__ = ("model", "target", "_focus", "_views")
+    __slots__ = ("model", "target", "memo", "_focus", "_views")
 
     def __init__(self, model: ObservationModel):
         self.model = model
         self.target: Optional[StateSequence] = None
+        self.memo = FoldMemo()
         self._focus: Optional[StateSequence] = None
         self._views: Dict[Tuple[Viewer, StateSequence], Perspective] = {}
 
     def get(self, viewer: Viewer, seq: StateSequence,
-            build: Callable[[ObservationModel, Viewer, StateSequence], Perspective]
+            build: Callable[[ObservationModel, Viewer, StateSequence, FoldMemo],
+                            Perspective]
             ) -> Perspective:
         if self._focus is not self.target:
             self._refocus()
@@ -272,13 +342,14 @@ class PerspectiveCache:
         if found is None:
             parent = seq.parent
             if parent is None:
-                found = build(self.model, viewer, seq)
+                found = build(self.model, viewer, seq, self.memo)
             else:
                 before = views.get((viewer, parent))
                 if before is None:
-                    before = views[(viewer, parent)] = build(self.model, viewer, parent)
+                    before = views[(viewer, parent)] = build(self.model, viewer, parent,
+                                                             self.memo)
                 viewers = (viewer,) if isinstance(viewer, str) else viewer
-                found = _believed_sequence(self.model, viewers, seq, before)
+                found = _believed_sequence(self.model, viewers, seq, before, self.memo)
             views[key] = found
         return found
 

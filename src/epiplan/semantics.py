@@ -77,8 +77,10 @@ class Evaluator:
     evaluator keeps a perspective cache across calls: the views over the
     sequence of the latest call that needed one and over that sequence's
     one-step prefix, so a search node extends its parent's views by one state.
-    The cache makes an evaluator unsafe to share between threads; use one per
-    thread.
+    For its whole lifetime it also keeps the fold's memo: which variables
+    each viewer group sees in each state met so far, and one `State` object
+    per distinct view state, so equal views share their states. The cache
+    makes an evaluator unsafe to share between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):
@@ -116,12 +118,12 @@ class Evaluator:
         if isinstance(phi, GroupSeesVar):
             return self._group_sees_var(seq, phi)
         if isinstance(phi, GroupSees):
-            return self._group_sees_formula(seq, phi.mode, phi.group, phi.child)
+            return self._group_sees_formula(seq, phi, self._eval(seq, phi.child))
         if isinstance(phi, GroupKnows):
             held = self._eval(seq, phi.child)
             if held is Ternary.FALSE:
                 return Ternary.FALSE
-            return min(held, self._group_sees_formula(seq, phi.mode, phi.group, phi.child))
+            return min(held, self._group_sees_formula(seq, phi, held))
         if isinstance(phi, GroupBelieves):
             return self._group_believes(seq, phi)
         raise TypeError(f"not a formula node: {phi!r}")
@@ -151,11 +153,12 @@ class Evaluator:
             return Ternary.UNKNOWN
         return Ternary.from_bool(var in common_observation(self.model, group, last))
 
-    def _group_sees_formula(self, seq: StateSequence, mode: GroupMode,
-                            group, child: Formula) -> Ternary:
-        if self._eval(seq, child) is Ternary.UNKNOWN:
+    def _group_sees_formula(self, seq: StateSequence, phi: GroupSees | GroupKnows,
+                            held: Ternary) -> Ternary:
+        """Whether `phi.group` sees `phi.child`, whose verdict on `seq` is `held`."""
+        if held is Ternary.UNKNOWN:
             return Ternary.UNKNOWN
-        last = seq.last
+        mode, group, child, last = phi.mode, phi.group, phi.child, seq.last
         if mode is GroupMode.UNIFORM:
             return min(Ternary.UNKNOWN if i not in last
                        else self._decides(self.model.observe(i, last), child)

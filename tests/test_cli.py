@@ -72,6 +72,34 @@ class TestSolve:
     def test_missing_file_exit_code(self, paths, capsys):
         assert main(["solve", paths["number.dom"], "/does/not/exist.prob"]) == 2
 
+    @pytest.mark.parametrize("which", ["domain", "problem"])
+    def test_undecodable_file_exit_code(self, paths, capsys, tmp_path, which):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("problem caf\u00e9\n".encode("latin-1"))
+        args = {"domain": [str(bad), paths["n1.prob"]],
+                "problem": [paths["number.dom"], str(bad)]}[which]
+        code = main(["solve", *args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--max-depth", "-1"),
+        ("--node-budget", "-5"),
+        ("--time-budget", "-0.5"),
+        ("--time-budget", "nan"),
+    ])
+    def test_negative_limit_exit_code(self, paths, capsys, option, value):
+        with pytest.raises(SystemExit) as stop:
+            main(["solve", paths["number.dom"], paths["n1.prob"], option, value])
+        assert stop.value.code == 2
+        assert f"argument {option}: expected" in capsys.readouterr().err
+
+    def test_zero_depth_is_a_limit(self, paths, capsys):
+        code = main(["solve", paths["number.dom"], paths["n1.prob"], "--max-depth", "0"])
+        assert code == 3
+        assert "UNSOLVABLE within depth 0" in capsys.readouterr().out
+
 
 def _nested_beliefs(depth: int) -> str:
     """`depth - 1` beliefs of a around an atom that holds in a's view of plan1."""
@@ -117,6 +145,14 @@ class TestEval:
         assert code == 0
         assert "agent a:" in out and "agent b:" in out
         assert "t=4" in out
+
+    def test_undecodable_trace_exit_code(self, paths, capsys, tmp_path):
+        bad = tmp_path / "latin1.trace"
+        bad.write_bytes(b"init n=2 peeking_a=false peeking_b=false\n# \xe9\n")
+        code = main(["eval", paths["number.dom"], str(bad), "(= n 2)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "not UTF-8" in err
 
     def test_bad_formula_exit_code(self, paths, capsys):
         assert main(["eval", paths["number.dom"], paths["plan1.trace"],

@@ -9,6 +9,7 @@ from epiplan.core import (
     GroupBelieves,
     GroupKnows,
     GroupMode,
+    GroupSees,
     GroupSeesVar,
     Knows,
     Not,
@@ -127,7 +128,7 @@ def _random_legal_formula(rng, sig, depth, under_knowledge):
     if roll == 2:
         return SeesVar(agent, rng.choice(["n", "ok"]))
     if roll == 3:
-        return Sees(agent, _random_legal_formula(rng, sig, depth - 1, True))
+        return GroupSees(mode, group, _random_legal_formula(rng, sig, depth - 1, True))
     if roll == 4:
         return Knows(agent, _random_legal_formula(rng, sig, depth - 1, True))
     if roll == 5 and not under_knowledge:

@@ -4,14 +4,18 @@ The retrieval rule reads only [s_0..s_t] when it fills in timestamp t, so the
 view of a prefix is the prefix of the view. The evaluator relies on this to
 extend a parent's perspectives by one state instead of rebuilding them; these
 tests pin the invariant down on random rule-table models and on the three
-bundled observation models.
+bundled observation models. The last tests cover the fold's memo, which an
+evaluator keeps for its lifetime: its views match memo-free builds, equal
+view states are one object, `sees` is asked once per state and viewer group,
+and a model used under two signatures never mixes them.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_instance, random_states
+from helpers import RuleVisibility, random_instance, random_states
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     And,
@@ -21,11 +25,14 @@ from epiplan.core import (
     GroupMode,
     Knows,
     Not,
+    Signature,
     StateSequence,
     make_group,
 )
 from epiplan.parser import parse_formula
 from epiplan.perspectives import (
+    FoldMemo,
+    ObservationModel,
     _believed_sequence,
     common_perspectives,
     distributed_perspective,
@@ -222,3 +229,119 @@ def test_cache_holds_views_over_two_nodes_only(number_dom, plan1):
     assert {len(view) for view in evaluator._views._views.values()} == {len(plan1)}
     assert (("a", unrelated) in evaluator._views._views
             and ("a", plan1) not in evaluator._views._views)
+
+
+def _belief_formula(rng: random.Random, sig):
+    """Nested individual and group beliefs over an atom: every `sees` call
+    they cause comes from building perspectives."""
+    var = rng.choice([v for v in sig.variables if not sig.is_agent(v)])
+    pool = sig.domain(var)
+    phi = Atom("=", var, pool[rng.randrange(len(pool))])
+    for _ in range(rng.randint(1, 3)):
+        group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+        phi = GroupBelieves(rng.choice(list(GroupMode)), group, phi)
+    return phi
+
+
+def _viewer_groups(phi):
+    """The viewer groups whose views evaluating `phi` may build."""
+    groups = set()
+    while isinstance(phi, GroupBelieves):
+        if phi.mode is GroupMode.DISTRIBUTED:
+            groups.add(phi.group)
+        else:
+            groups.update((agent,) for agent in phi.group)
+        phi = phi.child
+    return groups
+
+
+def _related_sequences(rng, sig, child):
+    """A sequence, its one-step prefix, a sibling and an unrelated sequence."""
+    parent = child.parent or child
+    sibling = parent.extend(random_states(rng, sig, 1)[0])
+    unrelated = StateSequence(random_states(rng, sig, rng.randint(1, 5)))
+    return (child, parent, sibling, unrelated, child)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_memoised_views_match_memo_free_builds(kind, seed):
+    rng = random.Random(seed)
+    sig, model, child = _instance(kind, rng, max_len=5)
+    formulas = [_random_formula(rng, sig) for _ in range(4)]
+    evaluator = Evaluator(model)
+    canonical = {}
+    for seq in _related_sequences(rng, sig, child):
+        for phi in formulas:
+            evaluator.evaluate(seq, phi)
+            # the cache holds individual, pooled and nested views
+            for (viewer, source), view in evaluator._views._views.items():
+                if isinstance(viewer, str):
+                    assert view == justified_perspective(model, viewer, source)
+                else:
+                    assert view == distributed_perspective(model, viewer, source)
+                for state in view:
+                    assert state.sig is sig
+                    assert canonical.setdefault(state.vals, state) is state
+
+
+class _CountingModel(ObservationModel):
+    """Delegates to another model and counts each (agent, state, variable)
+    it is asked about."""
+
+    def __init__(self, inner: ObservationModel):
+        self.inner = inner
+        self.asked = Counter()
+
+    def sees(self, agent, state, var):
+        self.asked[(agent, state.vals, var)] += 1
+        return self.inner.sees(agent, state, var)
+
+    def transparent_variables(self):
+        return self.inner.transparent_variables()
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_sees_is_asked_once_per_state_and_viewer_group(kind, seed):
+    rng = random.Random(seed)
+    sig, model, child = _instance(kind, rng, max_len=5)
+    formulas = [_belief_formula(rng, sig) for _ in range(4)]
+    counting = _CountingModel(model)
+    evaluator = Evaluator(counting)
+    for seq in _related_sequences(rng, sig, child):
+        for phi in formulas:
+            evaluator.evaluate(seq, phi)
+    groups = set().union(*map(_viewer_groups, formulas))
+    for (agent, _, _), times in counting.asked.items():
+        assert times <= sum(agent in group for group in groups)
+
+
+def test_one_model_under_two_signatures_keeps_them_apart():
+    """States of two signatures can hold equal value tuples; a memo shared by
+    both must hand each view states, and visibility, of its own signature.
+    Here a sees x once the flag is up and never sees y, so the two views
+    start with equal rows and then part."""
+    first = Signature(["a"], {"flag": (True, False), "x": (0, 1)})
+    second = Signature(["a"], {"flag": (True, False), "y": (0, 1)})
+    model = RuleVisibility({("a", "x"): ("flag", True), ("a", "y"): False},
+                           frozenset({"flag"}))
+    sequences = {sig: StateSequence([sig.global_state({"flag": flag, sig.variables[1]: 0})
+                                     for flag in (False, True)])
+                 for sig in (first, second)}
+    assert [s.vals for s in sequences[first]] == [s.vals for s in sequences[second]]
+    memo = FoldMemo()
+    for sig in (first, second, first):
+        seq = sequences[sig]
+        for build, viewer in ((justified_perspective, "a"),
+                              (distributed_perspective, ("a",))):
+            view = build(model, viewer, seq, memo)
+            assert view == build(model, viewer, seq)
+            assert all(state.sig is sig for state in view)
+    evaluator = Evaluator(model)
+    for sig in (first, second):
+        seq = sequences[sig]
+        phi = Believes("a", Atom("=", sig.variables[1], 0))
+        assert evaluator.evaluate(seq, phi) is Evaluator(model).evaluate(seq, phi)
+        assert all(state.sig is sig
+                   for view in evaluator._views._views.values() for state in view)

@@ -211,6 +211,33 @@ class TestStats:
         assert ev.stats.common_max == 0 and ev.stats.common_avg == 0.0
 
 
+    @pytest.mark.parametrize("text, calls", [
+        ("(= n 1)", 1),
+        ("(S b (= n 1))", 2),
+        ("(K b (= n 1))", 2),
+        ("(K a (= n 1))", 2),
+        ("(DK (a b) (= n 1))", 2),
+        ("(CK (a b) (= n 1))", 2),
+        ("(EK (a b) (= n 1))", 3),
+    ])
+    def test_knowledge_evaluates_its_child_once(self, number_dom, plan1, monkeypatch,
+                                                text, calls):
+        """Knowing is holding plus seeing; the child's verdict on the sequence
+        serves both, and each member's observation decides it once more."""
+        from epiplan import semantics
+
+        counted = []
+        original = semantics.interpret_atom
+
+        def counting(state, atom):
+            counted.append(atom)
+            return original(state, atom)
+
+        monkeypatch.setattr(semantics, "interpret_atom", counting)
+        evaluate(number_dom, plan1, text)
+        assert len(counted) == calls
+
+
 class TestErrors:
     def test_unknown_agent_rejected(self, number_dom, plan1):
         ev = Evaluator(number_dom.model)
