@@ -167,9 +167,6 @@ class State:
             if val is not None:
                 yield var, val
 
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self.items())
-
     def __len__(self) -> int:
         return sum(1 for v in self.vals if v is not None)
 

@@ -401,6 +401,11 @@ def _need(parts: List[str], lo: int, hi: int, lineno: int, usage: str) -> None:
         raise ParseError(f"expected: {usage}", lineno)
 
 
+# Most values an integer range `lo..hi` may declare. The parser lists every
+# value of a range, so a wider one is refused before it is built.
+MAX_INT_RANGE = 65536
+
+
 def _parse_var_decl(parts: List[str], lineno: int) -> Tuple[str, List[Value]]:
     # var <name> : <type> ...
     if len(parts) < 4 or parts[2] != ":":
@@ -425,6 +430,9 @@ def _parse_var_decl(parts: List[str], lineno: int) -> Tuple[str, List[Value]]:
                 raise ParseError(f"bad integer range {rest[0]!r}", lineno) from None
             if hi < lo:
                 raise ParseError(f"empty integer range {rest[0]!r}", lineno)
+            if hi - lo >= MAX_INT_RANGE:
+                raise ParseError(f"integer range {rest[0]!r} holds more than "
+                                 f"{MAX_INT_RANGE} values", lineno)
             return var_name, list(range(lo, hi + 1))
         if len(rest) >= 3 and rest[0] == "{" and rest[-1] == "}":
             try:
@@ -524,6 +532,8 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
             except ValueError:
                 raise ParseError(f"max-depth must be an integer, found {parts[1]!r}",
                                  lineno) from None
+            if max_depth < 0:
+                raise ParseError(f"max-depth must not be negative, found {max_depth}", lineno)
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
 

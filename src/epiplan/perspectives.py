@@ -10,8 +10,8 @@ view).
 A view of s_0..s_t depends only on that prefix, so views are built by one
 left-to-right fold, and `PerspectiveCache` extends the views of a sequence's
 one-step prefix by the last state instead of rebuilding them. A `FoldMemo`
-carries what the fold has worked out across builds: which variables a group
-of viewers sees in a state, and one `State` object per distinct view row.
+carries what has been worked out across builds and observations: which
+variables a group of viewers sees in a state, and one `State` per view row.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class ObservationModel:
         raise NotImplementedError
 
     def observe(self, agent: str, state: State) -> State:
-        """The part of `state` the agent can see (always a sub-state)."""
+        """The part of `state` the agent can see (always a sub-state): the
+        reference projection, which the engine reads from a `FoldMemo`."""
         sig = state.sig
         vals = list(state.vals)
         for idx, var in enumerate(sig.variables):
@@ -69,7 +70,9 @@ class ObservationModel:
     def transparent_variables(self) -> FrozenSet[str]:
         """Variables visible to every agent in every state (fast-path hint).
 
-        Must be sound: ``sees`` has to return True for these unconditionally.
+        Must be sound: ``sees`` has to return True for these unconditionally,
+        since the engine never asks about them. `check_observation_axioms`
+        checks this on its samples.
         """
         return frozenset()
 
@@ -91,10 +94,6 @@ def make_model(name: str, sig: Signature, config: Optional[list] = None) -> Obse
         known = ", ".join(sorted(_MODEL_FACTORIES)) or "none"
         raise ValidationError(f"unknown observation model {name!r} (registered: {known})") from None
     return factory(sig, config or [])
-
-
-def registered_models() -> Tuple[str, ...]:
-    return tuple(sorted(_MODEL_FACTORIES))
 
 
 # --------------------------------------------------------------------------
@@ -156,13 +155,15 @@ class _Visibility:
 
     def __init__(self, model: ObservationModel, sig: Signature,
                  viewers: Tuple[str, ...]):
+        if not viewers:
+            raise ValidationError("a group must contain at least one agent")
         transparent = model.transparent_variables()
         self.masks: Dict[tuple, Tuple[bool, ...]] = {}
         self._viewers = viewers
         self._sees = model.sees
         self._always = [var in transparent for var in sig.variables]
-        self._gated = tuple((idx, var) for idx, var in enumerate(sig.variables)
-                            if var not in transparent)
+        self._gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
+                             if var not in transparent])
 
     def compute(self, state: State) -> Tuple[bool, ...]:
         """The mask of `state`, worked out and stored."""
@@ -175,6 +176,14 @@ class _Visibility:
                     break
         found = self.masks[state.vals] = tuple(mask)
         return found
+
+    def mask(self, state: State) -> Tuple[bool, ...]:
+        found = self.masks.get(state.vals)
+        return self.compute(state) if found is None else found
+
+
+def _masked(state: State, mask: Iterable[bool]) -> State:
+    return State(state.sig, tuple([val if seen else None for val, seen in zip(state.vals, mask)]))
 
 
 class FoldMemo:
@@ -194,6 +203,17 @@ class FoldMemo:
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
         self.rows: Dict[Signature, Dict[tuple, State]] = {}
+
+
+def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
+                memo: Optional[FoldMemo]) -> _Visibility:
+    """The viewers' table in `memo`, made on a miss; a fresh one without a memo."""
+    if memo is None:
+        return _Visibility(model, sig, viewers)
+    found = memo.visibility.get((sig, viewers))
+    if found is None:
+        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
+    return found
 
 
 def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
@@ -220,7 +240,7 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
         memo = FoldMemo()
     visibility = memo.visibility.get((sig, viewers))
     if visibility is None:
-        visibility = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
+        visibility = _visibility(model, sig, viewers, memo)
     masks = visibility.masks
     rows = memo.rows.get(sig)
     if rows is None:
@@ -296,10 +316,7 @@ def distributed_perspective(model: ObservationModel, group: Iterable[str],
                             memo: Optional[FoldMemo] = None) -> StateSequence:
     """The pooled sequence of a group: the union of members' observations
     drives visibility, so the most recent sighting by anyone wins."""
-    members = tuple(group)
-    if not members:
-        raise ValidationError("a group must contain at least one agent")
-    return _believed_sequence(model, members, seq, memo=memo)
+    return _believed_sequence(model, tuple(group), seq, memo=memo)
 
 
 Viewer = Union[str, Tuple[str, ...]]
@@ -432,32 +449,29 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
 
 
 def common_observation(model: ObservationModel, group: Iterable[str],
-                       state: State) -> State:
+                       state: State, memo: Optional[FoldMemo] = None) -> State:
     """Fixed point of intersecting the group's observations of one state.
 
     Variables not visible to every member are dropped, repeatedly, until the
-    remaining sub-state is commonly observed.
+    remaining sub-state is commonly observed. Each member's visibility comes
+    from `memo` when one is given.
     """
     members = tuple(group)
     if not members:
         raise ValidationError("a group must contain at least one agent")
+    tables = [_visibility(model, state.sig, (i,), memo) for i in members]
     current = state
     while True:
-        keep = [var for var, _ in current.items()
-                if all(model.sees(i, current, var) for i in members)]
-        nxt = current.restrict(keep)
+        nxt = _masked(current, map(all, zip(*(t.mask(current) for t in tables))))
         if nxt == current:
             return current
         current = nxt
 
 
 def group_observation(model: ObservationModel, group: Iterable[str],
-                      state: State) -> State:
-    """Union of the members' observations of one state."""
-    members = tuple(group)
-    keep = [var for var, _ in state.items()
-            if any(model.sees(i, state, var) for i in members)]
-    return state.restrict(keep)
+                      state: State, memo: Optional[FoldMemo] = None) -> State:
+    """Union of the members' observations of one state (`memo` as for `common_observation`)."""
+    return _masked(state, _visibility(model, state.sig, tuple(group), memo).mask(state))
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +481,8 @@ def group_observation(model: ObservationModel, group: Iterable[str],
 def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
                              states: Iterable[State], rng=None,
                              substates_per_state: int = 2) -> None:
-    """Verify containment, idempotence and monotonicity on sampled states.
+    """Verify containment, idempotence and monotonicity on sampled states,
+    and that every declared-transparent variable is seen there.
 
     Raises AxiomViolation with the offending agent/state on the first failure.
     Monotonicity is probed against random sub-states of each sample (pass an
@@ -477,6 +492,7 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
 
     rng = rng or _random.Random(0)
     agents = tuple(agents)
+    transparent = model.transparent_variables()
     for state in states:
         samples = [state]
         assigned = state.assigned()
@@ -485,6 +501,11 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
             samples.append(state.restrict(keep))
         for sample in samples:
             for agent in agents:
+                for var in sample.sig.variables:
+                    if var in transparent and not model.sees(agent, sample, var):
+                        raise AxiomViolation(
+                            f"{var!r} is declared transparent but agent {agent!r} "
+                            f"does not see it in {sample!r}")
                 seen = model.observe(agent, sample)
                 if model.observe(agent, sample) != seen:
                     raise AxiomViolation(

@@ -16,7 +16,6 @@ from .core import (
     GroupSees,
     GroupSeesVar,
     Not,
-    State,
     StateSequence,
     Ternary,
     interpret_atom,
@@ -115,15 +114,8 @@ class Evaluator:
             return min(left, self._eval(seq, phi.right))
         if isinstance(phi, Not):
             return self._eval(seq, phi.child).negate()
-        if isinstance(phi, GroupSeesVar):
-            return self._group_sees_var(seq, phi)
-        if isinstance(phi, GroupSees):
-            return self._group_sees_formula(seq, phi, self._eval(seq, phi.child))
-        if isinstance(phi, GroupKnows):
-            held = self._eval(seq, phi.child)
-            if held is Ternary.FALSE:
-                return Ternary.FALSE
-            return min(held, self._group_sees_formula(seq, phi, held))
+        if isinstance(phi, (GroupSeesVar, GroupSees, GroupKnows)):
+            return self._group_sees(seq, phi)
         if isinstance(phi, GroupBelieves):
             return self._group_believes(seq, phi)
         raise TypeError(f"not a formula node: {phi!r}")
@@ -132,49 +124,41 @@ class Evaluator:
     #
     # An individual operator is the UNIFORM mode over a group of one. Only
     # belief-free formulas may appear under seeing and knowledge, and those
-    # read the last state alone, so every mode judges its child on an
-    # observation of the last state.
+    # read the last state alone, so every mode judges on observations of the
+    # last state, read from the evaluator's memo: each member's own (E), the
+    # pooled (D) or the common (C) one.
 
-    def _group_sees_var(self, seq: StateSequence, phi: GroupSeesVar) -> Ternary:
-        last, var, group = seq.last, phi.var, phi.group
-        if var not in last:
-            return Ternary.UNKNOWN
-        if phi.mode is GroupMode.UNIFORM:
-            return min(Ternary.UNKNOWN if i not in last
-                       else Ternary.from_bool(self.model.sees(i, last, var))
-                       for i in group)
-        if phi.mode is GroupMode.DISTRIBUTED:
-            if not any(i in last for i in group):
+    def _group_sees(self, seq: StateSequence,
+                    phi: GroupSeesVar | GroupSees | GroupKnows) -> Ternary:
+        """Whether `phi.group` sees `phi.var` or settles `phi.child` (and, to
+        know it, the child holds)."""
+        last, group = seq.last, phi.group
+        if isinstance(phi, GroupSeesVar):
+            if phi.var not in last:
                 return Ternary.UNKNOWN
-            return Ternary.from_bool(any(self.model.sees(i, last, var) for i in group))
-        # common: every member must be present, and the variable must survive
-        # the intersection fixed point
-        if not all(i in last for i in group):
-            return Ternary.UNKNOWN
-        return Ternary.from_bool(var in common_observation(self.model, group, last))
-
-    def _group_sees_formula(self, seq: StateSequence, phi: GroupSees | GroupKnows,
-                            held: Ternary) -> Ternary:
-        """Whether `phi.group` sees `phi.child`, whose verdict on `seq` is `held`."""
-        if held is Ternary.UNKNOWN:
-            return Ternary.UNKNOWN
-        mode, group, child, last = phi.mode, phi.group, phi.child, seq.last
-        if mode is GroupMode.UNIFORM:
-            return min(Ternary.UNKNOWN if i not in last
-                       else self._decides(self.model.observe(i, last), child)
-                       for i in group)
-        if mode is GroupMode.DISTRIBUTED:
-            if not any(i in last for i in group):
-                return Ternary.UNKNOWN
-            return self._decides(group_observation(self.model, group, last), child)
-        if not all(i in last for i in group):
-            return Ternary.UNKNOWN
-        return self._decides(common_observation(self.model, group, last), child)
-
-    def _decides(self, observed: State, child: Formula) -> Ternary:
-        """Whether the observed state settles `child` one way or the other."""
-        return Ternary.from_bool(
-            self._eval(StateSequence([observed]), child) is not Ternary.UNKNOWN)
+        else:
+            held = self._eval(seq, phi.child)
+            if held is Ternary.UNKNOWN or held is Ternary.FALSE and isinstance(phi, GroupKnows):
+                return held
+        # an observation is None (unknown) where the members it needs are absent
+        if phi.mode is GroupMode.COMMON:
+            observations = [common_observation(self.model, group, last, self._views.memo)
+                            if all(i in last for i in group) else None]
+        else:
+            viewers = [(i,) for i in group] if phi.mode is GroupMode.UNIFORM else [group]
+            observations = [group_observation(self.model, members, last, self._views.memo)
+                            if any(i in last for i in members) else None for members in viewers]
+        verdict = Ternary.TRUE
+        for observed in observations:
+            if observed is None:
+                seen = Ternary.UNKNOWN
+            elif isinstance(phi, GroupSeesVar):
+                seen = Ternary.from_bool(phi.var in observed)
+            else:
+                decided = self._eval(StateSequence([observed]), phi.child)
+                seen = Ternary.from_bool(decided is not Ternary.UNKNOWN)
+            verdict = min(verdict, seen)
+        return verdict
 
     # -- believing ----------------------------------------------------------
 

@@ -289,6 +289,18 @@ class LeakingModel(ObservationModel):
         return state.sig.state_from_values(tuple(vals))
 
 
+class FalselyTransparentModel(ObservationModel):
+    """Declares the flag transparent but never sees it."""
+
+    name = "broken-transparency"
+
+    def sees(self, agent, state, var):
+        return state.sig.is_agent(var) or var == "v1"
+
+    def transparent_variables(self):
+        return frozenset({"flag"})
+
+
 class NonMonotoneModel(ObservationModel):
     """Breaks monotonicity: hides v1 as soon as the flag becomes visible."""
 

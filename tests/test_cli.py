@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from epiplan.cli import main
-from epiplan.parser import MAX_FORMULA_DEPTH
+from epiplan.parser import MAX_FORMULA_DEPTH, MAX_INT_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,28 @@ class TestSolve:
         code = main(["solve", paths["number.dom"], paths["n1.prob"], "--max-depth", "0"])
         assert code == 3
         assert "UNSOLVABLE within depth 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth, code, message", [
+        ("-1", 2, "max-depth must not be negative"),
+        ("0", 3, "UNSOLVABLE within depth 0"),
+    ])
+    def test_problem_file_depth(self, paths, capsys, tmp_path, depth, code, message):
+        prob = tmp_path / "depth.prob"
+        with open(paths["n1.prob"], encoding="utf-8") as source:
+            prob.write_text(source.read().replace("max-depth 4", f"max-depth {depth}"),
+                            encoding="utf-8")
+        assert main(["solve", paths["number.dom"], str(prob)]) == code
+        assert message in "".join(capsys.readouterr())
+
+    def test_too_wide_integer_range_exit_code(self, paths, capsys, tmp_path):
+        # one value over the limit
+        dom = tmp_path / "wide.dom"
+        with open(paths["number.dom"], encoding="utf-8") as source:
+            dom.write_text(source.read().replace("0..2", f"0..{MAX_INT_RANGE}"),
+                           encoding="utf-8")
+        assert main(["solve", str(dom), paths["n1.prob"]]) == 2
+        err = capsys.readouterr().err
+        assert "line 6" in err and f"more than {MAX_INT_RANGE} values" in err
 
 
 def _nested_beliefs(depth: int) -> str:

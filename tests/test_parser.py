@@ -21,6 +21,7 @@ from epiplan.core import (
     make_group,
 )
 from epiplan.parser import (
+    MAX_INT_RANGE,
     ParseError,
     format_formula,
     parse_domain,
@@ -188,6 +189,13 @@ observation number
         domain = parse_domain(text)
         assert domain.signature.domain("d") == (-45, 0, 45)
         assert domain.signature.domain("c") == ("red", "green")
+
+    def test_integer_range_is_bounded(self):
+        widest = MINI_DOMAIN.replace("0..2", f"-1..{MAX_INT_RANGE - 2}")
+        assert len(parse_domain(widest).signature.domain("n")) == MAX_INT_RANGE
+        with pytest.raises(ParseError) as err:
+            parse_domain(MINI_DOMAIN.replace("0..2", f"-1..{MAX_INT_RANGE - 1}"))
+        assert err.value.line == 5 and f"more than {MAX_INT_RANGE} values" in str(err.value)
 
     def test_undeclared_effect_variable(self):
         bad = MINI_DOMAIN.replace("eff n += 1", "eff m += 1")

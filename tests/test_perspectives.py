@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    FalselyTransparentModel,
     LeakingModel,
     NonIdempotentModel,
     NonMonotoneModel,
@@ -250,7 +251,7 @@ class TestAxioms:
             check_observation_axioms(model, sig.agents, list(seq), rng=rng)
 
     @pytest.mark.parametrize("broken", [LeakingModel(), NonMonotoneModel(),
-                                        NonIdempotentModel()])
+                                        NonIdempotentModel(), FalselyTransparentModel()])
     def test_broken_models_rejected(self, broken):
         rng = random.Random(13)
         sig = Signature(["a", "b"], {"flag": (True, False), "v1": range(3)})

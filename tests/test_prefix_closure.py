@@ -5,9 +5,10 @@ view of a prefix is the prefix of the view. The evaluator relies on this to
 extend a parent's perspectives by one state instead of rebuilding them; these
 tests pin the invariant down on random rule-table models and on the three
 bundled observation models. The last tests cover the fold's memo, which an
-evaluator keeps for its lifetime: its views match memo-free builds, equal
-view states are one object, `sees` is asked once per state and viewer group,
-and a model used under two signatures never mixes them.
+evaluator keeps for its lifetime: its views and observations match memo-free
+definitions, equal view states are one object, `sees` is asked once per state
+and viewer group (by beliefs, seeing and knowledge alike), and a model used
+under two signatures never mixes them.
 """
 
 import random
@@ -15,14 +16,22 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import RuleVisibility, random_instance, random_states
+from helpers import (
+    RuleVisibility,
+    random_belief_free_formula,
+    random_instance,
+    random_states,
+)
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     And,
     Atom,
     Believes,
     GroupBelieves,
+    GroupKnows,
     GroupMode,
+    GroupSees,
+    GroupSeesVar,
     Knows,
     Not,
     Signature,
@@ -34,8 +43,10 @@ from epiplan.perspectives import (
     FoldMemo,
     ObservationModel,
     _believed_sequence,
+    common_observation,
     common_perspectives,
     distributed_perspective,
+    group_observation,
     justified_perspective,
     retrieve_value,
 )
@@ -243,16 +254,36 @@ def _belief_formula(rng: random.Random, sig):
     return phi
 
 
+def _seeing_formulas(rng: random.Random, sig):
+    """S, K and SeesVar in every mode, each on its own and under a belief."""
+    variables = [v for v in sig.variables if not sig.is_agent(v)]
+    formulas = []
+    for mode in GroupMode:
+        group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+        for node in (GroupSeesVar(mode, group, rng.choice(variables)),
+                     GroupSees(mode, group, random_belief_free_formula(rng, sig, 1)),
+                     GroupKnows(mode, group, random_belief_free_formula(rng, sig, 1))):
+            outer = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+            formulas += [node, GroupBelieves(rng.choice(list(GroupMode)), outer, node)]
+    return formulas
+
+
 def _viewer_groups(phi):
-    """The viewer groups whose views evaluating `phi` may build."""
-    groups = set()
-    while isinstance(phi, GroupBelieves):
-        if phi.mode is GroupMode.DISTRIBUTED:
-            groups.add(phi.group)
-        else:
-            groups.update((agent,) for agent in phi.group)
-        phi = phi.child
-    return groups
+    """The viewer groups whose visibility evaluating `phi` may ask about: a
+    D operator's group, and each member of an E or C operator's group."""
+    if isinstance(phi, Atom):
+        return set()
+    if isinstance(phi, And):
+        return _viewer_groups(phi.left) | _viewer_groups(phi.right)
+    if isinstance(phi, Not):
+        return _viewer_groups(phi.child)
+    if phi.mode is GroupMode.DISTRIBUTED:
+        groups = {phi.group}
+    else:
+        groups = {(agent,) for agent in phi.group}
+    if isinstance(phi, GroupSeesVar):
+        return groups
+    return groups | _viewer_groups(phi.child)
 
 
 def _related_sequences(rng, sig, child):
@@ -306,7 +337,7 @@ class _CountingModel(ObservationModel):
 def test_sees_is_asked_once_per_state_and_viewer_group(kind, seed):
     rng = random.Random(seed)
     sig, model, child = _instance(kind, rng, max_len=5)
-    formulas = [_belief_formula(rng, sig) for _ in range(4)]
+    formulas = [_belief_formula(rng, sig) for _ in range(4)] + _seeing_formulas(rng, sig)
     counting = _CountingModel(model)
     evaluator = Evaluator(counting)
     for seq in _related_sequences(rng, sig, child):
@@ -315,6 +346,45 @@ def test_sees_is_asked_once_per_state_and_viewer_group(kind, seed):
     groups = set().union(*map(_viewer_groups, formulas))
     for (agent, _, _), times in counting.asked.items():
         assert times <= sum(agent in group for group in groups)
+
+
+def _pooled_by_definition(model, group, state):
+    return state.restrict([var for var, _ in state.items()
+                           if any(model.sees(i, state, var) for i in group)])
+
+
+def _common_by_definition(model, group, state):
+    while True:
+        shared = state.restrict([var for var, _ in state.items()
+                                 if all(model.sees(i, state, var) for i in group)])
+        if shared == state:
+            return state
+        state = shared
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_memoised_observations_match_definitions(kind, seed):
+    """Observations read from one shared memo, of global states, partial
+    states and view states, equal those asked of `sees` directly."""
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng, max_len=4)
+    states = list(seq)
+    states += [state.restrict([v for v in state.assigned() if rng.random() < 0.6])
+               for state in list(states)]
+    states += list(justified_perspective(model, rng.choice(sig.agents), seq))
+    groups = [make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+              for _ in range(3)]
+    memo = FoldMemo()
+    for state in states + states[::-1]:
+        for agent in sig.agents:
+            assert group_observation(model, (agent,), state, memo) == \
+                model.observe(agent, state)
+        for group in groups:
+            assert group_observation(model, group, state, memo) == \
+                _pooled_by_definition(model, group, state)
+            assert common_observation(model, group, state, memo) == \
+                _common_by_definition(model, group, state)
 
 
 def test_one_model_under_two_signatures_keeps_them_apart():
