@@ -69,7 +69,7 @@ class Signature:
     agents are present and formulas can test agent presence.
     """
 
-    __slots__ = ("agents", "variables", "domains", "index", "_agent_set")
+    __slots__ = ("agents", "variables", "domains", "index", "_agent_set", "_members")
 
     def __init__(self, agents: Iterable[str], domains: Mapping[str, Iterable[Value]]):
         self.agents: Tuple[str, ...] = tuple(dict.fromkeys(agents))
@@ -92,6 +92,10 @@ class Signature:
         self.domains = declared
         self.index = {name: i for i, name in enumerate(self.variables)}
         self._agent_set = frozenset(self.agents)
+        # per variable, a set `in_domain` tests in O(1): a range for a run of
+        # consecutive ints, else the members paired with their types, since
+        # sets conflate True with 1
+        self._members = {name: _member_set(vals) for name, vals in declared.items()}
 
     def is_agent(self, name: str) -> bool:
         return name in self._agent_set
@@ -106,7 +110,14 @@ class Signature:
         return value_kind(self.domain(var)[0])
 
     def in_domain(self, var: str, value: Value) -> bool:
-        return any(same_value(value, member) for member in self.domain(var))
+        """Whether `value` is in `var`'s domain, compared as `same_value` does."""
+        try:
+            members = self._members[var]
+        except KeyError:
+            raise ValidationError(f"undeclared variable {var!r}") from None
+        if type(members) is range:
+            return type(value) is int and value in members
+        return (type(value), value) in members
 
     def state_from_values(self, vals: Tuple[Optional[Value], ...]) -> "State":
         """Trusted constructor: `vals` aligned with `self.variables`, None = unassigned."""
@@ -134,6 +145,14 @@ class Signature:
         if missing:
             raise ValidationError(f"global state misses variables: {', '.join(missing)}")
         return state
+
+
+def _member_set(vals: Tuple[Value, ...]) -> Union[range, frozenset]:
+    if type(vals[0]) is int:   # then all are: a domain has one kind
+        low, high = min(vals), max(vals)
+        if high - low + 1 == len(vals):
+            return range(low, high + 1)
+    return frozenset((type(v), v) for v in vals)
 
 
 class State:
@@ -201,22 +220,35 @@ class State:
         return "{" + body + "}"
 
 
+_EMPTY_HASH = hash(())
+
+
 class StateSequence:
     """Non-empty ordered list of states; timestamps run 0..n.
 
     `parent` is the sequence this one was made from by `extend`, None
     otherwise; it lets perspectives over a sequence be built from those over
-    its one-step prefix.
+    its one-step prefix. The hash chains the states' hashes from the first
+    to the last, so a sequence made from a `parent` whose `states` begin its
+    own hashes only the states past the parent's, and equal sequences hash
+    equal however they were made.
     """
 
     __slots__ = ("states", "_hash", "parent")
 
-    def __init__(self, states: Iterable[State]):
+    def __init__(self, states: Iterable[State],
+                 parent: Optional["StateSequence"] = None):
         self.states = tuple(states)
         if not self.states:
             raise ValidationError("a state sequence must contain at least one state")
-        self._hash = hash(self.states)
-        self.parent: Optional[StateSequence] = None
+        if parent is None:
+            digest, start = _EMPTY_HASH, 0
+        else:
+            digest, start = parent._hash, len(parent.states)
+        for state in self.states[start:]:
+            digest = hash((digest, state._hash))
+        self._hash = digest
+        self.parent = parent
 
     @property
     def sig(self) -> Signature:
@@ -244,9 +276,7 @@ class StateSequence:
         return StateSequence(self.states[: t + 1])
 
     def extend(self, state: State) -> "StateSequence":
-        child = StateSequence(self.states + (state,))
-        child.parent = self
-        return child
+        return StateSequence(self.states + (state,), self)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -8,10 +8,14 @@ distributed view) or iterate everyone's views to a fixed point (the common
 view).
 
 A view of s_0..s_t depends only on that prefix, so views are built by one
-left-to-right fold, and `PerspectiveCache` extends the views of a sequence's
-one-step prefix by the last state instead of rebuilding them. A `FoldMemo`
-carries what has been worked out across builds and observations: which
-variables a group of viewers sees in a state, and one `State` per view row.
+left-to-right fold. One step of it needs only a small fold state (the view's
+last row, the variables seen but never assigned, and the input's last
+values) and the next input state. A `FoldMemo` carries what has been worked
+out across builds and observations: which variables a group of viewers sees
+in a state, one `State` per view row, one `FoldState` per fold state, and
+each step taken, so a step met again is read back rather than redone.
+`PerspectiveCache` extends the views of a sequence's one-step prefix by the
+last state instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -122,59 +126,123 @@ def retrieve_value(seq: StateSequence, ts: int, var: str) -> Optional[Value]:
 # --------------------------------------------------------------------------
 
 _NO_INDICES: FrozenSet[int] = frozenset()
-_UNREAD = object()   # marks an input value that is still to be read back
+
+
+class FoldState:
+    """All one step of a view's fold needs besides the next input state.
+
+    `row` is the view's last state. `unresolved` holds the indices of the
+    variables the viewers have seen but the input has never assigned. `last`
+    is the input's last-assigned row: each variable at its most recent value
+    so far. When the input never drops a variable it has assigned, as global
+    states and views never do, that is the input's last state itself. A
+    `FoldMemo` interns fold states, so equal ones are one object and hash by
+    identity.
+    """
+
+    __slots__ = ("row", "unresolved", "last")
+
+    def __init__(self, row: State, unresolved: FrozenSet[int], last: State):
+        self.row = row
+        self.unresolved = unresolved
+        self.last = last
 
 
 class Perspective(StateSequence):
-    """A believed sequence, as built by `_believed_sequence`.
+    """A believed sequence, as built by `_believed_sequence`. `fold` is the
+    fold state after its last step; the next step starts from it."""
 
-    `unresolved` holds the indices of the variables the viewer has seen but
-    the input has never assigned. With the last state and the input, it is
-    all the next fold step needs.
-    """
+    __slots__ = ("fold",)
 
-    __slots__ = ("unresolved",)
-
-    def __init__(self, states: Iterable[State], unresolved: FrozenSet[int],
+    def __init__(self, states: Iterable[State], fold: FoldState,
                  parent: Optional[StateSequence] = None):
-        super().__init__(states)
-        self.unresolved = unresolved
-        self.parent = parent
+        super().__init__(states, parent)
+        self.fold = fold
+
+
+class _SignatureMemo:
+    """What a memo keeps for one signature, shared by all viewer groups: the
+    split of the variables into transparent and gated ones, one `State` per
+    view row, and the fold states, interned (`empty` is the one before any
+    step, made on the first build). `masks` and `indices` hold one copy of
+    each visibility mask and each `unresolved` set: the states met far
+    outnumber them."""
+
+    __slots__ = ("sig", "always", "gated", "masks", "rows", "indices", "folds", "empty")
+
+    def __init__(self, model: ObservationModel, sig: Signature):
+        transparent = model.transparent_variables()
+        self.sig = sig
+        self.always = [var in transparent for var in sig.variables]
+        self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
+                            if var not in transparent])
+        self.masks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
+        self.rows: Dict[tuple, State] = {}
+        self.indices: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        self.folds: Dict[tuple, FoldState] = {}
+        self.empty: Optional[FoldState] = None
+
+    def start(self) -> FoldState:
+        """The fold state before any step."""
+        if self.empty is None:
+            nothing = self.sig.state_from_values((None,) * len(self.sig.variables))
+            self.empty = self.fold(nothing.vals, _NO_INDICES, nothing)
+        return self.empty
+
+    def fold(self, row: tuple, unresolved: FrozenSet[int], last: State) -> FoldState:
+        """The one fold state with these parts (`row` given as values)."""
+        if unresolved:
+            unresolved = self.indices.setdefault(unresolved, unresolved)
+        view_state = self.rows.get(row)
+        if view_state is None:   # a new row, so no fold state holds it yet
+            view_state = self.rows[row] = State(self.sig, row)
+            found = None
+        else:
+            found = self.folds.get((row, unresolved, last.vals))
+        if found is None:
+            # the key holds the canonical row, so a fresh copy is not kept alive
+            found = self.folds[(view_state.vals, unresolved, last.vals)] = \
+                FoldState(view_state, unresolved, last)
+        return found
 
 
 class _Visibility:
-    """Which variables a group of viewers sees, state by state, under one
-    signature and one observation model.
+    """What a memo knows about one group of viewers under one signature:
+    which variables they see, state by state, and the fold steps their views
+    have taken.
 
     `masks` maps a state's values to one flag per variable. A miss asks the
     model only about the variables that are not transparent, and asks a
-    viewer only about those no earlier viewer sees.
+    viewer only about those no earlier viewer sees. `steps` maps a fold state
+    to a table from an input state's values to the next fold state. The
+    table, not the fold state, holds the successors, so no reference cycle
+    forms when a fold state steps to itself; and one small table per fold
+    state costs less memory than a key tuple per step.
     """
 
-    __slots__ = ("masks", "_viewers", "_sees", "_always", "_gated")
+    __slots__ = ("masks", "steps", "shared", "_viewers", "_sees")
 
-    def __init__(self, model: ObservationModel, sig: Signature,
-                 viewers: Tuple[str, ...]):
+    def __init__(self, model: ObservationModel, viewers: Tuple[str, ...],
+                 shared: _SignatureMemo):
         if not viewers:
             raise ValidationError("a group must contain at least one agent")
-        transparent = model.transparent_variables()
         self.masks: Dict[tuple, Tuple[bool, ...]] = {}
+        self.steps: Dict[FoldState, Dict[tuple, FoldState]] = {}
+        self.shared = shared
         self._viewers = viewers
         self._sees = model.sees
-        self._always = [var in transparent for var in sig.variables]
-        self._gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
-                             if var not in transparent])
 
     def compute(self, state: State) -> Tuple[bool, ...]:
         """The mask of `state`, worked out and stored."""
         sees, viewers = self._sees, self._viewers
-        mask = self._always.copy()
-        for idx, var in self._gated:
+        mask = self.shared.always.copy()
+        for idx, var in self.shared.gated:
             for agent in viewers:
                 if sees(agent, state, var):
                     mask[idx] = True
                     break
-        found = self.masks[state.vals] = tuple(mask)
+        mask = tuple(mask)
+        found = self.masks[state.vals] = self.shared.masks.setdefault(mask, mask)
         return found
 
     def mask(self, state: State) -> Tuple[bool, ...]:
@@ -191,28 +259,33 @@ class FoldMemo:
     one memo serves one observation model.
 
     `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
-    is asked once per (viewers, state). `rows` maps a signature to a table
-    from a view row's values to the one `State` holding them, so equal view
-    states are one object and compare by identity. Both tables are keyed by
-    value tuples, which say nothing of the signature, so each signature has
-    tables of its own.
+    is asked once per (viewers, state) and a fold step is taken once per
+    (viewers, fold state, input state). `signatures` maps a signature to
+    what its viewer groups share: equal view states are one object, and so
+    are equal fold states. Masks, rows and steps are keyed by value tuples,
+    which say nothing of the signature, so each signature has tables of its
+    own. The memo grows with the distinct states, view rows and fold states
+    it meets.
     """
 
-    __slots__ = ("visibility", "rows")
+    __slots__ = ("visibility", "signatures")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
-        self.rows: Dict[Signature, Dict[tuple, State]] = {}
+        self.signatures: Dict[Signature, _SignatureMemo] = {}
 
 
 def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
                 memo: Optional[FoldMemo]) -> _Visibility:
     """The viewers' table in `memo`, made on a miss; a fresh one without a memo."""
     if memo is None:
-        return _Visibility(model, sig, viewers)
+        memo = FoldMemo()
     found = memo.visibility.get((sig, viewers))
     if found is None:
-        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
+        shared = memo.signatures.get(sig)
+        if shared is None:
+            shared = memo.signatures[sig] = _SignatureMemo(model, sig)
+        found = memo.visibility[(sig, viewers)] = _Visibility(model, viewers, shared)
     return found
 
 
@@ -223,85 +296,82 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
     """The sequence `viewers`, pooling their observations, believe after
     watching `seq` (one viewer: an individual perspective).
 
-    A left-to-right fold over timestamps that applies the retrieval rule to
-    the prefix [s_0..s_t]. A variable some viewer sees at t takes its value
-    at t, else the input's most recent earlier value; one not seen at t keeps
-    its value from t - 1. A variable seen before the input ever assigned it
-    takes the input's first later value. A variable never seen stays absent:
-    with no sighting there is nothing to justify a value, and filling one in
-    from later states would fabricate evidence.
-
-    Without `before` this is the fold from t = 0. With `before`, the same
-    viewers' view of `seq.parent`, it is the one step for the last state.
-    `memo` (a fresh one if not given) supplies visibility and view states.
+    A left-to-right fold over timestamps, one `_fold_step` per input state.
+    Without `before` it takes every state from the empty fold state. With
+    `before`, the same viewers' view of `seq.parent`, it takes the last
+    state from `before.fold`. Steps are read from `memo` (a fresh one if not
+    given) when it has taken them before.
     """
     sig = seq.sig
-    if memo is None:
-        memo = FoldMemo()
-    visibility = memo.visibility.get((sig, viewers))
-    if visibility is None:
-        visibility = _visibility(model, sig, viewers, memo)
-    masks = visibility.masks
-    rows = memo.rows.get(sig)
-    if rows is None:
-        rows = memo.rows[sig] = {}
-    states = seq.states
+    table = None if memo is None else memo.visibility.get((sig, viewers))
+    if table is None:
+        table = _visibility(model, sig, viewers, memo)
+    steps = table.steps
     if before is None:
-        start, prior, unresolved = 0, (None,) * len(sig.variables), set()
-        # the input's last value of each variable before t
-        last: list = [None] * len(sig.variables)
+        fold, head, inputs = table.shared.start(), (), seq.states
     else:
-        start, prior = len(states) - 1, before.last.vals
-        unresolved = set(before.unresolved)
-        last = [_UNREAD] * len(sig.variables)
-    built = []
-    for t in range(start, len(states)):
-        state = states[t]
-        vals = state.vals
-        mask = masks.get(vals)
-        if mask is None:
-            mask = visibility.compute(state)
-        row = []
-        for idx, seen in enumerate(mask):
-            given = value = vals[idx]
-            if seen:
-                if value is None:
-                    value = last[idx]
-                    if value is _UNREAD:
-                        value = _last_value(states, start, idx)
-                    if value is None:
-                        unresolved.add(idx)
-                elif unresolved:
-                    unresolved.discard(idx)
-            elif prior[idx] is not None:
+        fold, head, inputs = before.fold, before.states, seq.states[-1:]
+    rows = []
+    for state in inputs:
+        after = steps.get(fold)
+        found = None if after is None else after.get(state.vals)
+        fold = _fold_step(table, fold, state) if found is None else found
+        rows.append(fold.row)
+    return Perspective(head + tuple(rows), fold, before)
+
+
+def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
+    """The fold state after `fold` takes in `state`, stored in `table.steps`.
+
+    This applies the retrieval rule to the prefix [s_0..s_t] ending in
+    `state`. A variable some viewer sees at t takes its value at t, else the
+    input's most recent earlier value. One not seen at t keeps its value
+    from t - 1. A variable seen before the input ever assigned it takes the
+    input's first later value. A variable never seen stays absent: with no
+    sighting there is nothing to justify a value, and filling one in from
+    later states would fabricate evidence.
+    """
+    vals = state.vals
+    mask = table.masks.get(vals)
+    if mask is None:
+        mask = table.compute(state)
+    prior, last = fold.row.vals, fold.last.vals
+    unresolved = set(fold.unresolved)
+    dropped = False   # whether the input left out a variable it assigned before
+    row = []
+    for idx, seen in enumerate(mask):
+        value = vals[idx]
+        if value is None:
+            old = last[idx]
+            if old is not None:
+                dropped = True
+            if not seen:
                 value = prior[idx]
-            elif idx in unresolved:
-                if value is not None:
-                    unresolved.discard(idx)
+            elif old is None:
+                unresolved.add(idx)
             else:
-                value = None
-            if given is not None:
-                last[idx] = given
-            row.append(value)
-        row = tuple(row)
-        view_state = rows.get(row)
-        if view_state is None:
-            view_state = rows[row] = sig.state_from_values(row)
-        prior = view_state.vals
-        built.append(view_state)
-    flags = frozenset(unresolved) if unresolved else _NO_INDICES
-    if before is None:
-        return Perspective(built, flags)
-    return Perspective(before.states + tuple(built), flags, before)
-
-
-def _last_value(states: Tuple[State, ...], end: int, idx: int) -> Optional[Value]:
-    """The value of variable `idx` in the last of states[:end] that assigns it."""
-    for t in range(end - 1, -1, -1):
-        value = states[t].vals[idx]
-        if value is not None:
-            return value
-    return None
+                value = old
+        elif seen:
+            if unresolved:
+                unresolved.discard(idx)
+        elif prior[idx] is not None:
+            value = prior[idx]
+        elif idx in unresolved:
+            unresolved.discard(idx)
+        else:
+            value = None
+        row.append(value)
+    if dropped:
+        state = state.sig.state_from_values(
+            tuple([old if given is None else given for given, old in zip(vals, last)]))
+    found = table.shared.fold(tuple(row), frozenset(unresolved) if unresolved else _NO_INDICES,
+                              state)
+    after = table.steps.get(fold)
+    if after is None:
+        table.steps[fold] = {vals: found}
+    else:
+        after[vals] = found
+    return found
 
 
 def justified_perspective(model: ObservationModel, agent: str,
@@ -326,11 +396,12 @@ class PerspectiveCache:
     """Perspectives over the sequence being evaluated and its one-step prefix.
 
     Entries map (viewer, input) to the viewer's view of the input; a viewer
-    is an agent name or a group of pooled agents. Set `target` to the
-    sequence about to be evaluated. The first request after it changes
-    re-focuses the cache, keeping only the entries over the new target and
-    over its `parent`. A view is as long as its input, so an entry's length
-    tells which of the two it is over.
+    is an agent name or a group of pooled agents. A view is as long as its
+    input, so the entries are kept in levels by input length: one level over
+    the target and the views of it, one over its `parent`. Set `target` to
+    the sequence about to be evaluated. The first request after it changes
+    re-focuses the cache: a level survives if its sequence is the new target
+    or the new target's parent, and the others are dropped.
 
     A miss on an input with a `parent` builds the view of the parent (kept,
     so that siblings share it) and extends it by one state. Every view built
@@ -338,14 +409,14 @@ class PerspectiveCache:
     the cache's `memo`, which outlives re-focusing.
     """
 
-    __slots__ = ("model", "target", "memo", "_focus", "_views")
+    __slots__ = ("model", "target", "memo", "_focus", "_levels")
 
     def __init__(self, model: ObservationModel):
         self.model = model
         self.target: Optional[StateSequence] = None
         self.memo = FoldMemo()
         self._focus: Optional[StateSequence] = None
-        self._views: Dict[Tuple[Viewer, StateSequence], Perspective] = {}
+        self._levels: Dict[int, Dict[Tuple[Viewer, StateSequence], Perspective]] = {}
 
     def get(self, viewer: Viewer, seq: StateSequence,
             build: Callable[[ObservationModel, Viewer, StateSequence, FoldMemo],
@@ -353,7 +424,9 @@ class PerspectiveCache:
             ) -> Perspective:
         if self._focus is not self.target:
             self._refocus()
-        views = self._views
+        views = self._levels.get(len(seq.states))
+        if views is None:
+            views = self._levels[len(seq.states)] = {}
         key = (viewer, seq)
         found = views.get(key)
         if found is None:
@@ -361,9 +434,12 @@ class PerspectiveCache:
             if parent is None:
                 found = build(self.model, viewer, seq, self.memo)
             else:
-                before = views.get((viewer, parent))
+                below = self._levels.get(len(parent.states))
+                if below is None:
+                    below = self._levels[len(parent.states)] = {}
+                before = below.get((viewer, parent))
                 if before is None:
-                    before = views[(viewer, parent)] = build(self.model, viewer, parent,
+                    before = below[(viewer, parent)] = build(self.model, viewer, parent,
                                                              self.memo)
                 viewers = (viewer,) if isinstance(viewer, str) else viewer
                 found = _believed_sequence(self.model, viewers, seq, before, self.memo)
@@ -373,16 +449,16 @@ class PerspectiveCache:
     def _refocus(self) -> None:
         old = self._focus
         new = self._focus = self.target
-        if not self._views:
-            return
         if old is None or new is None:
-            self._views.clear()
+            self._levels = {}
             return
         # an old level (the old target or its prefix) survives if it is one
         # of the new levels
         levels = (new, new.parent)
-        keep = {len(seq) for seq in (old, old.parent) if seq is not None and seq in levels}
-        self._views = {key: view for key, view in self._views.items() if len(view) in keep}
+        self._levels = {len(seq.states): self._levels[len(seq.states)]
+                        for seq in (old, old.parent)
+                        if seq is not None and len(seq.states) in self._levels
+                        and seq in levels}
 
 
 def _cached_perspective(model: ObservationModel, agent: str, seq: StateSequence,

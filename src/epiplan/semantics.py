@@ -77,9 +77,11 @@ class Evaluator:
     sequence of the latest call that needed one and over that sequence's
     one-step prefix, so a search node extends its parent's views by one state.
     For its whole lifetime it also keeps the fold's memo: which variables
-    each viewer group sees in each state met so far, and one `State` object
-    per distinct view state, so equal views share their states. The cache
-    makes an evaluator unsafe to share between threads; use one per thread.
+    each viewer group sees in each state met so far, one `State` object per
+    distinct view state, so equal views share their states, and every fold
+    step taken, so a view step met again is read back. The memo grows with
+    the distinct states and fold states met. The cache makes an evaluator
+    unsafe to share between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +70,32 @@ class TestSignature:
         assert not sig.in_domain("n", True)
         assert not sig.in_domain("ok", 1)
 
+    def test_in_domain_keeps_kinds_apart(self):
+        # a Python set holds True == 1, so membership alone would conflate them
+        small = Signature(["a"], {"n": range(0, 3), "gaps": (0, 2, 5),
+                                  "flag": (False, True), "colour": ("red", "green")})
+        assert small.in_domain("n", 1) and not small.in_domain("n", True)
+        assert not small.in_domain("n", 3) and not small.in_domain("n", -1)
+        assert small.in_domain("gaps", 5) and not small.in_domain("gaps", 1)
+        assert not small.in_domain("gaps", False)
+        assert small.in_domain("flag", True) and not small.in_domain("flag", 1)
+        assert not small.in_domain("flag", 0)
+        assert small.in_domain("colour", "red") and not small.in_domain("colour", 1)
+        with pytest.raises(ValidationError):
+            small.in_domain("nope", 1)
+
+    def test_in_domain_on_the_widest_range(self):
+        wide = Signature(["a"], {"n": range(0, 65536)})
+        assert wide.in_domain("n", 0) and wide.in_domain("n", 65535)
+        assert not wide.in_domain("n", 65536) and not wide.in_domain("n", -1)
+        assert not wide.in_domain("n", True) and not wide.in_domain("n", "7")
+        # a scan of the domain took about 10 ms per miss here; a lookup
+        # takes microseconds, so 2,000 misses fit well within a second
+        start = time.perf_counter()
+        for _ in range(2000):
+            wide.in_domain("n", 65536)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestState:
     def test_absent_reads_none(self, sig):
@@ -105,6 +133,25 @@ class TestSequence:
     def test_non_empty(self):
         with pytest.raises(ValidationError):
             StateSequence([])
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=8), st.integers(0, 7))
+def test_equal_sequences_hash_equal_however_built(values, cut):
+    """Built whole, by `extend` from fresh but equal states, or by extending a
+    prefix: equal sequences, equal hashes."""
+    sig = Signature(["a"], {"n": range(0, 6)})
+    whole = StateSequence([sig.make_state({"n": v}) for v in values])
+    chained = StateSequence([sig.make_state({"n": values[0]})])
+    for v in values[1:]:
+        chained = chained.extend(sig.make_state({"n": v}))
+    cut = min(cut, len(values) - 1)
+    grown = whole.prefix(cut)
+    for v in values[cut + 1:]:
+        grown = grown.extend(sig.make_state({"n": v}))
+    for seq in (chained, grown):
+        assert seq == whole and hash(seq) == hash(whole)
+    longer = whole.extend(sig.make_state({"n": values[-1]}))
+    assert longer != whole and longer.parent is whole
 
 
 class TestInterpretAtom:

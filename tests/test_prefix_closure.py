@@ -38,7 +38,8 @@ from epiplan.core import (
     StateSequence,
     make_group,
 )
-from epiplan.parser import parse_formula
+from epiplan import perspectives
+from epiplan.parser import parse_formula, parse_trace
 from epiplan.perspectives import (
     FoldMemo,
     ObservationModel,
@@ -59,9 +60,10 @@ MODELS = ("random",) + tuple(BUNDLED)
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def _instance(kind: str, rng: random.Random, max_len: int = 6):
+def _instance(kind: str, rng: random.Random, max_len: int = 6, partial: bool = False):
     """(signature, model, sequence); the sequence is built with `extend`, so
-    each of its prefixes is linked to the one before."""
+    each of its prefixes is linked to the one before. With `partial` its
+    states are partial, as `_partial` makes them."""
     if kind == "random":
         sig, model, seq = random_instance(rng, max_vars=4, max_domain=3, max_len=max_len)
         states = list(seq)
@@ -69,10 +71,22 @@ def _instance(kind: str, rng: random.Random, max_len: int = 6):
         domain = BUNDLED[kind]
         sig, model = domain.signature, domain.model
         states = random_states(rng, sig, rng.randint(1, max_len))
+    if partial:
+        states = _partial(rng, sig, states)
     seq = StateSequence(states[:1])
     for state in states[1:]:
         seq = seq.extend(state)
     return sig, model, seq
+
+
+def _partial(rng: random.Random, sig, states):
+    """The states with each declared variable dropped at random, as the
+    `state` lines of a trace may leave them (the agent markers stay, as the
+    trace parser fills them in). A variable can then be assigned at t and
+    absent at t + 1: the input is not assignment-monotone."""
+    return [state.restrict([var for var in state.assigned()
+                            if sig.is_agent(var) or rng.random() < 0.5])
+            for state in states]
 
 
 def _cut(view: StateSequence, t: int) -> StateSequence:
@@ -174,7 +188,7 @@ def test_one_step_extension_equals_full_build(kind, seed):
             extended = _believed_sequence(model, members, source, before)
             full = _believed_sequence(model, members, source)
             assert extended == full
-            assert extended.unresolved == full.unresolved
+            assert extended.fold.unresolved == full.fold.unresolved
             assert extended.parent is before
 
 
@@ -221,6 +235,12 @@ def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
     assert long_lived.stats.cf_iteration_counts == fresh_counts
 
 
+def _cached(evaluator):
+    """The evaluator's cached views, all levels in one dict."""
+    return {key: view for level in evaluator._views._levels.values()
+            for key, view in level.items()}
+
+
 def test_cache_holds_views_over_two_nodes_only(number_dom, plan1):
     """Walking a trace forwards, the cache keeps views over the current
     prefix and the one before it; an unrelated sequence clears the rest."""
@@ -233,13 +253,13 @@ def test_cache_holds_views_over_two_nodes_only(number_dom, plan1):
     for seq in reversed(chain):
         fresh = Evaluator(number_dom.model).evaluate(seq, phi)
         assert evaluator.evaluate(seq, phi) is fresh
-        lengths = {len(view) for view in evaluator._views._views.values()}
+        lengths = {len(view) for view in _cached(evaluator).values()}
         assert lengths <= {len(seq), len(seq) - 1} and len(seq) in lengths
     unrelated = StateSequence(reversed(plan1.states))
     evaluator.evaluate(unrelated, phi)
-    assert {len(view) for view in evaluator._views._views.values()} == {len(plan1)}
-    assert (("a", unrelated) in evaluator._views._views
-            and ("a", plan1) not in evaluator._views._views)
+    assert {len(view) for view in _cached(evaluator).values()} == {len(plan1)}
+    assert (("a", unrelated) in _cached(evaluator)
+            and ("a", plan1) not in _cached(evaluator))
 
 
 def _belief_formula(rng: random.Random, sig):
@@ -286,11 +306,16 @@ def _viewer_groups(phi):
     return groups | _viewer_groups(phi.child)
 
 
-def _related_sequences(rng, sig, child):
-    """A sequence, its one-step prefix, a sibling and an unrelated sequence."""
+def _related_sequences(rng, sig, child, partial: bool = False):
+    """A sequence, its one-step prefix, a sibling and an unrelated sequence
+    (with `partial`, the new states are partial, as `_partial` makes them)."""
+    def fresh(count):
+        states = random_states(rng, sig, count)
+        return _partial(rng, sig, states) if partial else states
+
     parent = child.parent or child
-    sibling = parent.extend(random_states(rng, sig, 1)[0])
-    unrelated = StateSequence(random_states(rng, sig, rng.randint(1, 5)))
+    sibling = parent.extend(fresh(1)[0])
+    unrelated = StateSequence(fresh(rng.randint(1, 5)))
     return (child, parent, sibling, unrelated, child)
 
 
@@ -306,7 +331,7 @@ def test_memoised_views_match_memo_free_builds(kind, seed):
         for phi in formulas:
             evaluator.evaluate(seq, phi)
             # the cache holds individual, pooled and nested views
-            for (viewer, source), view in evaluator._views._views.items():
+            for (viewer, source), view in _cached(evaluator).items():
                 if isinstance(viewer, str):
                     assert view == justified_perspective(model, viewer, source)
                 else:
@@ -316,19 +341,85 @@ def test_memoised_views_match_memo_free_builds(kind, seed):
                     assert canonical.setdefault(state.vals, state) is state
 
 
+def _fold_by_definition(model, viewers, seq):
+    """The parts of the fold state after the last state of `seq`, read off
+    the whole sequence: the indices of the variables some viewer has seen
+    that `seq` never assigns, and each variable's most recent value."""
+    sig = seq.sig
+    unresolved = frozenset(
+        idx for idx, var in enumerate(sig.variables)
+        if any(model.sees(i, state, var) for state in seq for i in viewers)
+        and all(state.vals[idx] is None for state in seq))
+    last = tuple(next((state.vals[idx] for state in reversed(seq.states)
+                       if state.vals[idx] is not None), None)
+                 for idx in range(len(sig.variables)))
+    return unresolved, last
+
+
+def _linked_view(model, viewers, seq, memo):
+    """The viewers' view of `seq`, linked to their view of its prefix as a
+    search node's views are, so that it can itself be extended."""
+    if seq.parent is None:
+        return _believed_sequence(model, viewers, seq, memo=memo)
+    before = _believed_sequence(model, viewers, seq.parent, memo=memo)
+    return _believed_sequence(model, viewers, seq, before, memo)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1),
+       partial=st.booleans())
+def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
+    """Views built through one long-lived memo, by full builds and one-step
+    extensions in random order, over global or partial inputs and over
+    views, equal the retrieval rule applied literally. Each view's fold state
+    holds its last row, what it has seen but never had assigned and the
+    input's last values, and equal fold states are one object."""
+    rng = random.Random(seed)
+    sig, model, child = _instance(kind, rng, max_len=5, partial=partial)
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    viewers = [(agent,) for agent in sig.agents] + [group]
+    jobs = [(members, seq, outer)
+            for seq in _related_sequences(rng, sig, child, partial)
+            for members in viewers
+            for outer in (None, (rng.choice(sig.agents),))]
+    rng.shuffle(jobs)
+    memo = FoldMemo()
+    folds = {}
+    for members, seq, outer in jobs:
+        source = seq if outer is None else _linked_view(model, outer, seq, memo)
+        view = _believed_sequence(model, members, source, memo=memo)
+        assert view == _by_definition(model, members, source)
+        built = [(view, source)]
+        if source.parent is not None:
+            before = _believed_sequence(model, members, source.parent, memo=memo)
+            extended = _believed_sequence(model, members, source, before, memo)
+            assert extended == view and extended.fold is view.fold
+            built.append((before, source.parent))
+        for result, watched in built:
+            fold = result.fold
+            assert fold.row is result.last
+            assert (fold.unresolved, fold.last.vals) == \
+                _fold_by_definition(model, members, watched)
+            key = (fold.row.vals, fold.unresolved, fold.last.vals)
+            assert folds.setdefault(key, fold) is fold
+
+
 class _CountingModel(ObservationModel):
     """Delegates to another model and counts each (agent, state, variable)
-    it is asked about."""
+    it is asked about, and how often it is asked for its transparent
+    variables."""
 
     def __init__(self, inner: ObservationModel):
         self.inner = inner
         self.asked = Counter()
+        self.splits = 0
 
     def sees(self, agent, state, var):
         self.asked[(agent, state.vals, var)] += 1
         return self.inner.sees(agent, state, var)
 
     def transparent_variables(self):
+        self.splits += 1
         return self.inner.transparent_variables()
 
 
@@ -346,6 +437,68 @@ def test_sees_is_asked_once_per_state_and_viewer_group(kind, seed):
     groups = set().union(*map(_viewer_groups, formulas))
     for (agent, _, _), times in counting.asked.items():
         assert times <= sum(agent in group for group in groups)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1),
+       partial=st.booleans())
+def test_memo_takes_each_fold_step_once(kind, seed, partial):
+    """A long-lived evaluator, and full builds sharing its memo, work out
+    each distinct (viewers, fold state, input state) step at most once."""
+    rng = random.Random(seed)
+    sig, model, child = _instance(kind, rng, max_len=5, partial=partial)
+    formulas = [_belief_formula(rng, sig) for _ in range(4)]
+    taken = Counter()
+    original = perspectives._fold_step
+
+    def counting(table, fold, state):
+        taken[(table, fold, state.vals)] += 1
+        return original(table, fold, state)
+
+    perspectives._fold_step = counting
+    try:
+        evaluator = Evaluator(model)
+        sequences = _related_sequences(rng, sig, child, partial)
+        for seq in sequences:
+            for phi in formulas:
+                evaluator.evaluate(seq, phi)
+        for seq in sequences:
+            for agent in sig.agents:
+                justified_perspective(model, agent, seq, evaluator._views.memo)
+    finally:
+        perspectives._fold_step = original
+    assert taken and max(taken.values()) == 1
+
+
+def test_fold_over_trace_state_lines_that_drop_a_variable(number_dom):
+    """`state` lines may leave out a variable they assigned before. Here a
+    starts peeking at t = 1, where n is absent, so a's view takes n's last
+    value, and the fold state's last-assigned row keeps it."""
+    seq = parse_trace("state n=2 peeking_a=false peeking_b=false\n"
+                      "state peeking_a=true\n"
+                      "state n=1 peeking_b=true\n", number_dom)
+    model = number_dom.model
+    memo = FoldMemo()
+    for t in range(len(seq)):
+        for agent in number_dom.signature.agents:
+            view = justified_perspective(model, agent, seq.prefix(t), memo)
+            assert view == _by_definition(model, (agent,), seq.prefix(t))
+    view = justified_perspective(model, "a", seq.prefix(1), memo)
+    assert view.last.get("n") == 2 and seq[1].get("n") is None
+    assert view.fold.last.get("n") == 2 and view.fold.last.get("peeking_a") is True
+
+
+def test_memo_splits_each_signature_once(number_dom, plan1):
+    """The transparent/gated split is worked out once per signature and
+    memo, however many viewer groups the formulas use."""
+    counting = _CountingModel(number_dom.model)
+    evaluator = Evaluator(counting)
+    phi = parse_formula("(and (CB (a b) (< n 3)) (and (DB (a b) (= n 1)) (B a (S b n))))",
+                        number_dom.signature)
+    for seq in (plan1.parent, plan1):
+        evaluator.evaluate(seq, phi)
+    assert len(evaluator._views.memo.visibility) >= 3
+    assert counting.splits == 1
 
 
 def _pooled_by_definition(model, group, state):
@@ -414,4 +567,4 @@ def test_one_model_under_two_signatures_keeps_them_apart():
         phi = Believes("a", Atom("=", sig.variables[1], 0))
         assert evaluator.evaluate(seq, phi) is Evaluator(model).evaluate(seq, phi)
         assert all(state.sig is sig
-                   for view in evaluator._views._views.values() for state in view)
+                   for view in _cached(evaluator).values() for state in view)
