@@ -226,29 +226,21 @@ _EMPTY_HASH = hash(())
 class StateSequence:
     """Non-empty ordered list of states; timestamps run 0..n.
 
-    `parent` is the sequence this one was made from by `extend`, None
-    otherwise; it lets perspectives over a sequence be built from those over
-    its one-step prefix. The hash chains the states' hashes from the first
-    to the last, so a sequence made from a `parent` whose `states` begin its
-    own hashes only the states past the parent's, and equal sequences hash
-    equal however they were made.
+    The hash chains the states' hashes from the first to the last, so
+    `extend` hashes only the new state, and equal sequences hash equal
+    however they were made.
     """
 
-    __slots__ = ("states", "_hash", "parent")
+    __slots__ = ("states", "_hash")
 
-    def __init__(self, states: Iterable[State],
-                 parent: Optional["StateSequence"] = None):
+    def __init__(self, states: Iterable[State]):
         self.states = tuple(states)
         if not self.states:
             raise ValidationError("a state sequence must contain at least one state")
-        if parent is None:
-            digest, start = _EMPTY_HASH, 0
-        else:
-            digest, start = parent._hash, len(parent.states)
-        for state in self.states[start:]:
+        digest = _EMPTY_HASH
+        for state in self.states:
             digest = hash((digest, state._hash))
         self._hash = digest
-        self.parent = parent
 
     @property
     def sig(self) -> Signature:
@@ -276,7 +268,10 @@ class StateSequence:
         return StateSequence(self.states[: t + 1])
 
     def extend(self, state: State) -> "StateSequence":
-        return StateSequence(self.states + (state,), self)
+        longer = StateSequence.__new__(StateSequence)
+        longer.states = self.states + (state,)
+        longer._hash = hash((self._hash, state._hash))
+        return longer
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -30,6 +30,7 @@ from .core import (
     format_value,
     make_group,
     validate_formula,
+    value_kind,
 )
 from .perspectives import ObservationModel, make_model
 from .planner import Action, Effect, apply_action, SearchNode
@@ -456,11 +457,10 @@ def _parse_effect(sig: Signature, tokens: List[str], lineno: int) -> Effect:
                 raise ParseError(f"cannot copy {operand!r} into {var!r}: kinds differ", lineno)
             return Effect(var, "copy", operand)
         value = _parse_constant(operand)
-        if sig.domain_kind(var) == "symbol" and not sig.in_domain(var, value):
-            raise ParseError(f"symbol {operand!r} is not in the domain of {var!r}", lineno)
-        if sig.domain_kind(var) != ("bool" if type(value) is bool else
-                                    "int" if type(value) is int else "symbol"):
+        if sig.domain_kind(var) != value_kind(value):
             raise ParseError(f"value {operand!r} does not fit variable {var!r}", lineno)
+        if not sig.in_domain(var, value):
+            raise ParseError(f"value {operand!r} is not in the domain of {var!r}", lineno)
         return Effect(var, "set", value)
     if op in ("+=", "-="):
         if sig.domain_kind(var) != "int":

@@ -7,15 +7,16 @@ never-seen variables left absent. Group variants pool observations (the
 distributed view) or iterate everyone's views to a fixed point (the common
 view).
 
-A view of s_0..s_t depends only on that prefix, so views are built by one
-left-to-right fold. One step of it needs only a small fold state (the view's
-last row, the variables seen but never assigned, and the input's last
-values) and the next input state. A `FoldMemo` carries what has been worked
-out across builds and observations: which variables a group of viewers sees
-in a state, one `State` per view row, one `FoldState` per fold state, and
-each step taken, so a step met again is read back rather than redone.
-`PerspectiveCache` extends the views of a sequence's one-step prefix by the
-last state instead of rebuilding them.
+Every view of s_0..s_t is built by one left-to-right fold over the whole
+sequence, from the empty fold state. One step of it needs only a small fold
+state (the view's last row, the variables seen but never assigned, and the
+input's last values) and the next input state. A `FoldMemo` carries what has
+been worked out across builds and observations: which variables a group of
+viewers sees in a state, one `State` per view row, one `FoldState` per fold
+state, and each step taken, so a step met again is read back rather than
+redone. `PerspectiveCache` keeps the views built while one sequence is
+evaluated, so the common fixed point, nested views and several formulas on
+that sequence share them.
 """
 
 from __future__ import annotations
@@ -146,18 +147,6 @@ class FoldState:
         self.row = row
         self.unresolved = unresolved
         self.last = last
-
-
-class Perspective(StateSequence):
-    """A believed sequence, as built by `_believed_sequence`. `fold` is the
-    fold state after its last step; the next step starts from it."""
-
-    __slots__ = ("fold",)
-
-    def __init__(self, states: Iterable[State], fold: FoldState,
-                 parent: Optional[StateSequence] = None):
-        super().__init__(states, parent)
-        self.fold = fold
 
 
 class _SignatureMemo:
@@ -291,33 +280,27 @@ def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...
 
 def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
                        seq: StateSequence,
-                       before: Optional[Perspective] = None,
-                       memo: Optional[FoldMemo] = None) -> Perspective:
+                       memo: Optional[FoldMemo] = None) -> StateSequence:
     """The sequence `viewers`, pooling their observations, believe after
     watching `seq` (one viewer: an individual perspective).
 
-    A left-to-right fold over timestamps, one `_fold_step` per input state.
-    Without `before` it takes every state from the empty fold state. With
-    `before`, the same viewers' view of `seq.parent`, it takes the last
-    state from `before.fold`. Steps are read from `memo` (a fresh one if not
-    given) when it has taken them before.
+    A left-to-right fold over timestamps from the empty fold state, one
+    `_fold_step` per input state. Steps are read from `memo` (a fresh one if
+    not given) when it has taken them before.
     """
     sig = seq.sig
     table = None if memo is None else memo.visibility.get((sig, viewers))
     if table is None:
         table = _visibility(model, sig, viewers, memo)
     steps = table.steps
-    if before is None:
-        fold, head, inputs = table.shared.start(), (), seq.states
-    else:
-        fold, head, inputs = before.fold, before.states, seq.states[-1:]
+    fold = table.shared.start()
     rows = []
-    for state in inputs:
+    for state in seq.states:
         after = steps.get(fold)
         found = None if after is None else after.get(state.vals)
         fold = _fold_step(table, fold, state) if found is None else found
         rows.append(fold.row)
-    return Perspective(head + tuple(rows), fold, before)
+    return StateSequence(rows)
 
 
 def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
@@ -393,72 +376,37 @@ Viewer = Union[str, Tuple[str, ...]]
 
 
 class PerspectiveCache:
-    """Perspectives over the sequence being evaluated and its one-step prefix.
+    """The views over the sequence being evaluated, and the fold memo.
 
     Entries map (viewer, input) to the viewer's view of the input; a viewer
-    is an agent name or a group of pooled agents. A view is as long as its
-    input, so the entries are kept in levels by input length: one level over
-    the target and the views of it, one over its `parent`. Set `target` to
-    the sequence about to be evaluated. The first request after it changes
-    re-focuses the cache: a level survives if its sequence is the new target
-    or the new target's parent, and the others are dropped.
-
-    A miss on an input with a `parent` builds the view of the parent (kept,
-    so that siblings share it) and extends it by one state. Every view built
-    from scratch comes from the `build` function passed in. All builds share
-    the cache's `memo`, which outlives re-focusing.
+    is an agent name or a group of pooled agents, and an input is the
+    target or a view over it. Set `target` to the sequence about to be
+    evaluated; the first request after it changes drops every entry. A miss
+    is built by the `build` function passed in, as one fold through the
+    cache's `memo`, which lives as long as the cache.
     """
 
-    __slots__ = ("model", "target", "memo", "_focus", "_levels")
+    __slots__ = ("model", "target", "memo", "_focus", "_entries")
 
     def __init__(self, model: ObservationModel):
         self.model = model
         self.target: Optional[StateSequence] = None
         self.memo = FoldMemo()
         self._focus: Optional[StateSequence] = None
-        self._levels: Dict[int, Dict[Tuple[Viewer, StateSequence], Perspective]] = {}
+        self._entries: Dict[Tuple[Viewer, StateSequence], StateSequence] = {}
 
     def get(self, viewer: Viewer, seq: StateSequence,
             build: Callable[[ObservationModel, Viewer, StateSequence, FoldMemo],
-                            Perspective]
-            ) -> Perspective:
+                            StateSequence]
+            ) -> StateSequence:
         if self._focus is not self.target:
-            self._refocus()
-        views = self._levels.get(len(seq.states))
-        if views is None:
-            views = self._levels[len(seq.states)] = {}
+            self._focus = self.target
+            self._entries = {}
         key = (viewer, seq)
-        found = views.get(key)
+        found = self._entries.get(key)
         if found is None:
-            parent = seq.parent
-            if parent is None:
-                found = build(self.model, viewer, seq, self.memo)
-            else:
-                below = self._levels.get(len(parent.states))
-                if below is None:
-                    below = self._levels[len(parent.states)] = {}
-                before = below.get((viewer, parent))
-                if before is None:
-                    before = below[(viewer, parent)] = build(self.model, viewer, parent,
-                                                             self.memo)
-                viewers = (viewer,) if isinstance(viewer, str) else viewer
-                found = _believed_sequence(self.model, viewers, seq, before, self.memo)
-            views[key] = found
+            found = self._entries[key] = build(self.model, viewer, seq, self.memo)
         return found
-
-    def _refocus(self) -> None:
-        old = self._focus
-        new = self._focus = self.target
-        if old is None or new is None:
-            self._levels = {}
-            return
-        # an old level (the old target or its prefix) survives if it is one
-        # of the new levels
-        levels = (new, new.parent)
-        self._levels = {len(seq.states): self._levels[len(seq.states)]
-                        for seq in (old, old.parent)
-                        if seq is not None and len(seq.states) in self._levels
-                        and seq in levels}
 
 
 def _cached_perspective(model: ObservationModel, agent: str, seq: StateSequence,

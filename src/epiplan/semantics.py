@@ -74,12 +74,13 @@ class Evaluator:
     identical truth values and identical fixed-point iteration counts, in any
     order. Besides its `stats`, which can be merged across instances, the
     evaluator keeps a perspective cache across calls: the views over the
-    sequence of the latest call that needed one and over that sequence's
-    one-step prefix, so a search node extends its parent's views by one state.
-    For its whole lifetime it also keeps the fold's memo: which variables
-    each viewer group sees in each state met so far, one `State` object per
-    distinct view state, so equal views share their states, and every fold
-    step taken, so a view step met again is read back. The memo grows with
+    sequence of the latest call that needed one, so several formulas on one
+    sequence share them. Each view is one fold over the whole sequence. For
+    its whole lifetime the evaluator also keeps the fold's memo: which
+    variables each viewer group sees in each state met so far, one `State`
+    object per distinct view state, so equal views share their states, and
+    every fold step taken, so a view step met again is read back; a view of
+    a sequence met before costs one memo hit per state. The memo grows with
     the distinct states and fold states met. The cache makes an evaluator
     unsafe to share between threads; use one per thread.
     """

@@ -112,6 +112,15 @@ class TestSolve:
         assert main(["solve", paths["number.dom"], str(prob)]) == code
         assert message in "".join(capsys.readouterr())
 
+    def test_out_of_domain_effect_exit_code(self, paths, capsys, tmp_path):
+        dom = tmp_path / "reach.dom"
+        with open(paths["number.dom"], encoding="utf-8") as source:
+            dom.write_text(source.read().replace("eff n += 1", "eff n := 99"),
+                           encoding="utf-8")
+        assert main(["solve", str(dom), paths["n1.prob"]]) == 2
+        err = capsys.readouterr().err
+        assert "line 32" in err and "not in the domain of 'n'" in err
+
     def test_too_wide_integer_range_exit_code(self, paths, capsys, tmp_path):
         # one value over the limit
         dom = tmp_path / "wide.dom"

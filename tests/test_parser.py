@@ -218,6 +218,15 @@ observation number
         with pytest.raises(ParseError):
             parse_domain(MINI_DOMAIN.replace("observation number", "observation ghost"))
 
+    @pytest.mark.parametrize("effect", ["eff n := 99", "eff n := -1", "eff n := 3"])
+    def test_out_of_domain_constant_effect(self, effect):
+        bad = MINI_DOMAIN.replace("eff n += 1", effect)
+        with pytest.raises(ParseError) as err:
+            parse_domain(bad)
+        assert err.value.line == 16 and "not in the domain of 'n'" in str(err.value)
+        # a constant inside the domain still parses
+        assert parse_domain(MINI_DOMAIN.replace("eff n += 1", "eff n := 2"))
+
     def test_symbol_effect_checked(self):
         text = """
 domain g

@@ -1,14 +1,16 @@
 """Property tests for prefix-closure of perspectives.
 
 The retrieval rule reads only [s_0..s_t] when it fills in timestamp t, so the
-view of a prefix is the prefix of the view. The evaluator relies on this to
-extend a parent's perspectives by one state instead of rebuilding them; these
-tests pin the invariant down on random rule-table models and on the three
-bundled observation models. The last tests cover the fold's memo, which an
-evaluator keeps for its lifetime: its views and observations match memo-free
-definitions, equal view states are one object, `sees` is asked once per state
-and viewer group (by beliefs, seeing and knowledge alike), and a model used
-under two signatures never mixes them.
+view of a prefix is the prefix of the view. Every view is one fold over the
+whole sequence, and the fold's step memo relies on this: a step taken for one
+sequence is read back for every sequence that shares the prefix up to it.
+These tests pin the invariant down on random rule-table models and on the
+three bundled observation models. The last tests cover the fold's memo, which
+an evaluator keeps for its lifetime, and its per-sequence view cache: views
+and observations match memo-free definitions, the fold states the memo steps
+through match their definition, equal view states are one object, `sees` is
+asked once per state and viewer group (by beliefs, seeing and knowledge
+alike), and a model used under two signatures never mixes them.
 """
 
 import random
@@ -61,9 +63,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def _instance(kind: str, rng: random.Random, max_len: int = 6, partial: bool = False):
-    """(signature, model, sequence); the sequence is built with `extend`, so
-    each of its prefixes is linked to the one before. With `partial` its
-    states are partial, as `_partial` makes them."""
+    """(signature, model, sequence); the sequence is built with `extend`, as
+    search nodes are. With `partial` its states are partial, as `_partial`
+    makes them."""
     if kind == "random":
         sig, model, seq = random_instance(rng, max_vars=4, max_domain=3, max_len=max_len)
         states = list(seq)
@@ -169,29 +171,6 @@ def test_common_views_are_prefix_closed(kind, seed):
         assert views == frozenset(_cut(w, t) for w in full)
 
 
-@SETTINGS
-@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
-def test_one_step_extension_equals_full_build(kind, seed):
-    rng = random.Random(seed)
-    sig, model, seq = _instance(kind, rng)
-    if seq.parent is None:
-        return
-    # inputs: the sequence and a view of it built by extension, both linked
-    # to their one-step prefix
-    outer = (rng.choice(sig.agents),)
-    nested = _believed_sequence(model, outer, seq,
-                                _believed_sequence(model, outer, seq.parent))
-    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
-    for source in (seq, nested):
-        for members in [(agent,) for agent in sig.agents] + [group]:
-            before = _believed_sequence(model, members, source.parent)
-            extended = _believed_sequence(model, members, source, before)
-            full = _believed_sequence(model, members, source)
-            assert extended == full
-            assert extended.fold.unresolved == full.fold.unresolved
-            assert extended.parent is before
-
-
 def _random_formula(rng: random.Random, sig):
     agents = sig.agents
     var = rng.choice([v for v in sig.variables if not sig.is_agent(v)])
@@ -218,9 +197,9 @@ def _random_formula(rng: random.Random, sig):
 def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
     rng = random.Random(seed)
     sig, model, child = _instance(kind, rng, max_len=5)
-    while child.parent is None:
+    while len(child) < 2:
         sig, model, child = _instance(kind, rng, max_len=5)
-    parent = child.parent
+    parent = child.prefix(len(child) - 2)
     sibling = parent.extend(random_states(rng, sig, 1)[0])
     unrelated = StateSequence(random_states(rng, sig, rng.randint(1, 5)))
     formulas = [_random_formula(rng, sig) for _ in range(4)]
@@ -236,30 +215,30 @@ def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
 
 
 def _cached(evaluator):
-    """The evaluator's cached views, all levels in one dict."""
-    return {key: view for level in evaluator._views._levels.values()
-            for key, view in level.items()}
+    """The evaluator's cached views, keyed by (viewer, input)."""
+    return dict(evaluator._views._entries)
 
 
-def test_cache_holds_views_over_two_nodes_only(number_dom, plan1):
-    """Walking a trace forwards, the cache keeps views over the current
-    prefix and the one before it; an unrelated sequence clears the rest."""
+def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
+    """Walking a trace forwards, the cache keeps only views as long as the
+    sequence last evaluated, over it or over views of it; an unrelated
+    sequence drops them all."""
     evaluator = Evaluator(number_dom.model)
     phi = parse_formula("(and (CB (a b) (< n 3)) (B a (B b (= n 1))))",
                         number_dom.signature)
-    chain = [plan1]
-    while chain[-1].parent is not None:
-        chain.append(chain[-1].parent)
-    for seq in reversed(chain):
+    for t in range(len(plan1)):
+        seq = plan1.prefix(t)
         fresh = Evaluator(number_dom.model).evaluate(seq, phi)
         assert evaluator.evaluate(seq, phi) is fresh
-        lengths = {len(view) for view in _cached(evaluator).values()}
-        assert lengths <= {len(seq), len(seq) - 1} and len(seq) in lengths
+        cached = _cached(evaluator)
+        assert {len(view) for view in cached.values()} == {len(seq)}
+        assert {source for _, source in cached} <= {seq} | set(cached.values())
+        assert ("a", seq) in cached
     unrelated = StateSequence(reversed(plan1.states))
     evaluator.evaluate(unrelated, phi)
-    assert {len(view) for view in _cached(evaluator).values()} == {len(plan1)}
-    assert (("a", unrelated) in _cached(evaluator)
-            and ("a", plan1) not in _cached(evaluator))
+    cached = _cached(evaluator)
+    assert {source for _, source in cached} <= {unrelated} | set(cached.values())
+    assert ("a", unrelated) in cached and ("a", plan1) not in cached
 
 
 def _belief_formula(rng: random.Random, sig):
@@ -313,7 +292,7 @@ def _related_sequences(rng, sig, child, partial: bool = False):
         states = random_states(rng, sig, count)
         return _partial(rng, sig, states) if partial else states
 
-    parent = child.parent or child
+    parent = child.prefix(max(len(child) - 2, 0))
     sibling = parent.extend(fresh(1)[0])
     unrelated = StateSequence(fresh(rng.randint(1, 5)))
     return (child, parent, sibling, unrelated, child)
@@ -356,24 +335,26 @@ def _fold_by_definition(model, viewers, seq):
     return unresolved, last
 
 
-def _linked_view(model, viewers, seq, memo):
-    """The viewers' view of `seq`, linked to their view of its prefix as a
-    search node's views are, so that it can itself be extended."""
-    if seq.parent is None:
-        return _believed_sequence(model, viewers, seq, memo=memo)
-    before = _believed_sequence(model, viewers, seq.parent, memo=memo)
-    return _believed_sequence(model, viewers, seq, before, memo)
+def _fold_after(model, viewers, seq, memo):
+    """The fold state the viewers' view of `seq` ends in, read by walking
+    the memo's steps from the empty fold state (they must all be there)."""
+    table = perspectives._visibility(model, seq.sig, viewers, memo)
+    fold = table.shared.start()
+    for state in seq:
+        fold = table.steps[fold][state.vals]
+    return fold
 
 
 @SETTINGS
 @given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1),
        partial=st.booleans())
 def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
-    """Views built through one long-lived memo, by full builds and one-step
-    extensions in random order, over global or partial inputs and over
-    views, equal the retrieval rule applied literally. Each view's fold state
-    holds its last row, what it has seen but never had assigned and the
-    input's last values, and equal fold states are one object."""
+    """Views built through one long-lived memo, of sequences and their
+    one-step prefixes in random order, over global or partial inputs and
+    over views, equal the retrieval rule applied literally. The fold state
+    each view ends in holds its last row, what it has seen but never had
+    assigned and the input's last values, and equal fold states are one
+    object."""
     rng = random.Random(seed)
     sig, model, child = _instance(kind, rng, max_len=5, partial=partial)
     group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
@@ -386,17 +367,17 @@ def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
     memo = FoldMemo()
     folds = {}
     for members, seq, outer in jobs:
-        source = seq if outer is None else _linked_view(model, outer, seq, memo)
+        source = seq if outer is None else _believed_sequence(model, outer, seq, memo=memo)
         view = _believed_sequence(model, members, source, memo=memo)
         assert view == _by_definition(model, members, source)
         built = [(view, source)]
-        if source.parent is not None:
-            before = _believed_sequence(model, members, source.parent, memo=memo)
-            extended = _believed_sequence(model, members, source, before, memo)
-            assert extended == view and extended.fold is view.fold
-            built.append((before, source.parent))
+        if len(source) > 1:
+            prefix = source.prefix(len(source) - 2)
+            before = _believed_sequence(model, members, prefix, memo=memo)
+            assert before == _cut(view, len(source) - 2)
+            built.append((before, prefix))
         for result, watched in built:
-            fold = result.fold
+            fold = _fold_after(model, members, watched, memo)
             assert fold.row is result.last
             assert (fold.unresolved, fold.last.vals) == \
                 _fold_by_definition(model, members, watched)
@@ -485,7 +466,8 @@ def test_fold_over_trace_state_lines_that_drop_a_variable(number_dom):
             assert view == _by_definition(model, (agent,), seq.prefix(t))
     view = justified_perspective(model, "a", seq.prefix(1), memo)
     assert view.last.get("n") == 2 and seq[1].get("n") is None
-    assert view.fold.last.get("n") == 2 and view.fold.last.get("peeking_a") is True
+    fold = _fold_after(model, ("a",), seq.prefix(1), memo)
+    assert fold.last.get("n") == 2 and fold.last.get("peeking_a") is True
 
 
 def test_memo_splits_each_signature_once(number_dom, plan1):
@@ -495,7 +477,7 @@ def test_memo_splits_each_signature_once(number_dom, plan1):
     evaluator = Evaluator(counting)
     phi = parse_formula("(and (CB (a b) (< n 3)) (and (DB (a b) (= n 1)) (B a (S b n))))",
                         number_dom.signature)
-    for seq in (plan1.parent, plan1):
+    for seq in (plan1.prefix(len(plan1) - 2), plan1):
         evaluator.evaluate(seq, phi)
     assert len(evaluator._views.memo.visibility) >= 3
     assert counting.splits == 1
