@@ -14,15 +14,15 @@ input's last values) and the next input state. A `FoldMemo` carries what has
 been worked out across builds and observations: which variables a group of
 viewers sees in a state, one `State` per view row, one `FoldState` per fold
 state, and each step taken, so a step met again is read back rather than
-redone. `PerspectiveCache` keeps the views built while one sequence is
-evaluated, so the common fixed point, nested views and several formulas on
-that sequence share them.
+redone. The same memo keeps the views built while one sequence is evaluated,
+keyed by viewer group, so the common fixed point, nested views, individual
+and group beliefs and several formulas on that sequence share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .core import (
     EngineError,
@@ -255,13 +255,35 @@ class FoldMemo:
     which say nothing of the signature, so each signature has tables of its
     own. The memo grows with the distinct states, view rows and fold states
     it meets.
+
+    `view` also keeps the views over one sequence, keyed by (viewers,
+    input), where an input is that sequence or a view over it. Set `target`
+    to the sequence about to be evaluated; the first view asked for after it
+    changes drops the views held. While `target` stays None, views are kept
+    for as long as the memo.
     """
 
-    __slots__ = ("visibility", "signatures")
+    __slots__ = ("visibility", "signatures", "target", "_focus", "_views")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
         self.signatures: Dict[Signature, _SignatureMemo] = {}
+        self.target: Optional[StateSequence] = None
+        self._focus: Optional[StateSequence] = None
+        self._views: Dict[Tuple[Tuple[str, ...], StateSequence], StateSequence] = {}
+
+    def view(self, model: ObservationModel, viewers: Tuple[str, ...], seq: StateSequence,
+             build: Callable[..., StateSequence]) -> StateSequence:
+        """The pooled view of `viewers` (one agent: an individual view) of
+        `seq`, held or made by `build(model, viewers, seq, self)`."""
+        if self._focus is not self.target:
+            self._focus = self.target
+            self._views = {}
+        key = (viewers, seq)
+        found = self._views.get(key)
+        if found is None:
+            found = self._views[key] = build(model, viewers, seq, self)
+        return found
 
 
 def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
@@ -372,58 +394,28 @@ def distributed_perspective(model: ObservationModel, group: Iterable[str],
     return _believed_sequence(model, tuple(group), seq, memo=memo)
 
 
-Viewer = Union[str, Tuple[str, ...]]
-
-
-class PerspectiveCache:
-    """The views over the sequence being evaluated, and the fold memo.
-
-    Entries map (viewer, input) to the viewer's view of the input; a viewer
-    is an agent name or a group of pooled agents, and an input is the
-    target or a view over it. Set `target` to the sequence about to be
-    evaluated; the first request after it changes drops every entry. A miss
-    is built by the `build` function passed in, as one fold through the
-    cache's `memo`, which lives as long as the cache.
-    """
-
-    __slots__ = ("model", "target", "memo", "_focus", "_entries")
-
-    def __init__(self, model: ObservationModel):
-        self.model = model
-        self.target: Optional[StateSequence] = None
-        self.memo = FoldMemo()
-        self._focus: Optional[StateSequence] = None
-        self._entries: Dict[Tuple[Viewer, StateSequence], StateSequence] = {}
-
-    def get(self, viewer: Viewer, seq: StateSequence,
-            build: Callable[[ObservationModel, Viewer, StateSequence, FoldMemo],
-                            StateSequence]
-            ) -> StateSequence:
-        if self._focus is not self.target:
-            self._focus = self.target
-            self._entries = {}
-        key = (viewer, seq)
-        found = self._entries.get(key)
-        if found is None:
-            found = self._entries[key] = build(self.model, viewer, seq, self.memo)
-        return found
-
-
-def _cached_perspective(model: ObservationModel, agent: str, seq: StateSequence,
-                        cache: Optional[PerspectiveCache]) -> StateSequence:
-    if cache is None:
-        return justified_perspective(model, agent, seq)
-    return cache.get(agent, seq, justified_perspective)
+def _individual(model: ObservationModel, viewers: Tuple[str, ...], seq: StateSequence,
+                memo: FoldMemo) -> StateSequence:
+    """The build of a one-agent view for `FoldMemo.view`. It looks up
+    `justified_perspective` at call time, so a wrapper installed on that
+    name (as the benchmark's tracer does) sees every build."""
+    return justified_perspective(model, viewers[0], seq, memo)
 
 
 def uniform_perspectives(model: ObservationModel, group: Iterable[str],
                          seq: StateSequence,
-                         cache: Optional[PerspectiveCache] = None) -> PerspectiveSet:
-    """Everyone's individual perspectives, as a duplicate-free set."""
+                         memo: Optional[FoldMemo] = None) -> PerspectiveSet:
+    """Everyone's individual perspectives, as a duplicate-free set, read
+    through `memo` (a fresh one if not given)."""
     members = tuple(group)
     if not members:
         raise ValidationError("a group must contain at least one agent")
-    return frozenset(_cached_perspective(model, i, seq, cache) for i in members)
+    if memo is None:
+        memo = FoldMemo()
+    views = set()
+    for i in members:
+        views.add(memo.view(model, (i,), seq, _individual))
+    return frozenset(views)
 
 
 @dataclass(frozen=True)
@@ -436,14 +428,15 @@ class FixedPointStats:
 
 def common_perspectives(model: ObservationModel, group: Iterable[str],
                         seed: PerspectiveSet,
-                        cache: Optional[PerspectiveCache] = None
+                        memo: Optional[FoldMemo] = None
                         ) -> Tuple[PerspectiveSet, FixedPointStats]:
     """Least fixed point of repeatedly taking everyone's perspectives.
 
     Each iteration replaces the current set S with the union of all members'
     perspectives of every sequence in S; convergence is reached when the set
     stops changing. One iteration is counted per application, including the
-    one that confirms stability.
+    one that confirms stability. Views are read through `memo` (a fresh one
+    if not given), so each (member, sequence) view is built once.
     """
     members = tuple(group)
     if not members:
@@ -456,13 +449,14 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
         raise ValidationError("seed sequences must share one length")
     some = next(iter(views))
     bound = 2 ** (len(some.sig.variables) * len(some))
+    view = (FoldMemo() if memo is None else memo).view
     iterations = 0
     while True:
         iterations += 1
         grown = set()
         for w in views:
             for i in members:
-                grown.add(_cached_perspective(model, i, w, cache))
+                grown.add(view(model, (i,), w, _individual))
         frozen = frozenset(grown)
         if frozen == views:
             return frozen, FixedPointStats(iterations, len(frozen))

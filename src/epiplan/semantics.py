@@ -22,14 +22,13 @@ from .core import (
     validate_formula,
 )
 from .perspectives import (
+    FoldMemo,
     ObservationModel,
-    PerspectiveCache,
     common_observation,
     common_perspectives,
     distributed_perspective,
     group_observation,
     uniform_perspectives,
-    _cached_perspective,
 )
 
 
@@ -73,22 +72,23 @@ class Evaluator:
     Evaluation is a pure function of (sequence, formula): repeated calls give
     identical truth values and identical fixed-point iteration counts, in any
     order. Besides its `stats`, which can be merged across instances, the
-    evaluator keeps a perspective cache across calls: the views over the
-    sequence of the latest call that needed one, so several formulas on one
-    sequence share them. Each view is one fold over the whole sequence. For
-    its whole lifetime the evaluator also keeps the fold's memo: which
-    variables each viewer group sees in each state met so far, one `State`
-    object per distinct view state, so equal views share their states, and
-    every fold step taken, so a view step met again is read back; a view of
-    a sequence met before costs one memo hit per state. The memo grows with
-    the distinct states and fold states met. The cache makes an evaluator
-    unsafe to share between threads; use one per thread.
+    evaluator keeps one `FoldMemo` for its whole lifetime. It holds the views
+    over the sequence of the latest call that needed one, keyed by viewer
+    group, so several formulas on one sequence share them, and an agent's
+    view is one entry whether B, EB or DB asks for it. Each view is one fold
+    over the whole sequence, and the memo also keeps what the folds have
+    worked out: which variables each viewer group sees in each state met so
+    far, one `State` object per distinct view state, so equal views share
+    their states, and every fold step taken, so a view step met again is
+    read back; a view of a sequence met before costs one memo hit per state.
+    The memo grows with the distinct states and fold states met. It makes an
+    evaluator unsafe to share between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):
         self.model = model
         self.stats = EvalStats()
-        self._views = PerspectiveCache(model)
+        self._memo = FoldMemo()
         # keeps validated formulas alive so ids cannot be recycled
         self._checked_formulas: dict[int, Formula] = {}
 
@@ -97,7 +97,7 @@ class Evaluator:
             validate_formula(seq.sig, phi)
             self._checked_formulas[id(phi)] = phi
         start = time.perf_counter()
-        self._views.target = seq
+        self._memo.target = seq
         try:
             result = self._eval(seq, phi)
         finally:
@@ -145,11 +145,11 @@ class Evaluator:
                 return held
         # an observation is None (unknown) where the members it needs are absent
         if phi.mode is GroupMode.COMMON:
-            observations = [common_observation(self.model, group, last, self._views.memo)
+            observations = [common_observation(self.model, group, last, self._memo)
                             if all(i in last for i in group) else None]
         else:
             viewers = [(i,) for i in group] if phi.mode is GroupMode.UNIFORM else [group]
-            observations = [group_observation(self.model, members, last, self._views.memo)
+            observations = [group_observation(self.model, members, last, self._memo)
                             if any(i in last for i in members) else None for members in viewers]
         verdict = Ternary.TRUE
         for observed in observations:
@@ -166,17 +166,15 @@ class Evaluator:
     # -- believing ----------------------------------------------------------
 
     def _group_believes(self, seq: StateSequence, phi: GroupBelieves) -> Ternary:
-        if phi.mode is GroupMode.UNIFORM:
-            if len(phi.group) == 1:
-                # an individual belief: the member's view, without the set
-                view = _cached_perspective(self.model, phi.group[0], seq, self._views)
-                return self._eval(view, phi.child)
-            views = uniform_perspectives(self.model, phi.group, seq, self._views)
-            return min(self._eval(w, phi.child) for w in views)
         if phi.mode is GroupMode.DISTRIBUTED:
-            pooled = self._views.get(phi.group, seq, distributed_perspective)
+            pooled = self._memo.view(self.model, phi.group, seq, distributed_perspective)
             return self._eval(pooled, phi.child)
-        views, fp = common_perspectives(self.model, phi.group,
-                                        frozenset([seq]), self._views)
-        self.stats.cf_iteration_counts.append(fp.iterations)
-        return min(self._eval(w, phi.child) for w in views)
+        if phi.mode is GroupMode.UNIFORM:
+            views = uniform_perspectives(self.model, phi.group, seq, self._memo)
+        else:
+            views, fp = common_perspectives(self.model, phi.group, frozenset([seq]), self._memo)
+            self.stats.cf_iteration_counts.append(fp.iterations)
+        verdict = Ternary.TRUE
+        for w in views:
+            verdict = min(verdict, self._eval(w, phi.child))
+        return verdict

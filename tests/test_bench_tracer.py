@@ -1,7 +1,8 @@
 """The benchmark's traced run (epibench/tracer.py) wraps engine functions by
 name from the outside. These tests install it on the engine modules this
 suite already imported, so a refactor that drops or bypasses one of those
-names fails here instead of only in `epibench/run.py --trace 1`.
+names, or builds a view without passing through one, fails here instead of
+only in `epibench/run.py --trace 1`.
 """
 
 import importlib
@@ -9,6 +10,7 @@ import importlib.util
 import types
 from pathlib import Path
 
+from epiplan import perspectives
 from epiplan.parser import parse_formula
 from epiplan.semantics import Evaluator
 
@@ -33,16 +35,27 @@ def test_tracer_wraps_and_restores_every_patched_name(number_dom, plan1):
                                       for name in ENGINE_MODULES})
     tracer = _tracer_module().Tracer(engine)
     patched = []
+    builds = 0
+    fold = perspectives._believed_sequence
+
+    def counting(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return fold(*args, **kwargs)
+
     try:
         tracer.install()
         patched = list(tracer._originals)
         for owner, name, original in patched:
             assert _current(owner, name) is not original, name
+        perspectives._believed_sequence = counting
         evaluator = Evaluator(number_dom.model)
         for text in ("(B a (= n 1))", "(EB (a b) (= n 1))", "(DB (a b) (= n 1))",
-                     "(CB (a b) (< n 3))", "(K b (= n 1))"):
+                     "(CB (a b) (< n 3))", "(K b (= n 1))", "(DB (a) (B b (= n 1)))",
+                     "(B a (B b (= n 1)))"):
             evaluator.evaluate(plan1, parse_formula(text, number_dom.signature))
     finally:
+        perspectives._believed_sequence = fold
         tracer.uninstall()
     assert patched
     for owner, name, original in patched:
@@ -54,3 +67,6 @@ def test_tracer_wraps_and_restores_every_patched_name(number_dom, plan1):
                 "perspectives.common.calls", "core.interpret_atom.calls",
                 "domains.sees.calls"):
         assert figures[key] > 0, key
+    # and each build is counted once, so the per-layer counts are builds
+    assert figures["perspectives.justified.calls"] + \
+        figures["perspectives.distributed.calls"] == builds

@@ -5,17 +5,22 @@ view of a prefix is the prefix of the view. Every view is one fold over the
 whole sequence, and the fold's step memo relies on this: a step taken for one
 sequence is read back for every sequence that shares the prefix up to it.
 These tests pin the invariant down on random rule-table models and on the
-three bundled observation models. The last tests cover the fold's memo, which
-an evaluator keeps for its lifetime, and its per-sequence view cache: views
-and observations match memo-free definitions, the fold states the memo steps
-through match their definition, equal view states are one object, `sees` is
-asked once per state and viewer group (by beliefs, seeing and knowledge
-alike), and a model used under two signatures never mixes them.
+three bundled observation models. The last tests cover the fold's memo, the
+one cache an evaluator keeps for its lifetime, with the views of its target
+keyed by viewer group: views and observations match memo-free definitions,
+one agent's view is one entry for B, EB and DB alike, the fold states the
+memo steps through match their definition, equal view states are one object,
+`sees` is asked once per state and viewer group (by beliefs, seeing and
+knowledge alike), a model used under two signatures never mixes them, and a
+dropped memo is freed without the cyclic collector.
 """
 
+import gc
+import itertools
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -42,6 +47,7 @@ from epiplan.core import (
 )
 from epiplan import perspectives
 from epiplan.parser import parse_formula, parse_trace
+from epiplan.planner import breadth_first_plan
 from epiplan.perspectives import (
     FoldMemo,
     ObservationModel,
@@ -215,8 +221,8 @@ def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
 
 
 def _cached(evaluator):
-    """The evaluator's cached views, keyed by (viewer, input)."""
-    return dict(evaluator._views._entries)
+    """The evaluator's cached views, keyed by (viewers, input)."""
+    return dict(evaluator._memo._views)
 
 
 def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
@@ -233,12 +239,60 @@ def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
         cached = _cached(evaluator)
         assert {len(view) for view in cached.values()} == {len(seq)}
         assert {source for _, source in cached} <= {seq} | set(cached.values())
-        assert ("a", seq) in cached
+        assert (("a",), seq) in cached
     unrelated = StateSequence(reversed(plan1.states))
     evaluator.evaluate(unrelated, phi)
     cached = _cached(evaluator)
     assert {source for _, source in cached} <= {unrelated} | set(cached.values())
-    assert ("a", unrelated) in cached and ("a", plan1) not in cached
+    assert (("a",), unrelated) in cached and (("a",), plan1) not in cached
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_one_agent_view_is_shared_by_b_eb_and_db(number_dom, plan1, order):
+    """`(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` read a's view of the target
+    from one cache entry, whichever asks first."""
+    texts = [f"({op} {who} (B b (= n 1)))" for op, who in (("B", "a"), ("EB", "(a)"),
+                                                         ("DB", "(a)"))]
+    formulas = [parse_formula(texts[i], number_dom.signature) for i in order]
+    built = Counter()
+    original = perspectives._believed_sequence
+
+    def counting(model, viewers, seq, memo=None):
+        built[(viewers, seq)] += 1
+        return original(model, viewers, seq, memo)
+
+    perspectives._believed_sequence = counting
+    try:
+        evaluator = Evaluator(number_dom.model)
+        verdicts = {evaluator.evaluate(plan1, phi) for phi in formulas}
+    finally:
+        perspectives._believed_sequence = original
+    assert verdicts == {Evaluator(number_dom.model).evaluate(plan1, formulas[0])}
+    assert built[(("a",), plan1)] == 1
+    assert max(built.values()) == 1
+
+
+def test_memo_is_freed_by_reference_counting_alone(number_dom, plan1):
+    """A search's evaluator and a long-lived one hold no reference cycle:
+    once dropped, the cyclic collector finds nothing of theirs to free."""
+    domain, problem = load_benchmark("grapevine", "g2")
+    formulas = [parse_formula(text, number_dom.signature) for text in (
+        "(B a (= n 1))", "(EB (a b) (B b (= n 1)))", "(DB (a b) (< n 3))",
+        "(CB (a b) (< n 3))", "(S a n)", "(K b (= n 1))", "(ES (a b) (= n 1))")]
+    gc.collect()
+    gc.disable()
+    try:
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    problem.goals, max_depth=4)
+        evaluator = Evaluator(number_dom.model)
+        for t in range(len(plan1)):
+            for phi in formulas:
+                evaluator.evaluate(plan1.prefix(t), phi)
+        assert result.generated > 1000 and evaluator.stats.cf_iteration_counts
+        del result, evaluator
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _belief_formula(rng: random.Random, sig):
@@ -311,8 +365,8 @@ def test_memoised_views_match_memo_free_builds(kind, seed):
             evaluator.evaluate(seq, phi)
             # the cache holds individual, pooled and nested views
             for (viewer, source), view in _cached(evaluator).items():
-                if isinstance(viewer, str):
-                    assert view == justified_perspective(model, viewer, source)
+                if len(viewer) == 1:
+                    assert view == justified_perspective(model, viewer[0], source)
                 else:
                     assert view == distributed_perspective(model, viewer, source)
                 for state in view:
@@ -445,7 +499,7 @@ def test_memo_takes_each_fold_step_once(kind, seed, partial):
                 evaluator.evaluate(seq, phi)
         for seq in sequences:
             for agent in sig.agents:
-                justified_perspective(model, agent, seq, evaluator._views.memo)
+                justified_perspective(model, agent, seq, evaluator._memo)
     finally:
         perspectives._fold_step = original
     assert taken and max(taken.values()) == 1
@@ -479,7 +533,7 @@ def test_memo_splits_each_signature_once(number_dom, plan1):
                         number_dom.signature)
     for seq in (plan1.prefix(len(plan1) - 2), plan1):
         evaluator.evaluate(seq, phi)
-    assert len(evaluator._views.memo.visibility) >= 3
+    assert len(evaluator._memo.visibility) >= 3
     assert counting.splits == 1
 
 
