@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
@@ -444,25 +445,28 @@ def _check_group(sig: Signature, group: Tuple[str, ...]) -> None:
             raise ValidationError(f"unknown agent {agent!r}")
 
 
+# the six relations as functions of (left, right), and their verdicts
+# indexed by the bool a comparison returns; module globals, since reading an
+# enum member off its class is an attribute lookup through the metaclass
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_VERDICT = (Ternary.FALSE, Ternary.TRUE)
+_UNKNOWN = Ternary.UNKNOWN
+
+
 def interpret_atom(state: State, atom: Atom) -> Ternary:
     """Atomic comparison against one state.
 
     True/false when all operands are assigned; unknown when any operand is
     missing, since the relation is undefined there.
     """
-    left = state.get(atom.lhs)
-    right = state.get(atom.rhs.name) if isinstance(atom.rhs, Var) else atom.rhs
+    index, vals = state.sig.index, state.vals
+    at = index.get(atom.lhs)
+    left = None if at is None else vals[at]
+    right = atom.rhs
+    if type(right) is Var:
+        at = index.get(right.name)
+        right = None if at is None else vals[at]
     if left is None or right is None:
-        return Ternary.UNKNOWN
-    rel = atom.rel
-    if rel == "=":
-        return Ternary.from_bool(left == right)
-    if rel == "!=":
-        return Ternary.from_bool(left != right)
-    if rel == "<":
-        return Ternary.from_bool(left < right)
-    if rel == "<=":
-        return Ternary.from_bool(left <= right)
-    if rel == ">":
-        return Ternary.from_bool(left > right)
-    return Ternary.from_bool(left >= right)
+        return _UNKNOWN
+    return _VERDICT[_COMPARE[atom.rel](left, right)]

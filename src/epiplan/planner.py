@@ -4,6 +4,17 @@ Because belief formulas are evaluated on the whole state sequence, search
 nodes carry their complete history and duplicate detection keys on the full
 sequence: two nodes are interchangeable only if every state along the way
 matches. Merging on last states would be unsound here.
+
+One expansion pops the oldest node of the frontier and, for each action in
+declaration order, calls `apply_action` once: it evaluates the precondition
+on the node's history (one `Evaluator.evaluate` call) and, if that is
+strictly true and every effect stays in its domain, returns the child. A
+child whose history was seen before is dropped; any other is goal-tested
+(one `evaluate` per goal, stopping at the first goal missed) and queued.
+Each atom a formula reads is one `semantics.interpret_atom` call.
+`apply_action`, `Evaluator.evaluate` and `interpret_atom` are looked up by
+name on every call, never bound once in advance, so the benchmark's tracer
+can wrap them and count the work of each layer.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Formula,
@@ -31,6 +42,9 @@ ABORTED = "aborted"
 
 # search depth limit when neither the caller nor the problem file sets one
 DEFAULT_MAX_DEPTH = 12
+
+# a module global: reading Ternary.TRUE is an enum attribute lookup per call
+_TRUE = Ternary.TRUE
 
 
 @dataclass(frozen=True)
@@ -53,8 +67,9 @@ class Action:
     effects: Tuple[Effect, ...]
 
 
-@dataclass(frozen=True)
-class SearchNode:
+class SearchNode(NamedTuple):
+    """A history and the plan that produced it; a tuple, so immutable."""
+
     sequence: StateSequence
     plan: Tuple[str, ...]
 
@@ -90,13 +105,14 @@ class PlanResult:
 def _apply_effects(sig: Signature, state: State,
                    effects: Tuple[Effect, ...]) -> Optional[State]:
     """Successor values, or None when any effect leaves its declared domain."""
+    index = sig.index
     vals = list(state.vals)
     for eff in effects:
-        idx = sig.index[eff.var]
-        if eff.kind == "set":
+        idx, kind = index[eff.var], eff.kind
+        if kind == "set":
             new: Optional[Value] = eff.operand  # type: ignore[assignment]
-        elif eff.kind == "copy":
-            new = vals[sig.index[eff.operand]]  # type: ignore[index]
+        elif kind == "copy":
+            new = vals[index[eff.operand]]  # type: ignore[index]
         else:
             current = vals[idx]
             if current is None:
@@ -105,7 +121,7 @@ def _apply_effects(sig: Signature, state: State,
         if new is None or not sig.in_domain(eff.var, new):
             return None
         vals[idx] = new
-    return sig.state_from_values(tuple(vals))
+    return State(sig, tuple(vals))
 
 
 def apply_action(evaluator: Evaluator, action: Action,
@@ -115,14 +131,15 @@ def apply_action(evaluator: Evaluator, action: Action,
     The precondition must evaluate to strictly true on the node's history;
     merely-unknown preconditions do not license acting.
     """
+    seq = node.sequence
     if action.precondition is not None:
-        if evaluator.evaluate(node.sequence, action.precondition) is not Ternary.TRUE:
+        if evaluator.evaluate(seq, action.precondition) is not _TRUE:
             return None
-    sig = node.sequence.sig
-    successor = _apply_effects(sig, node.sequence.last, action.effects)
+    last = seq.states[-1]
+    successor = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
-    return SearchNode(node.sequence.extend(successor), node.plan + (action.name,))
+    return SearchNode(seq.extend(successor), node.plan + (action.name,))
 
 
 def breadth_first_plan(model: ObservationModel,
@@ -162,8 +179,10 @@ def breadth_first_plan(model: ObservationModel,
         )
 
     def satisfied(node: SearchNode) -> bool:
-        return all(evaluator.evaluate(node.sequence, phi) is target
-                   for phi, target in goals)
+        for phi, target in goals:
+            if evaluator.evaluate(node.sequence, phi) is not target:
+                return False
+        return True
 
     root = SearchNode(StateSequence([initial]), ())
     expanded = 0

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import List
 
 from .core import (
@@ -16,6 +16,7 @@ from .core import (
     GroupSees,
     GroupSeesVar,
     Not,
+    Signature,
     StateSequence,
     Ternary,
     interpret_atom,
@@ -89,27 +90,31 @@ class Evaluator:
         self.model = model
         self.stats = EvalStats()
         self._memo = FoldMemo()
-        # keeps validated formulas alive so ids cannot be recycled
-        self._checked_formulas: dict[int, Formula] = {}
+        # (formula id, signature id) of each formula validated, mapped to the
+        # pair itself so that neither id can be recycled
+        self._checked_formulas: dict[tuple[int, int], tuple[Formula, Signature]] = {}
 
     def evaluate(self, seq: StateSequence, phi: Formula) -> Ternary:
-        if id(phi) not in self._checked_formulas:
-            validate_formula(seq.sig, phi)
-            self._checked_formulas[id(phi)] = phi
-        start = time.perf_counter()
+        sig = seq.states[0].sig
+        key = (id(phi), id(sig))
+        if key not in self._checked_formulas:
+            validate_formula(sig, phi)
+            self._checked_formulas[key] = (phi, sig)
+        start = perf_counter()
         self._memo.target = seq
         try:
             result = self._eval(seq, phi)
         finally:
-            self.stats.external_calls += 1
-            self.stats.eval_time += time.perf_counter() - start
+            stats = self.stats
+            stats.external_calls += 1
+            stats.eval_time += perf_counter() - start
         return result
 
     # -- dispatch -----------------------------------------------------------
 
     def _eval(self, seq: StateSequence, phi: Formula) -> Ternary:
         if isinstance(phi, Atom):
-            return interpret_atom(seq.last, phi)
+            return interpret_atom(seq.states[-1], phi)
         if isinstance(phi, And):
             left = self._eval(seq, phi.left)
             if left is Ternary.FALSE:

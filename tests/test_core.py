@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epiplan.core import (
+    RELATIONS,
     And,
     Atom,
     Believes,
@@ -183,6 +184,32 @@ class TestInterpretAtom:
             assert value in (Ternary.FALSE, Ternary.UNKNOWN, Ternary.TRUE)
             if "n" in state:
                 assert (value is Ternary.FALSE) == (interpret_atom(state, flipped) is Ternary.TRUE)
+
+    # the relations spelt out, as the reference definition reads them
+    LITERAL = {"=": lambda x, y: x == y, "!=": lambda x, y: x != y,
+               "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+               ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+    SMALL = Signature(["a"], {"x": range(-2, 3), "y": range(-2, 3), "ok": (False, True)})
+    # declared variables, the agent marker, and a name outside the signature
+    NAMES = ("x", "y", "ok", "a", "ghost")
+
+    @given(values=st.fixed_dictionaries({
+               "x": st.none() | st.integers(-2, 2), "y": st.none() | st.integers(-2, 2),
+               "ok": st.none() | st.booleans()}),
+           rel=st.sampled_from(RELATIONS),
+           lhs=st.sampled_from(NAMES),
+           rhs=st.sampled_from(NAMES).map(Var) | st.integers(-3, 3) | st.booleans())
+    def test_matches_the_literal_definition(self, values, rel, lhs, rhs):
+        """Both operands assigned: the Python comparison; else unknown."""
+        state = self.SMALL.make_state({k: v for k, v in values.items() if v is not None})
+        assigned = dict(state.items())
+        left = assigned.get(lhs)
+        right = assigned.get(rhs.name) if isinstance(rhs, Var) else rhs
+        if left is None or right is None:
+            want = Ternary.UNKNOWN
+        else:
+            want = Ternary.from_bool(self.LITERAL[rel](left, right))
+        assert interpret_atom(state, Atom(rel, lhs, rhs)) is want
 
 
 class TestValidation:

@@ -1,12 +1,28 @@
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiplan.cli import load_benchmark
-from epiplan.core import StateSequence, Ternary, ValidationError
+from epiplan.core import (
+    RELATIONS,
+    And,
+    Atom,
+    Not,
+    Signature,
+    StateSequence,
+    Ternary,
+    ValidationError,
+    Var,
+)
 from epiplan.parser import parse_formula
+from epiplan.perspectives import ObservationModel
 from epiplan.planner import (
     ABORTED,
     SOLVED,
     UNSOLVABLE,
+    Action,
+    Effect,
     SearchNode,
     apply_action,
     breadth_first_plan,
@@ -132,3 +148,198 @@ class TestSearch:
                                              problem.initial, problem.goals,
                                              max_depth=3)
         assert unpruned_result.plan_length == 2
+
+
+# --------------------------------------------------------------------------
+# Optimality witness: on small random atom-only domains, breadth-first
+# search agrees with an enumerator that tries every action sequence.
+# --------------------------------------------------------------------------
+
+LITERAL = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+class _SeesAll(ObservationModel):
+    name = "sees-all"
+
+    def sees(self, agent, state, var):
+        return True
+
+
+def _holds(values, atom):
+    """An atom on a total assignment (a dict), read directly."""
+    right = values[atom.rhs.name] if isinstance(atom.rhs, Var) else atom.rhs
+    return LITERAL[atom.rel](values[atom.lhs], right)
+
+
+def _step(domains, values, action):
+    """The enumerator's own successor: None when the precondition is not
+    true or an effect leaves its variable's domain."""
+    if action.precondition is not None and not _holds(values, action.precondition):
+        return None
+    after = dict(values)
+    for eff in action.effects:
+        if eff.kind == "set":
+            new = eff.operand
+        elif eff.kind == "copy":
+            new = after[eff.operand]
+        else:
+            new = after[eff.var] + eff.operand
+        if not any(type(new) is type(v) and new == v for v in domains[eff.var]):
+            return None
+        after[eff.var] = new
+    return after
+
+
+def _shortest(domains, actions, values, goals, depth):
+    """Length of the shortest action sequence, up to `depth` actions, that
+    ends where every goal atom holds; every sequence is tried, nothing is
+    pruned. None if there is none."""
+    if all(_holds(values, atom) for atom in goals):
+        return 0
+    if depth == 0:
+        return None
+    lengths = []
+    for action in actions:
+        after = _step(domains, values, action)
+        if after is not None:
+            found = _shortest(domains, actions, after, goals, depth - 1)
+            if found is not None:
+                lengths.append(found + 1)
+    return min(lengths, default=None)
+
+
+@st.composite
+def atom_only_instances(draw):
+    n_int = draw(st.integers(1, 2))
+    n_bool = draw(st.integers(0, 2))
+    domains = {f"i{k}": tuple(range(draw(st.integers(0, 1)), draw(st.integers(2, 3))))
+               for k in range(n_int)}
+    domains.update({f"b{k}": (False, True) for k in range(n_bool)})
+    ints = [v for v in domains if v.startswith("i")]
+    bools = [v for v in domains if v.startswith("b")]
+
+    def atom():
+        var = draw(st.sampled_from(ints + bools))
+        if var in bools:
+            rhs = draw(st.sampled_from([Var(b) for b in bools]) | st.booleans())
+            return Atom(draw(st.sampled_from(("=", "!="))), var, rhs)
+        rhs = draw(st.sampled_from([Var(i) for i in ints]) | st.integers(-1, 4))
+        return Atom(draw(st.sampled_from(RELATIONS)), var, rhs)
+
+    def effect():
+        var = draw(st.sampled_from(ints + bools))
+        same_kind = ints if var in ints else bools
+        kind = draw(st.sampled_from(("set", "copy", "add") if var in ints else ("set", "copy")))
+        if kind == "set":
+            return Effect(var, kind, draw(st.sampled_from(domains[var])))
+        if kind == "copy":
+            return Effect(var, kind, draw(st.sampled_from(same_kind)))
+        return Effect(var, kind, draw(st.sampled_from((-1, 1, 2))))
+
+    actions = tuple(
+        Action(f"act{k}", atom() if draw(st.booleans()) else None,
+               tuple(effect() for _ in range(draw(st.integers(1, 2)))))
+        for k in range(draw(st.integers(1, 3))))
+    initial = {var: draw(st.sampled_from(values)) for var, values in domains.items()}
+    if draw(st.integers(0, 4)) == 0:
+        # a goal that holds at the start: solved with nothing expanded
+        var = draw(st.sampled_from(sorted(initial)))
+        goals = (Atom("=", var, initial[var]),)
+    else:
+        goals = tuple(atom() for _ in range(draw(st.integers(1, 2))))
+    return domains, actions, initial, goals, draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_only_instances())
+def test_plan_length_matches_exhaustive_enumeration(instance):
+    domains, actions, initial, goals, max_depth = instance
+    sig = Signature(["a"], domains)
+    result = breadth_first_plan(_SeesAll(), actions, sig.global_state(initial),
+                                [(goal, Ternary.TRUE) for goal in goals],
+                                max_depth=max_depth)
+    want = _shortest(domains, actions, initial, goals, max_depth)
+    if want is None:
+        assert result.status == UNSOLVABLE
+        return
+    assert result.status == SOLVED
+    assert result.plan_length == want
+    if want == 0:
+        assert result.expanded == 0 and result.generated == 1
+    # the plan found is one the enumerator accepts
+    values = initial
+    by_name = {action.name: action for action in actions}
+    for name in result.plan:
+        values = _step(domains, values, by_name[name])
+        assert values is not None
+    assert all(_holds(values, atom) for atom in goals)
+
+
+# --------------------------------------------------------------------------
+# The search layers stay attributable: one apply_action per (node, action),
+# one evaluate per precondition or goal test, one interpret_atom per atom.
+# --------------------------------------------------------------------------
+
+def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
+    from epiplan import core, planner, semantics
+
+    sig = Signature(["a"], {"x": range(4), "flag": (False, True)})
+    up = Action("up", Atom("<", "x", 3), (Effect("x", "add", 1),))
+    down = Action("down", And(Atom("=", "flag", True), Atom(">", "x", 0)),
+                  (Effect("x", "add", -1),))
+    raise_flag = Action("raise", Not(Atom("=", "flag", True)), (Effect("flag", "set", True),))
+    wait = Action("wait", None, (Effect("flag", "copy", "flag"),))
+    actions = (up, down, raise_flag, wait)
+    # x never exceeds 3, so the goal is unreachable and every node is expanded
+    goals = ((Atom(">", "x", 3), Ternary.TRUE),)
+
+    applied, evaluated, atoms, expected_atoms = [], [], [], []
+    apply_action_ = planner.apply_action
+    evaluate = semantics.Evaluator.evaluate
+    interpret = semantics.interpret_atom
+
+    def reference(state, phi):
+        # (verdict, atoms read) of a short-circuiting belief-free evaluation
+        if isinstance(phi, Atom):
+            return core.interpret_atom(state, phi), 1
+        if isinstance(phi, Not):
+            verdict, read = reference(state, phi.child)
+            return verdict.negate(), read
+        left, read = reference(state, phi.left)
+        if left is Ternary.FALSE:
+            return left, read
+        right, more = reference(state, phi.right)
+        return min(left, right), read + more
+
+    def counting_apply(evaluator, action, node):
+        applied.append(action.name)
+        return apply_action_(evaluator, action, node)
+
+    def counting_evaluate(self, seq, phi):
+        evaluated.append(phi)
+        expected_atoms.append(reference(seq.last, phi)[1])
+        return evaluate(self, seq, phi)
+
+    def counting_interpret(state, atom):
+        atoms.append(atom)
+        return interpret(state, atom)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
+    monkeypatch.setattr(semantics, "interpret_atom", counting_interpret)
+    result = breadth_first_plan(_SeesAll(), actions, sig.global_state({"x": 0, "flag": False}),
+                                goals, max_depth=3)
+    assert result.status == UNSOLVABLE and result.expanded > 0
+    assert len(applied) == result.expanded * len(actions)
+    assert len(evaluated) == result.external_calls
+    assert len(atoms) == sum(expected_atoms)
+
+
+def test_search_node_is_immutable(n1):
+    node = _root(n1[1])
+    assert (node.sequence, node.plan) == tuple(node)
+    with pytest.raises(AttributeError):
+        node.plan = ("peek_a",)
+    with pytest.raises(AttributeError):
+        node.extra = 1

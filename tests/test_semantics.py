@@ -248,3 +248,21 @@ class TestErrors:
         ev = Evaluator(number_dom.model)
         with pytest.raises(ValidationError):
             ev.evaluate(plan1, Atom("<", "peeking_a", True))
+
+    @pytest.mark.parametrize("text", ["(= n 1)", "(B a (= n 1))"])
+    def test_formula_is_validated_under_each_signature(self, number_dom, plan1, text):
+        """One evaluator may serve sequences of several signatures; a formula
+        valid under the first is checked again under the next."""
+        phi = parse_formula(text, number_dom.signature)
+        renamed = Signature(("a", "b"), {"m": range(3), "peeking_a": (False, True),
+                                         "peeking_b": (False, True)})
+        seq = StateSequence([renamed.global_state(
+            {"m": 1, "peeking_a": True, "peeking_b": False})])
+        with pytest.raises(ValidationError, match="undeclared variable 'n'"):
+            Evaluator(number_dom.model).evaluate(seq, phi)
+        ev = Evaluator(number_dom.model)
+        ev.evaluate(plan1, phi)
+        with pytest.raises(ValidationError, match="undeclared variable 'n'"):
+            ev.evaluate(seq, phi)
+        # and a formula checked under one signature stays checked under it
+        assert ev.evaluate(plan1, phi) is Evaluator(number_dom.model).evaluate(plan1, phi)
