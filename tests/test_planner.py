@@ -3,6 +3,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import RuleVisibility
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     RELATIONS,
@@ -16,7 +17,6 @@ from epiplan.core import (
     Var,
 )
 from epiplan.parser import parse_formula
-from epiplan.perspectives import ObservationModel
 from epiplan.planner import (
     ABORTED,
     SOLVED,
@@ -159,11 +159,8 @@ LITERAL = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-class _SeesAll(ObservationModel):
-    name = "sees-all"
-
-    def sees(self, agent, state, var):
-        return True
+# atom-only formulas build no view, so what the model lets agents see is moot
+BLIND = RuleVisibility({}, frozenset())
 
 
 def _holds(values, atom):
@@ -256,7 +253,7 @@ def atom_only_instances(draw):
 def test_plan_length_matches_exhaustive_enumeration(instance):
     domains, actions, initial, goals, max_depth = instance
     sig = Signature(["a"], domains)
-    result = breadth_first_plan(_SeesAll(), actions, sig.global_state(initial),
+    result = breadth_first_plan(BLIND, actions, sig.global_state(initial),
                                 [(goal, Ternary.TRUE) for goal in goals],
                                 max_depth=max_depth)
     want = _shortest(domains, actions, initial, goals, max_depth)
@@ -328,7 +325,7 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
     monkeypatch.setattr(semantics, "interpret_atom", counting_interpret)
-    result = breadth_first_plan(_SeesAll(), actions, sig.global_state({"x": 0, "flag": False}),
+    result = breadth_first_plan(BLIND, actions, sig.global_state({"x": 0, "flag": False}),
                                 goals, max_depth=3)
     assert result.status == UNSOLVABLE and result.expanded > 0
     assert len(applied) == result.expanded * len(actions)

@@ -6,9 +6,9 @@
 
 For every workload and seed, each pair runs `<checkout>/epibench/run.py`
 once in the parent checkout and once in the change checkout, one process at
-a time; the side that runs first alternates from pair to pair, so drift in
-the machine's speed falls on both sides alike. The JSON result line of each
-run is kept. The summary gives, per workload and side, the median and the
+a time; the side that runs first alternates from pair to pair, across seeds
+too, so drift in the machine's speed falls on both sides alike. The JSON
+result line of each run is kept. The summary gives, per workload and side, the median and the
 quartiles of every end-to-end metric `BENCHMARK.json` declares, and per
 metric how many pairs the change won. A gain is `clear` when the change won
 at least nine tenths of the pairs (ties count for neither side) and the
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
         pairs = []
         for seed in args.seeds:
             for index in range(args.pairs):
-                order = SIDES if index % 2 == 0 else SIDES[::-1]
+                order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
                 results = {side: run_once(checkouts[side], workload, seed, args.seconds)
                            for side in order}
                 pairs.append({"seed": seed, "first": order[0],
