@@ -333,6 +333,16 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     assert len(atoms) == sum(expected_atoms)
 
 
+def test_effects_apply_in_order():
+    """A later effect of an action reads what an earlier one wrote."""
+    sig = Signature(["a"], {"x": range(4), "y": range(4)})
+    action = Action("shift", None, (Effect("x", "set", 2), Effect("x", "add", 1),
+                                    Effect("y", "copy", "x")))
+    root = SearchNode(StateSequence([sig.global_state({"x": 0, "y": 0})]), ())
+    child = apply_action(Evaluator(BLIND), action, root)
+    assert (child.sequence.last.get("x"), child.sequence.last.get("y")) == (3, 3)
+
+
 def test_search_node_is_immutable(n1):
     node = _root(n1[1])
     assert (node.sequence, node.plan) == tuple(node)
