@@ -9,7 +9,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Value = Union[bool, int, str]
 
-RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
+# the six relations as functions of (left, right); validation accepts
+# exactly these names and evaluation calls through this table
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+RELATIONS = tuple(_COMPARE)
 _ORDERED = frozenset({"<", "<=", ">", ">="})
 
 
@@ -445,11 +449,9 @@ def _check_group(sig: Signature, group: Tuple[str, ...]) -> None:
             raise ValidationError(f"unknown agent {agent!r}")
 
 
-# the six relations as functions of (left, right), and their verdicts
-# indexed by the bool a comparison returns; module globals, since reading an
-# enum member off its class is an attribute lookup through the metaclass
-_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# a comparison's verdicts indexed by the bool it returns; module globals,
+# since reading an enum member off its class is an attribute lookup through
+# the metaclass
 _VERDICT = (Ternary.FALSE, Ternary.TRUE)
 _UNKNOWN = Ternary.UNKNOWN
 

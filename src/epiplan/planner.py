@@ -121,7 +121,7 @@ def _apply_effects(sig: Signature, state: State,
         if new is None or not sig.in_domain(eff.var, new):
             return None
         vals[idx] = new
-    return State(sig, tuple(vals))
+    return sig.state_from_values(tuple(vals))
 
 
 def apply_action(evaluator: Evaluator, action: Action,

@@ -26,6 +26,13 @@ from epiplan.parser import DomainFile, parse_trace
 from epiplan.perspectives import ObservationModel
 
 
+# the six relations spelt out, as the model's definition of an atom reads
+# them; tests compare core's relation table against this reference
+LITERAL = {"=": lambda x, y: x == y, "!=": lambda x, y: x != y,
+           "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+           ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+
+
 def number_domain() -> DomainFile:
     return load_benchmark("number", "n1")[0]
 

@@ -18,7 +18,8 @@ def _bench_pairs():
 
 
 def _pairs(parent, change):
-    return [{"parent": {"solve_s": old, "nodes_per_s": 1.0 / old},
+    return [{"correct": True,
+             "parent": {"solve_s": old, "nodes_per_s": 1.0 / old},
              "change": {"solve_s": new, "nodes_per_s": 1.0 / new}}
             for old, new in zip(parent, change)]
 
@@ -57,3 +58,14 @@ def test_no_clear_gain_with_too_few_wins_or_within_the_spread():
     assert solve["wins"] == 10
     assert solve["parent"]["q3"] - solve["parent"]["q1"] > 0.1
     assert not solve["clear"]
+
+
+def test_no_clear_gain_when_a_run_fails_its_correctness_check():
+    bench = _bench_pairs()
+    parent = [2.0, 2.1, 1.9, 2.0, 2.2, 1.8, 2.0, 2.1, 1.9, 2.0]
+    change = [1.5, 1.6, 1.5, 1.4, 1.6, 1.5, 1.5, 1.5, 1.6, 1.5]
+    pairs = _pairs(parent, change)
+    assert bench.summarise(pairs, DECLARED)["solve_s"]["clear"]
+    pairs[3]["correct"] = False
+    solve = bench.summarise(pairs, DECLARED)["solve_s"]
+    assert solve["wins"] == 10 and not solve["clear"]

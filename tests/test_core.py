@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import LITERAL
 from epiplan.core import (
     RELATIONS,
     And,
@@ -185,10 +186,10 @@ class TestInterpretAtom:
             if "n" in state:
                 assert (value is Ternary.FALSE) == (interpret_atom(state, flipped) is Ternary.TRUE)
 
-    # the relations spelt out, as the reference definition reads them
-    LITERAL = {"=": lambda x, y: x == y, "!=": lambda x, y: x != y,
-               "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
-               ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+    def test_validation_and_evaluation_share_the_relations(self):
+        # every relation validation accepts is one the reference defines
+        assert sorted(RELATIONS) == sorted(LITERAL)
+
     SMALL = Signature(["a"], {"x": range(-2, 3), "y": range(-2, 3), "ok": (False, True)})
     # declared variables, the agent marker, and a name outside the signature
     NAMES = ("x", "y", "ok", "a", "ghost")
@@ -208,7 +209,7 @@ class TestInterpretAtom:
         if left is None or right is None:
             want = Ternary.UNKNOWN
         else:
-            want = Ternary.from_bool(self.LITERAL[rel](left, right))
+            want = Ternary.from_bool(LITERAL[rel](left, right))
         assert interpret_atom(state, Atom(rel, lhs, rhs)) is want
 
 

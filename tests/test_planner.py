@@ -1,9 +1,7 @@
-import operator
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import RuleVisibility
+from helpers import LITERAL, RuleVisibility
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     RELATIONS,
@@ -154,10 +152,6 @@ class TestSearch:
 # Optimality witness: on small random atom-only domains, breadth-first
 # search agrees with an enumerator that tries every action sequence.
 # --------------------------------------------------------------------------
-
-LITERAL = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
 
 # atom-only formulas build no view, so what the model lets agents see is moot
 BLIND = RuleVisibility({}, frozenset())

@@ -2,18 +2,20 @@
 """Alternating parent/change benchmark pairs, summarised in BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --tag 9 \\
-        --workloads blind-search bundled --seeds 4 5 --pairs 5 --seconds 35
+        --seeds 4 5 --pairs 5
 
-For every workload and seed, each pair runs `<checkout>/epibench/run.py`
-once in the parent checkout and once in the change checkout, one process at
-a time; the side that runs first alternates from pair to pair, across seeds
-too, so drift in the machine's speed falls on both sides alike. The JSON
-result line of each run is kept. The summary gives, per workload and side, the median and the
-quartiles of every end-to-end metric `BENCHMARK.json` declares, and per
-metric how many pairs the change won. A gain is `clear` when the change won
-at least nine tenths of the pairs (ties count for neither side) and the
+For every workload `BENCHMARK.json` declares and every seed, each pair runs
+`<checkout>/epibench/run.py` for the benchmark's `run_seconds` once in the
+parent checkout and once in the change checkout, one process at a time;
+the side that runs first alternates from pair to pair, across seeds too, so
+drift in the machine's speed falls on both sides alike. The JSON result line
+of each run is kept. The summary gives, per workload and side, the median
+and the quartiles of every end-to-end metric `BENCHMARK.json` declares, and
+per metric how many pairs the change won. A gain is `clear` when the change won
+at least nine tenths of the pairs (ties count for neither side), the
 medians differ, in the better direction, by more than the distance between
-the parent's quartiles.
+the parent's quartiles, and both sides passed the benchmark's correctness
+check in every pair.
 
 The file goes to the root of the repository holding this script, with both
 commits (`git rev-parse HEAD` in each checkout), the Python version and a
@@ -50,9 +52,11 @@ def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
     """Per end-to-end metric: each side's quartiles, the change's wins and
     whether its gain is clear.
 
-    `pairs` holds one {"parent": {metric: value}, "change": {...}} per pair;
+    `pairs` holds one {"correct": bool, "parent": {metric: value},
+    "change": {...}} per pair, `correct` meaning both runs passed;
     `declared` is BENCHMARK.json's `end_to_end` list (name and `better`).
     """
+    all_correct = all(pair["correct"] for pair in pairs)
     summary = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -68,7 +72,7 @@ def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
             "relative_change": (change["median"] - parent["median"]) / parent["median"],
             "wins": wins,
             "pairs": len(pairs),
-            "clear": wins >= CLEAR_SHARE * len(pairs)
+            "clear": all_correct and wins >= CLEAR_SHARE * len(pairs)
                      and gain > parent["q3"] - parent["q1"],
         }
     return summary
@@ -97,23 +101,21 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, default=ROOT, help="change checkout")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
-    parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True, help="pairs per workload and seed")
-    parser.add_argument("--seconds", type=float, default=35.0, help="run length of each run")
     parser.add_argument("--note", default="", help="free text on the machine")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((checkouts["change"] / "BENCHMARK.json")
-                          .read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     workloads = {}
-    for workload in args.workloads:
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
         pairs = []
         for seed in args.seeds:
             for index in range(args.pairs):
                 order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
-                results = {side: run_once(checkouts[side], workload, seed, args.seconds)
+                results = {side: run_once(checkouts[side], workload, seed, seconds)
                            for side in order}
                 pairs.append({"seed": seed, "first": order[0],
                               "correct": all(r["correct"] for r in results.values()),
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "note": args.note},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
         "pairs_per_seed": args.pairs,
         "workloads": workloads,
