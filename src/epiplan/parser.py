@@ -6,8 +6,9 @@ grammar is documented in the README. All parse errors carry line and column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     And,
@@ -47,55 +48,31 @@ class ParseError(EngineError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str, first_line: int = 1) -> List[Token]:
-    tokens = []
-    line, col = first_line, 1
-    current = ""
-    start_col = 1
-    in_comment = False
-
-    def flush():
-        nonlocal current
-        if current:
-            tokens.append(Token(current, line, start_col))
-            current = ""
-
-    for ch in text + "\n":
-        if ch == "\n":
-            flush()
-            in_comment = False
-            line += 1
-            col = 1
-            continue
-        if in_comment:
-            col += 1
-            continue
-        if ch == "#":
-            flush()
-            in_comment = True
-        elif ch in "()":
-            flush()
-            tokens.append(Token(ch, line, col))
-        elif ch.isspace():
-            flush()
-        else:
-            if not current:
-                start_col = col
-            current += ch
-        col += 1
-    return tokens
+# a parenthesis, or a run of anything else up to whitespace or a parenthesis
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
+def _lines(text: str) -> Iterator[Tuple[int, str]]:
+    """The lines of `text` that hold more than whitespace and comments, with
+    their numbers. A line is what `str.splitlines()` yields, and a comment
+    runs from `#` to the end of its line; it is cut off."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        if line and not line.isspace():
+            yield lineno, line
+
+
+def _lex(line: str, lineno: int) -> List[Token]:
+    """The tokens of one line from `_lines`, with the file's line and column."""
+    return [Token(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
 # --------------------------------------------------------------------------
@@ -114,9 +91,10 @@ _OPERATORS: Dict[str, Tuple[type, Optional[GroupMode]]] = {
 
 
 class _TokenStream:
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], lineno: int):
         self.tokens = tokens
         self.pos = 0
+        self.lineno = lineno   # blamed for running out when there are no tokens
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -126,7 +104,7 @@ class _TokenStream:
         if tok is None:
             last = self.tokens[-1] if self.tokens else None
             raise ParseError(f"unexpected end of input, expected {expectation}",
-                             last.line if last else None, last.col if last else None)
+                             last.line if last else self.lineno, last.col if last else None)
         self.pos += 1
         return tok
 
@@ -148,10 +126,17 @@ def _parse_constant(text: str) -> Value:
 MAX_FORMULA_DEPTH = 100
 
 
-def parse_formula(text: str, sig: Signature, first_line: int = 1) -> Formula:
+def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse and validate one formula; trailing input is an error, and so is
     nesting deeper than MAX_FORMULA_DEPTH."""
-    stream = _TokenStream(_tokenize(text, first_line))
+    return _formula([tok for lineno, line in _lines(text) for tok in _lex(line, lineno)],
+                    sig, 1)
+
+
+def _formula(tokens: List[Token], sig: Signature, lineno: int) -> Formula:
+    """The formula that `tokens` spell, validated. `lineno` is blamed for an
+    error no token marks: a type error, or no tokens at all."""
+    stream = _TokenStream(tokens, lineno)
     phi, _ = _parse_formula(stream, sig, 1)
     extra = stream.peek()
     if extra is not None:
@@ -159,7 +144,7 @@ def parse_formula(text: str, sig: Signature, first_line: int = 1) -> Formula:
     try:
         validate_formula(sig, phi)
     except ValidationError as exc:
-        raise ParseError(str(exc), first_line) from exc
+        raise ParseError(str(exc), lineno) from exc
     return phi
 
 
@@ -300,21 +285,17 @@ class DomainFile:
 
 
 def parse_domain(text: str) -> DomainFile:
-    lines = text.splitlines()
     name = None
     agents: List[str] = []
     domains: Dict[str, List[Value]] = {}
     model_name = None
     obs_config: List[List[str]] = []
-    raw_actions: List[Tuple[str, int, Optional[Tuple[str, int]], List[Tuple[List[str], int]]]] = []
+    raw_actions: List[Tuple[str, int, Optional[Tuple[List[Token], int]],
+                            List[Tuple[List[str], int]]]] = []
 
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        parts = _strip_comment(lines[i]).split()
-        i += 1
-        if not parts:
-            continue
+    lines = _lines(text)
+    for lineno, line in lines:
+        parts = line.split()
         key = parts[0]
         if key == "domain":
             _need(parts, 2, 2, lineno, "domain <name>")
@@ -338,30 +319,24 @@ def parse_domain(text: str) -> DomainFile:
         elif key == "action":
             _need(parts, 2, 2, lineno, "action <name>")
             action_name = parts[1]
-            pre: Optional[Tuple[str, int]] = None
+            pre: Optional[Tuple[List[Token], int]] = None
             effs: List[Tuple[List[str], int]] = []
-            closed = False
-            while i < len(lines):
-                inner_no = i + 1
-                inner = _strip_comment(lines[i]).split()
-                i += 1
-                if not inner:
-                    continue
+            # the action's lines come from the same reader, up to its `end`
+            for inner_no, inner_line in lines:
+                inner = inner_line.split()
                 if inner[0] == "end":
-                    closed = True
                     break
                 if inner[0] == "pre":
                     if pre is not None:
                         raise ParseError(f"action {action_name!r} has two 'pre' lines",
                                          inner_no)
-                    raw = _strip_comment(lines[inner_no - 1]).strip()[len("pre"):].strip()
-                    pre = (raw, inner_no)
+                    pre = (_lex(inner_line, inner_no)[1:], inner_no)
                 elif inner[0] == "eff":
                     effs.append((inner[1:], inner_no))
                 else:
                     raise ParseError(f"unexpected {inner[0]!r} inside action "
                                      f"{action_name!r}", inner_no)
-            if not closed:
+            else:
                 raise ParseError(f"action {action_name!r} is missing its 'end'", lineno)
             raw_actions.append((action_name, lineno, pre, effs))
         else:
@@ -386,7 +361,7 @@ def parse_domain(text: str) -> DomainFile:
         names.add(action_name)
         precondition = None
         if pre is not None:
-            precondition = parse_formula(pre[0], sig, first_line=pre[1])
+            precondition = _formula(pre[0], sig, pre[1])
         effects = tuple(_parse_effect(sig, tokens, lno) for tokens, lno in effs)
         actions.append(Action(action_name, precondition, effects))
 
@@ -480,6 +455,22 @@ def _parse_effect(sig: Signature, tokens: List[str], lineno: int) -> Effect:
 _TARGETS = {"true": Ternary.TRUE, "false": Ternary.FALSE, "unknown": Ternary.UNKNOWN}
 
 
+def _assignments(sig: Signature, words: List[str], lineno: int,
+                 into: Dict[str, Value]) -> Dict[str, Value]:
+    """`into` with the `var=value` words of one line added. A variable given
+    twice, on this line or already in `into`, is an error."""
+    for word in words:
+        var, eq, val = word.partition("=")
+        if not eq:
+            raise ParseError(f"expected var=value, found {word!r}", lineno)
+        if var in into:
+            raise ParseError(f"variable {var!r} given twice", lineno)
+        if var not in sig.index:
+            raise ParseError(f"undeclared variable {var!r}", lineno)
+        into[var] = _parse_constant(val)
+    return into
+
+
 @dataclass
 class ProblemFile:
     name: str
@@ -497,10 +488,8 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
     goals: List[Tuple[Formula, Ternary]] = []
     max_depth = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip_comment(raw).split()
-        if not parts:
-            continue
+    for lineno, line in _lines(text):
+        parts = line.split()
         key = parts[0]
         if key == "problem":
             _need(parts, 2, 2, lineno, "problem <name>")
@@ -509,22 +498,11 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
             _need(parts, 2, 2, lineno, "domain <name>")
             domain_name = parts[1]
         elif key == "init":
-            for chunk in parts[1:]:
-                var, eq, val = chunk.partition("=")
-                if not eq:
-                    raise ParseError(f"init entries look like var=value, found {chunk!r}", lineno)
-                if var in assignments:
-                    raise ParseError(f"variable {var!r} initialised twice", lineno)
-                if var not in sig.index:
-                    raise ParseError(f"undeclared variable {var!r}", lineno)
-                assignments[var] = _parse_constant(val)
+            _assignments(sig, parts[1:], lineno, assignments)
         elif key == "goal":
             if len(parts) < 3 or parts[1] not in _TARGETS:
                 raise ParseError("expected: goal true|false|unknown (<formula>)", lineno)
-            raw_formula = _strip_comment(raw).strip()
-            raw_formula = raw_formula[raw_formula.index(parts[1]) + len(parts[1]):].strip()
-            goals.append((parse_formula(raw_formula, sig, first_line=lineno),
-                          _TARGETS[parts[1]]))
+            goals.append((_formula(_lex(line, lineno)[2:], sig, lineno), _TARGETS[parts[1]]))
         elif key == "max-depth":
             _need(parts, 2, 2, lineno, "max-depth <N>")
             try:
@@ -565,18 +543,11 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
     states: List[State] = []
     node: Optional[SearchNode] = None
     evaluator = Evaluator(domain.model)
-    explicit = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip_comment(raw).split()
-        if not parts:
-            continue
+    for lineno, line in _lines(text):
+        parts = line.split()
         key = parts[0]
-        if key == "init":
-            if node is not None or states:
-                raise ParseError("init must be the first directive", lineno)
-            node = SearchNode(StateSequence([_state_line(sig, parts[1:], lineno, total=True)]), ())
-        elif key == "do":
+        if key == "do":
             _need(parts, 2, 2, lineno, "do <action-name>")
             if node is None:
                 raise ParseError("'do' requires an 'init' line first", lineno)
@@ -587,35 +558,24 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             if successor is None:
                 raise ParseError(f"action {parts[1]!r} is not applicable at this point", lineno)
             node = successor
-        elif key == "state":
-            if node is not None:
+        elif key in ("init", "state"):
+            if key == "init" and (node is not None or states):
+                raise ParseError("init must be the first directive", lineno)
+            if key == "state" and node is not None:
                 raise ParseError("cannot mix 'state' lines with init/do", lineno)
-            explicit = True
-            states.append(_state_line(sig, parts[1:], lineno, total=False))
+            values = _assignments(sig, parts[1:], lineno, {})
+            try:
+                if key == "init":   # total; global_state fills in the agent markers
+                    node = SearchNode(StateSequence([sig.global_state(values)]), ())
+                else:
+                    states.append(sig.make_state({**dict.fromkeys(sig.agents, True), **values}))
+            except ValidationError as exc:
+                raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
 
     if node is not None:
         return node.sequence
-    if explicit and states:
+    if states:
         return StateSequence(states)
     raise ParseError("empty trace: expected 'init'/'do' lines or 'state' lines")
-
-
-def _state_line(sig: Signature, chunks: List[str], lineno: int, total: bool) -> State:
-    assignments: Dict[str, Value] = {}
-    for chunk in chunks:
-        var, eq, val = chunk.partition("=")
-        if not eq:
-            raise ParseError(f"state entries look like var=value, found {chunk!r}", lineno)
-        if var not in sig.index:
-            raise ParseError(f"undeclared variable {var!r}", lineno)
-        assignments[var] = _parse_constant(val)
-    try:
-        if total:
-            return sig.global_state(assignments)
-        for agent in sig.agents:
-            assignments.setdefault(agent, True)
-        return sig.make_state(assignments)
-    except ValidationError as exc:
-        raise ParseError(str(exc), lineno) from exc

@@ -32,6 +32,11 @@ from .perspectives import (
     uniform_perspectives,
 )
 
+# Ternary's members as module globals: reading one off the class is an
+# attribute lookup through the enum metaclass, paid on every node visited
+_FALSE, _TRUE, _UNKNOWN = Ternary.FALSE, Ternary.TRUE, Ternary.UNKNOWN
+_VERDICT = (_FALSE, _TRUE)   # indexed by a bool
+
 
 @dataclass
 class EvalStats:
@@ -117,8 +122,8 @@ class Evaluator:
             return interpret_atom(seq.states[-1], phi)
         if isinstance(phi, And):
             left = self._eval(seq, phi.left)
-            if left is Ternary.FALSE:
-                return Ternary.FALSE
+            if left is _FALSE:
+                return _FALSE
             return min(left, self._eval(seq, phi.right))
         if isinstance(phi, Not):
             return self._eval(seq, phi.child).negate()
@@ -143,10 +148,10 @@ class Evaluator:
         last, group = seq.last, phi.group
         if isinstance(phi, GroupSeesVar):
             if phi.var not in last:
-                return Ternary.UNKNOWN
+                return _UNKNOWN
         else:
             held = self._eval(seq, phi.child)
-            if held is Ternary.UNKNOWN or held is Ternary.FALSE and isinstance(phi, GroupKnows):
+            if held is _UNKNOWN or held is _FALSE and isinstance(phi, GroupKnows):
                 return held
         # an observation is None (unknown) where the members it needs are absent
         if phi.mode is GroupMode.COMMON:
@@ -156,15 +161,15 @@ class Evaluator:
             viewers = [(i,) for i in group] if phi.mode is GroupMode.UNIFORM else [group]
             observations = [group_observation(self.model, members, last, self._memo)
                             if any(i in last for i in members) else None for members in viewers]
-        verdict = Ternary.TRUE
+        verdict = _TRUE
         for observed in observations:
             if observed is None:
-                seen = Ternary.UNKNOWN
+                seen = _UNKNOWN
             elif isinstance(phi, GroupSeesVar):
-                seen = Ternary.from_bool(phi.var in observed)
+                seen = _VERDICT[phi.var in observed]
             else:
                 decided = self._eval(StateSequence([observed]), phi.child)
-                seen = Ternary.from_bool(decided is not Ternary.UNKNOWN)
+                seen = _VERDICT[decided is not _UNKNOWN]
             verdict = min(verdict, seen)
         return verdict
 
@@ -179,7 +184,7 @@ class Evaluator:
         else:
             views, fp = common_perspectives(self.model, phi.group, frozenset([seq]), self._memo)
             self.stats.cf_iteration_counts.append(fp.iterations)
-        verdict = Ternary.TRUE
+        verdict = _TRUE
         for w in views:
             verdict = min(verdict, self._eval(w, phi.child))
         return verdict

@@ -185,6 +185,17 @@ class TestEval:
         assert code == 2
         assert err.startswith("error: ") and "not UTF-8" in err
 
+    @pytest.mark.parametrize("text", [
+        "init n=1 n=2 peeking_a=false peeking_b=false\n",
+        "state n=1 peeking_a=false\nstate n=1 n=0\n",
+    ], ids=["init", "state"])
+    def test_variable_given_twice_exit_code(self, paths, capsys, tmp_path, text):
+        trace = tmp_path / "twice.trace"
+        trace.write_text(text, encoding="utf-8")
+        code = main(["eval", paths["number.dom"], str(trace), "(= n 1)"])
+        assert code == 2
+        assert "'n' given twice" in capsys.readouterr().err
+
     def test_bad_formula_exit_code(self, paths, capsys):
         assert main(["eval", paths["number.dom"], paths["plan1.trace"],
                      "(K a (B b (= n 2)))"]) == 2

@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiplan.cli import main
-from epiplan.core import ValidationError
+from epiplan.core import Ternary, ValidationError
 from epiplan.parser import (
     ParseError,
+    _lex,
+    _lines,
     parse_domain,
     parse_formula,
     parse_problem,
@@ -116,6 +118,71 @@ def test_domain_text(seed):
 @given(seed=seeds)
 def test_problem_text(seed):
     _refused(parse_problem, _fuzzed(seed, PROBLEM_TEXT), DOMAIN)
+
+
+SPACES = (" ", "  ", "\t", "\xa0")
+# line breaks of every kind the line reader cuts at, and comments
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0c", "\x85", "\u2028")
+SEPARATORS = SPACES + LINE_BREAKS + (" # a comment (= n 1)\n", "#\r\n")
+
+
+def _respaced(rng: random.Random, text: str, separators) -> str:
+    """`text` with each space replaced by a random separator."""
+    return "".join(word + rng.choice(separators) for word in text.split(" "))
+
+
+def _reference_tokens(text: str):
+    """(text, line, col) of each token, found without the lexer's pattern."""
+    found = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        col = 0
+        for char in line:
+            if char in "()":
+                found.append([char, lineno, col + 1])
+            elif not char.isspace():
+                if col == 0 or line[col - 1].isspace() or line[col - 1] in "()":
+                    found.append(["", lineno, col + 1])
+                found[-1][0] += char
+            col += 1
+    return [tuple(tok) for tok in found]
+
+
+@SETTINGS
+@given(seed=seeds, base=st.sampled_from((FORMULA_TEXT, DOMAIN_TEXT, TRACE_TEXT)))
+def test_lexer_positions(seed, base):
+    text = _respaced(random.Random(seed), _fuzzed(seed, base), SEPARATORS)
+    tokens = [tok for lineno, line in _lines(text) for tok in _lex(line, lineno)]
+    lines = text.splitlines()
+    for tok in tokens:
+        assert lines[tok.line - 1][tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text
+    assert [tuple(tok) for tok in tokens] == _reference_tokens(text)
+
+
+def _outcome(parse, *args):
+    """The result, or the refusal's line and column."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return exc.line, exc.col
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_goal_formula_reads_like_a_bare_formula(seed):
+    rng = random.Random(seed)
+    text = rng.choice((_soup(rng), _fuzzed(seed, FORMULA_TEXT, FORMULA_TOKENS), FORMULA_TEXT))
+    bare = _respaced(rng, " ".join(text.splitlines()), SPACES)
+    head = "goal" + rng.choice(SPACES) + "true" + rng.choice(SPACES)
+    comment = rng.choice(("", " # trailing (= n 1)", "#"))
+    problem = PROBLEM_TEXT.replace("goal true (DB (a b) (< n 2))", head + bare + comment)
+    expected = _outcome(parse_formula, bare, DOMAIN.signature)
+    got = _outcome(parse_problem, problem, DOMAIN)
+    if isinstance(expected, tuple):
+        col = expected[1]
+        assert got == (4, None if col is None else col + len(head))
+    else:
+        assert got.goals == ((expected, Ternary.TRUE),)
 
 
 @pytest.fixture(scope="module")

@@ -306,3 +306,70 @@ class TestTraces:
         domain = parse_domain(MINI_DOMAIN)
         with pytest.raises(ParseError):
             parse_trace("# nothing\n", domain)
+
+
+class TestLinePositions:
+    """A `pre` or `goal` formula is read from its own line, so its errors
+    carry the file's line and column."""
+
+    @staticmethod
+    def _domain_error(pre_line):
+        text = MINI_DOMAIN.replace("  pre (= peeking_a false)", pre_line)
+        with pytest.raises(ParseError) as err:
+            parse_domain(text)
+        return err.value
+
+    def test_pre_formula_error_has_file_column(self):
+        err = self._domain_error("  pre   (and (= peeking_a false) (= nn 1))")
+        assert (err.line, err.col) == (11, 37)
+        assert "undeclared variable 'nn'" in str(err)
+
+    def test_empty_pre_names_its_line(self):
+        err = self._domain_error("  pre   # nothing")
+        assert err.line == 11
+        assert "expected a formula" in str(err)
+
+    def test_goal_formula_error_has_file_column(self):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_problem("problem p\ndomain mini\n"
+                          "init n=2 peeking_a=false peeking_b=false\n"
+                          "goal  true   (B a (= n 2)) (= n 1)  # two formulas\n", domain)
+        assert (err.value.line, err.value.col) == (4, 28)
+
+    def test_goal_type_error_names_its_line(self):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_problem("problem p\ndomain mini\n"
+                          "init n=2 peeking_a=false peeking_b=false\n"
+                          "goal true (K a (B b (= n 2)))\n", domain)
+        assert (err.value.line, err.value.col) == (4, None)
+
+    def test_formula_ends_at_end_of_line(self):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_problem("problem p\ndomain mini\n"
+                          "init n=2 peeking_a=false peeking_b=false\n"
+                          "goal true (and (= n 2)\n  (= n 1))\n", domain)
+        assert err.value.line == 4
+
+
+class TestAssignments:
+    @pytest.mark.parametrize("trace, line", [
+        ("init n=1 n=2 peeking_a=false peeking_b=false\n", 1),
+        ("state n=1 peeking_a=false\nstate n=1 n=0\n", 2),
+    ])
+    def test_trace_variable_given_twice(self, trace, line):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_trace(trace, domain)
+        assert err.value.line == line
+        assert "'n' given twice" in str(err.value)
+
+    def test_problem_variable_given_twice_across_lines(self):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_problem("problem p\ndomain mini\n"
+                          "init n=2 peeking_a=false peeking_b=false\ninit n=1\n"
+                          "goal true (= n 2)\n", domain)
+        assert err.value.line == 4
