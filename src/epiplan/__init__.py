@@ -36,7 +36,6 @@ from .perspectives import (
     justified_perspective,
     make_model,
     register_model,
-    retrieve_value,
     uniform_perspectives,
 )
 from .semantics import EvalStats, Evaluator

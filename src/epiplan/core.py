@@ -74,7 +74,8 @@ class Signature:
     agents are present and formulas can test agent presence.
     """
 
-    __slots__ = ("agents", "variables", "domains", "index", "_agent_set", "_members")
+    __slots__ = ("agents", "variables", "domains", "index", "_agent_set", "_members",
+                 "_states")
 
     def __init__(self, agents: Iterable[str], domains: Mapping[str, Iterable[Value]]):
         self.agents: Tuple[str, ...] = tuple(dict.fromkeys(agents))
@@ -101,6 +102,10 @@ class Signature:
         # consecutive ints, else the members paired with their types, since
         # sets conflate True with 1
         self._members = {name: _member_set(vals) for name, vals in declared.items()}
+        # the one `State` per distinct assignment met, kept for the
+        # signature's lifetime; each state refers back to the signature, so
+        # a dropped signature is freed by the cyclic collector
+        self._states: dict[tuple, State] = {}
 
     def is_agent(self, name: str) -> bool:
         return name in self._agent_set
@@ -164,16 +169,27 @@ class State:
     """Immutable partial assignment of variables; unassigned reads yield None.
 
     Unassigned is how the model represents a value hidden from a viewer, so
-    lookups are total. Equality and hashing are structural over the
-    assignment set; states of two signature objects are never equal.
+    lookups are total. `State(sig, vals)` returns the one state the signature
+    holds for `vals`, made on first use, so equal states are one object and
+    compare and hash by identity; states of two signature objects are never
+    equal. Values lie in their variables' domains, as every constructor but
+    the trusted `Signature.state_from_values` checks. A domain holds one kind
+    of value, so equal value tuples agree position by position under
+    `same_value`: True and 1 never meet at one position.
     """
 
-    __slots__ = ("sig", "vals", "_hash")
+    __slots__ = ("sig", "vals")
 
-    def __init__(self, sig: Signature, vals: Tuple[Optional[Value], ...]):
-        self.sig = sig
-        self.vals = vals
-        self._hash = hash(vals)
+    def __new__(cls, sig: Signature, vals: Tuple[Optional[Value], ...]) -> "State":
+        table = sig._states
+        found = table.get(vals)
+        if found is None:
+            made = object.__new__(cls)
+            made.sig = sig
+            made.vals = vals
+            # setdefault keeps one state per values when threads race here
+            found = table.setdefault(vals, made)
+        return found
 
     def get(self, var: str) -> Optional[Value]:
         idx = self.sig.index.get(var)
@@ -209,87 +225,50 @@ class State:
         vals = tuple(w if w is not None else v for v, w in zip(self.vals, winner.vals))
         return State(self.sig, vals)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, State):
-            return NotImplemented
-        return (self._hash == other._hash and self.vals == other.vals
-                and self.sig is other.sig)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         body = ", ".join(f"{var}={format_value(val)}" for var, val in self.items())
         return "{" + body + "}"
 
 
-_EMPTY_HASH = hash(())
+class StateSequence(tuple):
+    """Non-empty tuple of states; timestamps run 0..n.
 
-
-class StateSequence:
-    """Non-empty ordered list of states; timestamps run 0..n.
-
-    The hash chains the states' hashes from the first to the last, so
-    `extend` hashes only the new state, and equal sequences hash equal
-    however they were made.
+    Equality and hashing are the tuple's, over states compared by identity,
+    so equal sequences are equal and hash equal however they were made.
+    Negative indexes count from the end; slices are plain tuples.
     """
 
-    __slots__ = ("states", "_hash")
+    __slots__ = ()
 
-    def __init__(self, states: Iterable[State]):
-        self.states = tuple(states)
-        if not self.states:
+    def __new__(cls, states: Iterable[State]) -> "StateSequence":
+        seq = tuple.__new__(cls, states)
+        if not seq:
             raise ValidationError("a state sequence must contain at least one state")
-        digest = _EMPTY_HASH
-        for state in self.states:
-            digest = hash((digest, state._hash))
-        self._hash = digest
+        return seq
+
+    @property
+    def states(self) -> Tuple[State, ...]:
+        return self
 
     @property
     def sig(self) -> Signature:
-        return self.states[0].sig
+        return self[0].sig
 
     @property
     def last(self) -> State:
-        return self.states[-1]
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states)
-
-    def __getitem__(self, t: int) -> State:
-        if not 0 <= t < len(self.states):
-            raise IndexError(f"timestamp {t} outside 0..{len(self.states) - 1}")
-        return self.states[t]
+        return self[-1]
 
     def prefix(self, t: int) -> "StateSequence":
         """The prefix [s_0.. s_t], of length t + 1."""
-        if not 0 <= t < len(self.states):
-            raise IndexError(f"timestamp {t} outside 0..{len(self.states) - 1}")
-        return StateSequence(self.states[: t + 1])
+        if not 0 <= t < len(self):
+            raise IndexError(f"timestamp {t} outside 0..{len(self) - 1}")
+        return tuple.__new__(StateSequence, self[: t + 1])
 
     def extend(self, state: State) -> "StateSequence":
-        longer = StateSequence.__new__(StateSequence)
-        longer.states = self.states + (state,)
-        longer._hash = hash((self._hash, state._hash))
-        return longer
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, StateSequence):
-            return NotImplemented
-        return self._hash == other._hash and self.states == other.states
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(StateSequence, self + (state,))
 
     def __repr__(self) -> str:
-        return "[" + ", ".join(repr(s) for s in self.states) + "]"
+        return "[" + ", ".join(repr(s) for s in self) + "]"
 
 
 # --------------------------------------------------------------------------

@@ -12,17 +12,17 @@ sequence, from the empty fold state. One step of it needs only a small fold
 state (the view's last row, the variables seen but never assigned, and the
 input's last values) and the next input state. A `FoldMemo` carries what has
 been worked out across builds and observations: which variables a group of
-viewers sees in a state, one `State` per view row, one `FoldState` per fold
-state, and each step taken, so a step met again is read back rather than
-redone. The same memo keeps the views built while one sequence is evaluated,
-keyed by viewer group, so the common fixed point, nested views, individual
-and group beliefs and several formulas on that sequence share them.
+viewers sees in a state, and each step taken, so a step met again is read
+back rather than redone. The same memo keeps the views built while one
+sequence is evaluated, keyed by viewer group, so the common fixed point,
+nested views, individual and group beliefs and several formulas on that
+sequence share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .core import (
     EngineError,
@@ -30,7 +30,6 @@ from .core import (
     State,
     StateSequence,
     ValidationError,
-    Value,
 )
 
 PerspectiveSet = FrozenSet[StateSequence]
@@ -102,97 +101,25 @@ def make_model(name: str, sig: Signature, config: Optional[list] = None) -> Obse
 
 
 # --------------------------------------------------------------------------
-# Retrieval
-# --------------------------------------------------------------------------
-
-def retrieve_value(seq: StateSequence, ts: int, var: str) -> Optional[Value]:
-    """Value of `var` with respect to timestamp `ts`.
-
-    The value at `ts` if assigned there; otherwise the most recent earlier
-    value; otherwise the closest later value; otherwise None. `ts` may be -1,
-    meaning "before the sequence", in which case only forward lookup applies.
-    """
-    n = len(seq) - 1
-    if not -1 <= ts <= n:
-        raise IndexError(f"timestamp {ts} outside -1..{n}")
-    for t in (*range(ts, -1, -1), *range(ts + 1, n + 1)):
-        value = seq[t].get(var)
-        if value is not None:
-            return value
-    return None
-
-
-# --------------------------------------------------------------------------
 # Individual and pooled perspectives
 # --------------------------------------------------------------------------
 
 _NO_INDICES: FrozenSet[int] = frozenset()
 
 
-class FoldState:
+class FoldState(NamedTuple):
     """All one step of a view's fold needs besides the next input state.
 
     `row` is the view's last state. `unresolved` holds the indices of the
     variables the viewers have seen but the input has never assigned. `last`
     is the input's last-assigned row: each variable at its most recent value
     so far. When the input never drops a variable it has assigned, as global
-    states and views never do, that is the input's last state itself. A
-    `FoldMemo` interns fold states, so equal ones are one object and hash by
-    identity.
+    states and views never do, that is the input's last state itself.
     """
 
-    __slots__ = ("row", "unresolved", "last")
-
-    def __init__(self, row: State, unresolved: FrozenSet[int], last: State):
-        self.row = row
-        self.unresolved = unresolved
-        self.last = last
-
-
-class _SignatureMemo:
-    """What a memo keeps for one signature, shared by all viewer groups: the
-    split of the variables into transparent and gated ones, one `State` per
-    view row, and the fold states, interned (`empty` is the one before any
-    step, made on the first build). `masks` and `indices` hold one copy of
-    each visibility mask and each `unresolved` set: the states met far
-    outnumber them."""
-
-    __slots__ = ("sig", "always", "gated", "masks", "rows", "indices", "folds", "empty")
-
-    def __init__(self, model: ObservationModel, sig: Signature):
-        transparent = model.transparent_variables()
-        self.sig = sig
-        self.always = [var in transparent for var in sig.variables]
-        self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
-                            if var not in transparent])
-        self.masks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
-        self.rows: Dict[tuple, State] = {}
-        self.indices: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        self.folds: Dict[tuple, FoldState] = {}
-        self.empty: Optional[FoldState] = None
-
-    def start(self) -> FoldState:
-        """The fold state before any step."""
-        if self.empty is None:
-            nothing = self.sig.state_from_values((None,) * len(self.sig.variables))
-            self.empty = self.fold(nothing.vals, _NO_INDICES, nothing)
-        return self.empty
-
-    def fold(self, row: tuple, unresolved: FrozenSet[int], last: State) -> FoldState:
-        """The one fold state with these parts (`row` given as values)."""
-        if unresolved:
-            unresolved = self.indices.setdefault(unresolved, unresolved)
-        view_state = self.rows.get(row)
-        if view_state is None:   # a new row, so no fold state holds it yet
-            view_state = self.rows[row] = State(self.sig, row)
-            found = None
-        else:
-            found = self.folds.get((row, unresolved, last.vals))
-        if found is None:
-            # the key holds the canonical row, so a fresh copy is not kept alive
-            found = self.folds[(view_state.vals, unresolved, last.vals)] = \
-                FoldState(view_state, unresolved, last)
-        return found
+    row: State
+    unresolved: FrozenSet[int]
+    last: State
 
 
 class _Visibility:
@@ -200,42 +127,44 @@ class _Visibility:
     which variables they see, state by state, and the fold steps their views
     have taken.
 
-    `masks` maps a state's values to one flag per variable. A miss asks the
-    model only about the variables that are not transparent, and asks a
-    viewer only about those no earlier viewer sees. `steps` maps a fold state
-    to a table from an input state's values to the next fold state. The
-    table, not the fold state, holds the successors, so no reference cycle
-    forms when a fold state steps to itself; and one small table per fold
-    state costs less memory than a key tuple per step.
+    `masks` maps a state to one flag per variable. A miss asks the model only
+    about the variables that are not transparent, and asks a viewer only
+    about those no earlier viewer sees. `steps` maps a fold state to a table
+    from an input state to the next fold state; one small table per fold
+    state costs less memory than a key tuple per step. `start` is the fold
+    state before any step.
     """
 
-    __slots__ = ("masks", "steps", "shared", "_viewers", "_sees")
+    __slots__ = ("always", "gated", "masks", "steps", "start", "_viewers", "_sees")
 
-    def __init__(self, model: ObservationModel, viewers: Tuple[str, ...],
-                 shared: _SignatureMemo):
+    def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
         if not viewers:
             raise ValidationError("a group must contain at least one agent")
-        self.masks: Dict[tuple, Tuple[bool, ...]] = {}
-        self.steps: Dict[FoldState, Dict[tuple, FoldState]] = {}
-        self.shared = shared
+        transparent = model.transparent_variables()
+        self.always = [var in transparent for var in sig.variables]
+        self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
+                            if var not in transparent])
+        self.masks: Dict[State, Tuple[bool, ...]] = {}
+        self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
+        nothing = State(sig, (None,) * len(sig.variables))
+        self.start = FoldState(nothing, _NO_INDICES, nothing)
         self._viewers = viewers
         self._sees = model.sees
 
     def compute(self, state: State) -> Tuple[bool, ...]:
         """The mask of `state`, worked out and stored."""
         sees, viewers = self._sees, self._viewers
-        mask = self.shared.always.copy()
-        for idx, var in self.shared.gated:
+        mask = self.always.copy()
+        for idx, var in self.gated:
             for agent in viewers:
                 if sees(agent, state, var):
                     mask[idx] = True
                     break
-        mask = tuple(mask)
-        found = self.masks[state.vals] = self.shared.masks.setdefault(mask, mask)
+        found = self.masks[state] = tuple(mask)
         return found
 
     def mask(self, state: State) -> Tuple[bool, ...]:
-        found = self.masks.get(state.vals)
+        found = self.masks.get(state)
         return self.compute(state) if found is None else found
 
 
@@ -249,12 +178,8 @@ class FoldMemo:
 
     `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
     is asked once per (viewers, state) and a fold step is taken once per
-    (viewers, fold state, input state). `signatures` maps a signature to
-    what its viewer groups share: equal view states are one object, and so
-    are equal fold states. Masks, rows and steps are keyed by value tuples,
-    which say nothing of the signature, so each signature has tables of its
-    own. The memo grows with the distinct states, view rows and fold states
-    it meets.
+    (viewers, fold state, input state). The memo grows with the distinct
+    states and fold states it meets.
 
     `view` also keeps the views over one sequence, keyed by (viewers,
     input), where an input is that sequence or a view over it. Set `target`
@@ -263,11 +188,10 @@ class FoldMemo:
     for as long as the memo.
     """
 
-    __slots__ = ("visibility", "signatures", "target", "_focus", "_views")
+    __slots__ = ("visibility", "target", "_focus", "_views")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
-        self.signatures: Dict[Signature, _SignatureMemo] = {}
         self.target: Optional[StateSequence] = None
         self._focus: Optional[StateSequence] = None
         self._views: Dict[Tuple[Tuple[str, ...], StateSequence], StateSequence] = {}
@@ -293,10 +217,7 @@ def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...
         memo = FoldMemo()
     found = memo.visibility.get((sig, viewers))
     if found is None:
-        shared = memo.signatures.get(sig)
-        if shared is None:
-            shared = memo.signatures[sig] = _SignatureMemo(model, sig)
-        found = memo.visibility[(sig, viewers)] = _Visibility(model, viewers, shared)
+        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
     return found
 
 
@@ -310,16 +231,16 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
     `_fold_step` per input state. Steps are read from `memo` (a fresh one if
     not given) when it has taken them before.
     """
-    sig = seq.sig
+    sig = seq[0].sig
     table = None if memo is None else memo.visibility.get((sig, viewers))
     if table is None:
         table = _visibility(model, sig, viewers, memo)
     steps = table.steps
-    fold = table.shared.start()
+    fold = table.start
     rows = []
-    for state in seq.states:
+    for state in seq:
         after = steps.get(fold)
-        found = None if after is None else after.get(state.vals)
+        found = None if after is None else after.get(state)
         fold = _fold_step(table, fold, state) if found is None else found
         rows.append(fold.row)
     return StateSequence(rows)
@@ -337,7 +258,7 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
     later states would fabricate evidence.
     """
     vals = state.vals
-    mask = table.masks.get(vals)
+    mask = table.masks.get(state)
     if mask is None:
         mask = table.compute(state)
     prior, last = fold.row.vals, fold.last.vals
@@ -366,16 +287,21 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
         else:
             value = None
         row.append(value)
+    sig = state.sig
     if dropped:
-        state = state.sig.state_from_values(
-            tuple([old if given is None else given for given, old in zip(vals, last)]))
-    found = table.shared.fold(tuple(row), frozenset(unresolved) if unresolved else _NO_INDICES,
-                              state)
+        last = tuple([old if given is None else given for given, old in zip(vals, last)])
+    # an unchanged set stays the predecessor's object, so the steps of one
+    # fold share it rather than each holding a copy
+    if unresolved == fold.unresolved:
+        unresolved = fold.unresolved
+    else:
+        unresolved = frozenset(unresolved) if unresolved else _NO_INDICES
+    found = FoldState(State(sig, tuple(row)), unresolved, State(sig, last) if dropped else state)
     after = table.steps.get(fold)
     if after is None:
-        table.steps[fold] = {vals: found}
+        table.steps[fold] = {state: found}
     else:
-        after[vals] = found
+        after[state] = found
     return found
 
 
@@ -481,7 +407,7 @@ def common_observation(model: ObservationModel, group: Iterable[str],
     current = state
     while True:
         nxt = _masked(current, map(all, zip(*(t.mask(current) for t in tables))))
-        if nxt == current:
+        if nxt is current:
             return current
         current = nxt
 

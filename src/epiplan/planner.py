@@ -135,7 +135,7 @@ def apply_action(evaluator: Evaluator, action: Action,
     if action.precondition is not None:
         if evaluator.evaluate(seq, action.precondition) is not _TRUE:
             return None
-    last = seq.states[-1]
+    last = seq[-1]
     successor = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None

@@ -32,9 +32,11 @@ from .perspectives import (
     uniform_perspectives,
 )
 
-# Ternary's members as module globals: reading one off the class is an
-# attribute lookup through the enum metaclass, paid on every node visited
+# Ternary's and GroupMode's members as module globals: reading one off the
+# class is an attribute lookup through the enum metaclass, paid on every node
+# visited
 _FALSE, _TRUE, _UNKNOWN = Ternary.FALSE, Ternary.TRUE, Ternary.UNKNOWN
+_COMMON, _UNIFORM, _DISTRIBUTED = GroupMode.COMMON, GroupMode.UNIFORM, GroupMode.DISTRIBUTED
 _VERDICT = (_FALSE, _TRUE)   # indexed by a bool
 
 
@@ -84,11 +86,12 @@ class Evaluator:
     view is one entry whether B, EB or DB asks for it. Each view is one fold
     over the whole sequence, and the memo also keeps what the folds have
     worked out: which variables each viewer group sees in each state met so
-    far, one `State` object per distinct view state, so equal views share
-    their states, and every fold step taken, so a view step met again is
-    read back; a view of a sequence met before costs one memo hit per state.
-    The memo grows with the distinct states and fold states met. It makes an
-    evaluator unsafe to share between threads; use one per thread.
+    far, and every fold step taken, so a view step met again is read back;
+    a view of a sequence met before costs one memo hit per state. The memo
+    grows with the distinct states and fold states met; the view states
+    themselves are kept by their signature, one object per distinct state.
+    The memo makes an evaluator unsafe to share between threads; use one
+    per thread.
     """
 
     def __init__(self, model: ObservationModel):
@@ -100,7 +103,7 @@ class Evaluator:
         self._checked_formulas: dict[tuple[int, int], tuple[Formula, Signature]] = {}
 
     def evaluate(self, seq: StateSequence, phi: Formula) -> Ternary:
-        sig = seq.states[0].sig
+        sig = seq[0].sig
         key = (id(phi), id(sig))
         if key not in self._checked_formulas:
             validate_formula(sig, phi)
@@ -119,7 +122,7 @@ class Evaluator:
 
     def _eval(self, seq: StateSequence, phi: Formula) -> Ternary:
         if isinstance(phi, Atom):
-            return interpret_atom(seq.states[-1], phi)
+            return interpret_atom(seq[-1], phi)
         if isinstance(phi, And):
             left = self._eval(seq, phi.left)
             if left is _FALSE:
@@ -145,7 +148,7 @@ class Evaluator:
                     phi: GroupSeesVar | GroupSees | GroupKnows) -> Ternary:
         """Whether `phi.group` sees `phi.var` or settles `phi.child` (and, to
         know it, the child holds)."""
-        last, group = seq.last, phi.group
+        last, group = seq[-1], phi.group
         if isinstance(phi, GroupSeesVar):
             if phi.var not in last:
                 return _UNKNOWN
@@ -154,11 +157,11 @@ class Evaluator:
             if held is _UNKNOWN or held is _FALSE and isinstance(phi, GroupKnows):
                 return held
         # an observation is None (unknown) where the members it needs are absent
-        if phi.mode is GroupMode.COMMON:
+        if phi.mode is _COMMON:
             observations = [common_observation(self.model, group, last, self._memo)
                             if all(i in last for i in group) else None]
         else:
-            viewers = [(i,) for i in group] if phi.mode is GroupMode.UNIFORM else [group]
+            viewers = [(i,) for i in group] if phi.mode is _UNIFORM else [group]
             observations = [group_observation(self.model, members, last, self._memo)
                             if any(i in last for i in members) else None for members in viewers]
         verdict = _TRUE
@@ -176,10 +179,10 @@ class Evaluator:
     # -- believing ----------------------------------------------------------
 
     def _group_believes(self, seq: StateSequence, phi: GroupBelieves) -> Ternary:
-        if phi.mode is GroupMode.DISTRIBUTED:
+        if phi.mode is _DISTRIBUTED:
             pooled = self._memo.view(self.model, phi.group, seq, distributed_perspective)
             return self._eval(pooled, phi.child)
-        if phi.mode is GroupMode.UNIFORM:
+        if phi.mode is _UNIFORM:
             views = uniform_perspectives(self.model, phi.group, seq, self._memo)
         else:
             views, fp = common_perspectives(self.model, phi.group, frozenset([seq]), self._memo)

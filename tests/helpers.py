@@ -20,6 +20,7 @@ from epiplan.core import (
     Signature,
     State,
     StateSequence,
+    Value,
 )
 from epiplan.cli import load_benchmark
 from epiplan.parser import DomainFile, parse_trace
@@ -31,6 +32,24 @@ from epiplan.perspectives import ObservationModel
 LITERAL = {"=": lambda x, y: x == y, "!=": lambda x, y: x != y,
            "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
            ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+
+
+def retrieve_value(seq: StateSequence, ts: int, var: str) -> Optional[Value]:
+    """Value of `var` with respect to timestamp `ts`: the retrieval rule
+    applied literally, which tests compare the fold against.
+
+    The value at `ts` if assigned there; otherwise the most recent earlier
+    value; otherwise the closest later value; otherwise None. `ts` may be -1,
+    meaning "before the sequence", in which case only forward lookup applies.
+    """
+    n = len(seq) - 1
+    if not -1 <= ts <= n:
+        raise IndexError(f"timestamp {ts} outside -1..{n}")
+    for t in (*range(ts, -1, -1), *range(ts + 1, n + 1)):
+        value = seq[t].get(var)
+        if value is not None:
+            return value
+    return None
 
 
 def number_domain() -> DomainFile:

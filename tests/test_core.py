@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -23,8 +24,11 @@ from epiplan.core import (
     Var,
     interpret_atom,
     make_group,
+    same_value,
     validate_formula,
 )
+from epiplan.perspectives import ObservationModel, justified_perspective
+from epiplan.planner import Effect, _apply_effects
 
 
 @pytest.fixture
@@ -137,22 +141,93 @@ class TestSequence:
             StateSequence([])
 
 
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=8), st.integers(0, 7))
-def test_equal_sequences_hash_equal_however_built(values, cut):
-    """Built whole, by `extend` from fresh but equal states, or by extending a
-    prefix: equal sequences, equal hashes."""
-    sig = Signature(["a"], {"n": range(0, 6)})
-    whole = StateSequence([sig.make_state({"n": v}) for v in values])
-    chained = StateSequence([sig.make_state({"n": values[0]})])
-    for v in values[1:]:
-        chained = chained.extend(sig.make_state({"n": v}))
-    cut = min(cut, len(values) - 1)
+_KINDS = {"bool": (False, True), "int": range(0, 3), "enum": ("on", "off")}
+
+
+@st.composite
+def _mixed_rows(draw):
+    """A signature mixing bool, int and enum variables (its int values
+    include 1, its bool values True), a small pool of value rows (None for
+    unassigned), and a list of rows drawn from the pool, so rows repeat."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=4))
+    sig = Signature(["a", "b"], {f"v{i}": _KINDS[kind] for i, kind in enumerate(kinds)})
+    column = [st.sampled_from((None,) + sig.domain(var)) for var in sig.variables]
+    pool = draw(st.lists(st.tuples(*column), min_size=1, max_size=4))
+    return sig, pool, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+
+class _SeesAssigned(ObservationModel):
+    """Sees exactly the variables `row` assigns."""
+
+    def __init__(self, sig, row):
+        self.seen = {var for var, val in zip(sig.variables, row) if val is not None}
+
+    def sees(self, agent, state, var):
+        return var in self.seen
+
+
+def _assigned(sig, row):
+    return {var: val for var, val in zip(sig.variables, row) if val is not None}
+
+
+def _full(sig, row, pick):
+    """`row` with each unassigned variable at its domain's value `pick`."""
+    return sig.state_from_values(tuple(sig.domain(var)[pick] if val is None else val
+                                       for var, val in zip(sig.variables, row)))
+
+
+# every way the engine makes a state, each asked for the state of `row`
+_BUILDERS = {
+    "make_state": lambda sig, row: sig.make_state(_assigned(sig, row)),
+    "state_from_values": lambda sig, row: sig.state_from_values(row),
+    "restrict": lambda sig, row: _full(sig, row, 0).restrict(_assigned(sig, row)),
+    "override": lambda sig, row: sig.state_from_values(
+        tuple(None if val is None else sig.domain(var)[-1]
+              for var, val in zip(sig.variables, row))).override(sig.state_from_values(row)),
+    "observe": lambda sig, row: _SeesAssigned(sig, row).observe("a", _full(sig, row, -1)),
+    "apply_effects": lambda sig, row: _apply_effects(
+        sig, sig.make_state({}),
+        tuple(Effect(var, "set", val) for var, val in _assigned(sig, row).items())),
+    "fold": lambda sig, row: justified_perspective(
+        _SeesAssigned(sig, row), "a", StateSequence([_full(sig, row, 0)])).last,
+}
+
+
+@given(_mixed_rows(), st.integers(0, 7))
+def test_equal_sequences_hash_equal_however_built(drawn, cut):
+    """A signature keeps one state per assignment: however a state is
+    built, it is the one object of its values, so states are the same
+    object exactly when their values agree position by position under
+    `same_value`, and a state never equals one of another signature object.
+    Sequences built whole, by `extend` from states built other ways, or by
+    extending a prefix are equal and hash equal."""
+    sig, pool, rows = drawn
+    built = [(row, build(sig, row)) for row in pool for build in _BUILDERS.values()]
+    for row, state in built:
+        assert state.sig is sig and all(map(same_value, state.vals, row))
+    for (_, a), (_, b) in itertools.product(built, repeat=2):
+        agree = all(map(same_value, a.vals, b.vals))
+        assert (a is b) == agree == (a == b)
+        assert not agree or hash(a) == hash(b)
+    twin = Signature(sig.agents, {var: sig.domain(var) for var in sig.variables
+                                  if not sig.is_agent(var)})
+    for row in pool:
+        assert twin.state_from_values(row) != sig.state_from_values(row)
+
+    builders = itertools.cycle(_BUILDERS.values())
+    states = [build(sig, row) for build, row in zip(builders, rows)]
+    whole = StateSequence([sig.make_state(_assigned(sig, row)) for row in rows])
+    chained = StateSequence(states[:1])
+    for state in states[1:]:
+        chained = chained.extend(state)
+    cut = min(cut, len(rows) - 1)
     grown = whole.prefix(cut)
-    for v in values[cut + 1:]:
-        grown = grown.extend(sig.make_state({"n": v}))
+    for state in states[cut + 1:]:
+        grown = grown.extend(state)
     for seq in (chained, grown):
         assert seq == whole and hash(seq) == hash(whole)
-    longer = whole.extend(sig.make_state({"n": values[-1]}))
+    assert StateSequence([twin.state_from_values(row) for row in rows]) != whole
+    longer = whole.extend(states[-1])
     assert longer != whole
 
 

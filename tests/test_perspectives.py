@@ -10,6 +10,7 @@ from helpers import (
     n_projection,
     random_instance,
     random_states,
+    retrieve_value,
     step_gated_instance,
 )
 from epiplan.core import Signature, StateSequence, ValidationError
@@ -21,7 +22,6 @@ from epiplan.perspectives import (
     common_perspectives,
     distributed_perspective,
     justified_perspective,
-    retrieve_value,
     uniform_perspectives,
 )
 
