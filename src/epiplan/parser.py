@@ -1,7 +1,7 @@
 """Text formats: formula s-expressions, domain files, problem files, traces.
 
-Formulas are prefix s-expressions, declarations are keyword lines. The exact
-grammar is documented in the README. All parse errors carry line and column.
+Formulas are prefix s-expressions, declarations keyword lines (grammar in the
+README). An error names its line, if any; only a formula error names a column.
 """
 
 from __future__ import annotations

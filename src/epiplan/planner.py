@@ -1,20 +1,19 @@
 """Breadth-first planning over full state histories.
 
-Because belief formulas are evaluated on the whole state sequence, search
-nodes carry their complete history and duplicate detection keys on the full
-sequence: two nodes are interchangeable only if every state along the way
-matches. Merging on last states would be unsound here.
+Merging nodes on equal last states would be unsound, as a belief reads the
+whole history. Yet generated histories can only be equal as siblings, by
+induction: the root is unique, children of distinct parents differ in their
+prefix, and children of one parent differ exactly when their last states do.
+So one set of successor states per expansion finds exactly the duplicates.
 
 One expansion pops the oldest node of the frontier and, for each action in
 declaration order, calls `apply_action` once: it evaluates the precondition
 on the node's history (one `Evaluator.evaluate` call) and, if that is
 strictly true and every effect stays in its domain, returns the child. A
-child whose history was seen before is dropped; any other is goal-tested
-(one `evaluate` per goal, stopping at the first goal missed) and queued.
-Each atom a formula reads is one `semantics.interpret_atom` call.
-`apply_action`, `Evaluator.evaluate` and `interpret_atom` are looked up by
-name on every call, never bound once in advance, so the benchmark's tracer
-can wrap them and count the work of each layer.
+child is dropped as a duplicate or goal-tested (one `evaluate` per goal,
+stopping at the first goal missed) and queued. Each atom a formula reads is
+one `semantics.interpret_atom` call. These three are looked up by name on
+every call, never bound in advance, so the benchmark's tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -151,9 +150,10 @@ def breadth_first_plan(model: ObservationModel,
                        time_budget: Optional[float] = None) -> PlanResult:
     """Shortest plan reaching all goal targets, FIFO order, duplicates pruned.
 
-    Exhausting all plans of length <= max_depth yields status "unsolvable";
-    exceeding a node or time budget yields "aborted" (nothing is proven).
-    Action order is the declaration order, so results are deterministic.
+    Only siblings can be duplicates (module docstring), so no history is held
+    outside the frontier. Exhausting all plans of length <= max_depth yields
+    "unsolvable"; exceeding a node or time budget yields "aborted" (nothing is
+    proven). Actions go in declaration order, so results are deterministic.
     """
     sig = initial.sig
     missing = [v for v in sig.variables if v not in initial]
@@ -190,7 +190,6 @@ def breadth_first_plan(model: ObservationModel,
     if satisfied(root):
         return finish(SOLVED, (), expanded, generated)
     frontier = deque([root])
-    seen = {root.sequence}
     while frontier:
         if node_budget is not None and generated >= node_budget:
             return finish(ABORTED, None, expanded, generated)
@@ -200,14 +199,15 @@ def breadth_first_plan(model: ObservationModel,
         if len(node.plan) >= max_depth:
             continue
         expanded += 1
+        queued = set()
         for action in actions:
             child = apply_action(evaluator, action, node)
             if child is None:
                 continue
             generated += 1
-            if child.sequence in seen:
+            if child.sequence[-1] in queued:
                 continue
-            seen.add(child.sequence)
+            queued.add(child.sequence[-1])
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
             frontier.append(child)

@@ -1,12 +1,18 @@
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import LITERAL, RuleVisibility
+from helpers import LITERAL, RuleVisibility, random_belief_free_formula, random_instance
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     RELATIONS,
     And,
     Atom,
+    Believes,
+    GroupBelieves,
+    GroupMode,
     Not,
     Signature,
     StateSequence,
@@ -265,6 +271,111 @@ def test_plan_length_matches_exhaustive_enumeration(instance):
         values = _step(domains, values, by_name[name])
         assert values is not None
     assert all(_holds(values, atom) for atom in goals)
+
+
+# --------------------------------------------------------------------------
+# Duplicates are looked for among siblings only. The reference below keeps
+# one search-wide set of every full history generated; both searches must
+# return the same plan and the same node counts.
+# --------------------------------------------------------------------------
+
+def _reference_plan(model, actions, initial, goals, max_depth):
+    """(status, plan, expanded, generated, dropped) of a breadth-first search
+    that drops a child whose full history any earlier node already had."""
+    evaluator = Evaluator(model)
+
+    def satisfied(node):
+        return all(evaluator.evaluate(node.sequence, phi) is target
+                   for phi, target in goals)
+
+    root = SearchNode(StateSequence([initial]), ())
+    expanded, generated, dropped = 0, 1, 0
+    if satisfied(root):
+        return SOLVED, (), expanded, generated, dropped
+    frontier, seen = deque([root]), {root.sequence}
+    while frontier:
+        node = frontier.popleft()
+        if len(node.plan) >= max_depth:
+            continue
+        expanded += 1
+        for action in actions:
+            child = apply_action(evaluator, action, node)
+            if child is None:
+                continue
+            generated += 1
+            if child.sequence in seen:
+                dropped += 1
+                continue
+            seen.add(child.sequence)
+            if satisfied(child):
+                return SOLVED, child.plan, expanded, generated, dropped
+            frontier.append(child)
+    return UNSOLVABLE, None, expanded, generated, dropped
+
+
+def _same_search(model, actions, initial, goals, max_depth):
+    """Assert that `breadth_first_plan` matches the reference; return how
+    many duplicates the reference dropped."""
+    result = breadth_first_plan(model, actions, initial, goals, max_depth=max_depth)
+    status, plan, expanded, generated, dropped = _reference_plan(
+        model, actions, initial, goals, max_depth)
+    assert (result.status, result.plan, result.expanded, result.generated) == (
+        status, plan, expanded, generated)
+    return dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_only_instances())
+def test_sibling_pruning_matches_full_history_set_on_atom_only_domains(instance):
+    domains, actions, initial, goals, max_depth = instance
+    sig = Signature(["a"], domains)
+    _same_search(BLIND, actions, sig.global_state(initial),
+                 [(goal, Ternary.TRUE) for goal in goals], max_depth)
+
+
+def _random_action(rng, sig, name):
+    """An action of one or two set, copy or add effects, with no
+    precondition, a belief-free one or a belief of one agent."""
+    variables = [v for v in sig.variables if not sig.is_agent(v)]
+    # effects write variables with more than one value, so that siblings
+    # differ and the tree grows; the flag always has two
+    varied = [v for v in variables if len(sig.domain(v)) > 1]
+    effects = []
+    for _ in range(rng.randint(1, 2)):
+        var = rng.choice(varied)
+        domain = sig.domain(var)
+        roll = rng.randrange(3)
+        if roll == 0 and all(type(v) is int for v in domain):
+            effects.append(Effect(var, "add", rng.choice((-1, 1))))
+        elif roll == 1:
+            effects.append(Effect(var, "copy", rng.choice(variables)))
+        else:
+            effects.append(Effect(var, "set", rng.choice(domain)))
+    roll = rng.randrange(4)
+    if roll < 2:
+        pre = None
+    elif roll == 2:
+        pre = random_belief_free_formula(rng, sig, 1)
+    else:
+        pre = Believes(rng.choice(sig.agents), random_belief_free_formula(rng, sig, 0))
+    return Action(name, pre, tuple(effects))
+
+
+def test_sibling_pruning_matches_full_history_set_with_belief_goals():
+    rng = random.Random(12)
+    dropped = 0
+    for _ in range(150):
+        sig, model, seq = random_instance(rng, max_vars=4, max_len=1)
+        actions = tuple(_random_action(rng, sig, f"act{k}") for k in range(rng.randint(3, 5)))
+        goals = []
+        for _ in range(rng.randint(1, 2)):
+            group = tuple(a for a in sig.agents if rng.random() < 0.6) or sig.agents[:1]
+            phi = GroupBelieves(rng.choice(list(GroupMode)), group,
+                                random_belief_free_formula(rng, sig, 1))
+            goals.append((phi, rng.choice(list(Ternary))))
+        dropped += _same_search(model, actions, seq[0], goals, rng.randint(3, 6))
+    # the instances do make siblings reach one state
+    assert dropped > 0
 
 
 # --------------------------------------------------------------------------
