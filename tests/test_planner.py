@@ -253,9 +253,9 @@ def atom_only_instances(draw):
 def test_plan_length_matches_exhaustive_enumeration(instance):
     domains, actions, initial, goals, max_depth = instance
     sig = Signature(["a"], domains)
-    result = breadth_first_plan(BLIND, actions, sig.global_state(initial),
-                                [(goal, Ternary.TRUE) for goal in goals],
-                                max_depth=max_depth)
+    # the search also matches the reference that keeps every history
+    result, _ = _same_search(BLIND, actions, sig.global_state(initial),
+                             [(goal, Ternary.TRUE) for goal in goals], max_depth)
     want = _shortest(domains, actions, initial, goals, max_depth)
     if want is None:
         assert result.status == UNSOLVABLE
@@ -276,7 +276,8 @@ def test_plan_length_matches_exhaustive_enumeration(instance):
 # --------------------------------------------------------------------------
 # Duplicates are looked for among siblings only. The reference below keeps
 # one search-wide set of every full history generated; both searches must
-# return the same plan and the same node counts.
+# return the same plan and the same node counts, on the atom-only instances
+# above and on random rule-table models with belief goals.
 # --------------------------------------------------------------------------
 
 def _reference_plan(model, actions, initial, goals, max_depth):
@@ -314,23 +315,14 @@ def _reference_plan(model, actions, initial, goals, max_depth):
 
 
 def _same_search(model, actions, initial, goals, max_depth):
-    """Assert that `breadth_first_plan` matches the reference; return how
-    many duplicates the reference dropped."""
+    """Assert that `breadth_first_plan` matches the reference; return its
+    result and how many duplicates the reference dropped."""
     result = breadth_first_plan(model, actions, initial, goals, max_depth=max_depth)
     status, plan, expanded, generated, dropped = _reference_plan(
         model, actions, initial, goals, max_depth)
     assert (result.status, result.plan, result.expanded, result.generated) == (
         status, plan, expanded, generated)
-    return dropped
-
-
-@settings(max_examples=150, deadline=None)
-@given(atom_only_instances())
-def test_sibling_pruning_matches_full_history_set_on_atom_only_domains(instance):
-    domains, actions, initial, goals, max_depth = instance
-    sig = Signature(["a"], domains)
-    _same_search(BLIND, actions, sig.global_state(initial),
-                 [(goal, Ternary.TRUE) for goal in goals], max_depth)
+    return result, dropped
 
 
 def _random_action(rng, sig, name):
@@ -373,7 +365,7 @@ def test_sibling_pruning_matches_full_history_set_with_belief_goals():
             phi = GroupBelieves(rng.choice(list(GroupMode)), group,
                                 random_belief_free_formula(rng, sig, 1))
             goals.append((phi, rng.choice(list(Ternary))))
-        dropped += _same_search(model, actions, seq[0], goals, rng.randint(3, 6))
+        dropped += _same_search(model, actions, seq[0], goals, rng.randint(3, 6))[1]
     # the instances do make siblings reach one state
     assert dropped > 0
 
