@@ -39,12 +39,15 @@ class Ternary(enum.IntEnum):
     def negate(self) -> "Ternary":
         return Ternary(2 - self.value)
 
-    @staticmethod
-    def from_bool(flag: bool) -> "Ternary":
-        return Ternary.TRUE if flag else Ternary.FALSE
-
     def __str__(self) -> str:
         return ("0", "1/2", "1")[self.value]
+
+
+# Ternary's members as module globals, which the engine's hot paths import:
+# reading one off the class is an attribute lookup through the enum
+# metaclass. `_VERDICT` is a comparison's verdict indexed by its bool.
+_FALSE, _UNKNOWN, _TRUE = Ternary.FALSE, Ternary.UNKNOWN, Ternary.TRUE
+_VERDICT = (_FALSE, _TRUE)
 
 
 def value_kind(value: Value) -> str:
@@ -129,10 +132,6 @@ class Signature:
             return type(value) is int and value in members
         return (type(value), value) in members
 
-    def state_from_values(self, vals: Tuple[Optional[Value], ...]) -> "State":
-        """Trusted constructor: `vals` aligned with `self.variables`, None = unassigned."""
-        return State(self, vals)
-
     def make_state(self, assignments: Mapping[str, Value]) -> "State":
         vals: list[Optional[Value]] = [None] * len(self.variables)
         for var, value in assignments.items():
@@ -172,9 +171,10 @@ class State:
     lookups are total. `State(sig, vals)` returns the one state the signature
     holds for `vals`, made on first use, so equal states are one object and
     compare and hash by identity; states of two signature objects are never
-    equal. Values lie in their variables' domains, as every constructor but
-    the trusted `Signature.state_from_values` checks. A domain holds one kind
-    of value, so equal value tuples agree position by position under
+    equal. `vals` is aligned with `sig.variables`, None for unassigned, and
+    its values lie in their variables' domains: `State` trusts its caller,
+    and `Signature.make_state` is the checked way in. A domain holds one
+    kind of value, so equal value tuples agree position by position under
     `same_value`: True and 1 never meet at one position.
     """
 
@@ -245,10 +245,6 @@ class StateSequence(tuple):
         if not seq:
             raise ValidationError("a state sequence must contain at least one state")
         return seq
-
-    @property
-    def states(self) -> Tuple[State, ...]:
-        return self
 
     @property
     def sig(self) -> Signature:
@@ -426,13 +422,6 @@ def _check_group(sig: Signature, group: Tuple[str, ...]) -> None:
     for agent in group:
         if not sig.is_agent(agent):
             raise ValidationError(f"unknown agent {agent!r}")
-
-
-# a comparison's verdicts indexed by the bool it returns; module globals,
-# since reading an enum member off its class is an attribute lookup through
-# the metaclass
-_VERDICT = (Ternary.FALSE, Ternary.TRUE)
-_UNKNOWN = Ternary.UNKNOWN
 
 
 def interpret_atom(state: State, atom: Atom) -> Ternary:

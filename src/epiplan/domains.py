@@ -23,10 +23,7 @@ class NumberModel(ObservationModel):
     agent i sees any other variable exactly while ``peeking_i`` is true.
     """
 
-    name = "number"
-
     def __init__(self, sig: Signature):
-        self.sig = sig
         flags = {}
         for agent in sig.agents:
             flag = f"peeking_{agent}"
@@ -63,10 +60,7 @@ class GrapevineModel(ObservationModel):
     the state.
     """
 
-    name = "grapevine"
-
     def __init__(self, sig: Signature):
-        self.sig = sig
         self._loc_of: Dict[str, str] = {}
         for agent in sig.agents:
             loc = f"loc_{agent}"
@@ -125,10 +119,7 @@ class BBLModel(ObservationModel):
     always in view.
     """
 
-    name = "bbl"
-
     def __init__(self, sig: Signature, positions: Dict[str, Tuple[int, int]]):
-        self.sig = sig
         self._dir_of: Dict[str, str] = {}
         for agent in sig.agents:
             dvar = f"dir_{agent}"
@@ -143,7 +134,6 @@ class BBLModel(ObservationModel):
         for obj in self._objects:
             if obj not in positions:
                 raise ValidationError(f"bbl model needs a position for object {obj!r}")
-        self.positions = dict(positions)
         # bearing from each camera to each object, None for zero distance
         self._bearing: Dict[Tuple[str, str], Optional[float]] = {}
         for agent in sig.agents:

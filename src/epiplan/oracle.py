@@ -65,7 +65,7 @@ class CompletionSpace:
     def states(self) -> Iterator[State]:
         domains = [self.sig.domain(v) for v in self.sig.variables]
         for combo in product(*domains):
-            yield self.sig.state_from_values(combo)
+            yield State(self.sig, combo)
 
     def sequences(self) -> Iterator[StateSequence]:
         all_states = list(self.states())
@@ -131,6 +131,6 @@ def _holds(model: ObservationModel, space: CompletionSpace,
         if phi.mode is GroupMode.DISTRIBUTED:
             return _forall(model, space,
                            distributed_perspective(model, phi.group, seq), phi.child)
-        views, _ = common_perspectives(model, phi.group, frozenset([seq]))
+        views, _ = common_perspectives(model, phi.group, seq)
         return all(_forall(model, space, w, phi.child) for w in views)
     raise TypeError(f"not a formula node: {phi!r}")

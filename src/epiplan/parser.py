@@ -7,7 +7,7 @@ README). An error names its line, if any; only a formula error names a column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
@@ -21,6 +21,7 @@ from .core import (
     GroupSees,
     GroupSeesVar,
     Not,
+    RELATIONS,
     Signature,
     State,
     StateSequence,
@@ -79,7 +80,6 @@ def _lex(line: str, lineno: int) -> List[Token]:
 # Formulas
 # --------------------------------------------------------------------------
 
-_RELS = {"=", "!=", "<", "<=", ">", ">="}
 # operator -> (node, mode); an individual operator (mode None) takes one agent
 # and stands for the UNIFORM group of that agent
 _OPERATORS: Dict[str, Tuple[type, Optional[GroupMode]]] = {
@@ -165,7 +165,7 @@ def _parse_formula(stream: _TokenStream, sig: Signature,
         raise _too_deep(opener)
     head = stream.next("an operator or relation")
     name = head.text
-    if name in _RELS:
+    if name in RELATIONS:
         return _parse_atom(stream, sig, name, head), 1
     if name == "not":
         child, height = _parse_formula(stream, sig, depth + 1)
@@ -278,10 +278,8 @@ def format_formula(phi: Formula) -> str:
 class DomainFile:
     name: str
     signature: Signature
-    model_name: str
     model: ObservationModel
     actions: Tuple[Action, ...]
-    obs_config: List[List[str]] = field(default_factory=list)
 
 
 def parse_domain(text: str) -> DomainFile:
@@ -369,7 +367,7 @@ def parse_domain(text: str) -> DomainFile:
         model = make_model(model_name, sig, obs_config)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
-    return DomainFile(name, sig, model_name, model, tuple(actions), obs_config)
+    return DomainFile(name, sig, model, tuple(actions))
 
 
 def _need(parts: List[str], lo: int, hi: int, lineno: int, usage: str) -> None:
@@ -474,7 +472,6 @@ def _assignments(sig: Signature, words: List[str], lineno: int,
 @dataclass
 class ProblemFile:
     name: str
-    domain_name: str
     initial: State
     goals: Tuple[Tuple[Formula, Ternary], ...]
     max_depth: Optional[int] = None
@@ -528,7 +525,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
         initial = sig.global_state(assignments)
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
-    return ProblemFile(name, domain_name, initial, tuple(goals), max_depth)
+    return ProblemFile(name, initial, tuple(goals), max_depth)
 
 
 # --------------------------------------------------------------------------

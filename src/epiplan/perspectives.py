@@ -17,6 +17,11 @@ back rather than redone. The same memo keeps the views built while one
 sequence is evaluated, keyed by viewer group, so the common fixed point,
 nested views, individual and group beliefs and several formulas on that
 sequence share them.
+
+Every perspective function takes (model, agent or group, seq, memo=None) and
+returns one view of `seq` (`justified_perspective`, `distributed_perspective`)
+or a set of views (`uniform_perspectives`; `common_perspectives`, the fixed
+point from {seq}, with its statistics). A group holds at least one agent.
 """
 
 from __future__ import annotations
@@ -56,8 +61,6 @@ class ObservationModel:
     perspective building caches its answers per state.
     """
 
-    name = "unnamed"
-
     def sees(self, agent: str, state: State, var: str) -> bool:
         raise NotImplementedError
 
@@ -69,7 +72,7 @@ class ObservationModel:
         for idx, var in enumerate(sig.variables):
             if vals[idx] is not None and not self.sees(agent, state, var):
                 vals[idx] = None
-        return sig.state_from_values(tuple(vals))
+        return State(sig, tuple(vals))
 
     def transparent_variables(self) -> FrozenSet[str]:
         """Variables visible to every agent in every state (fast-path hint).
@@ -107,6 +110,14 @@ def make_model(name: str, sig: Signature, config: Optional[list] = None) -> Obse
 _NO_INDICES: FrozenSet[int] = frozenset()
 
 
+def _members(group: Iterable[str]) -> Tuple[str, ...]:
+    """`group` as a tuple of viewers, of which there must be at least one."""
+    members = tuple(group)
+    if not members:
+        raise ValidationError("a group must contain at least one agent")
+    return members
+
+
 class FoldState(NamedTuple):
     """All one step of a view's fold needs besides the next input state.
 
@@ -138,8 +149,7 @@ class _Visibility:
     __slots__ = ("always", "gated", "masks", "steps", "start", "_viewers", "_sees")
 
     def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
-        if not viewers:
-            raise ValidationError("a group must contain at least one agent")
+        self._viewers = _members(viewers)
         transparent = model.transparent_variables()
         self.always = [var in transparent for var in sig.variables]
         self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
@@ -148,7 +158,6 @@ class _Visibility:
         self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
         nothing = State(sig, (None,) * len(sig.variables))
         self.start = FoldState(nothing, _NO_INDICES, nothing)
-        self._viewers = viewers
         self._sees = model.sees
 
     def compute(self, state: State) -> Tuple[bool, ...]:
@@ -258,9 +267,7 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
     later states would fabricate evidence.
     """
     vals = state.vals
-    mask = table.masks.get(state)
-    if mask is None:
-        mask = table.compute(state)
+    mask = table.mask(state)
     prior, last = fold.row.vals, fold.last.vals
     unresolved = set(fold.unresolved)
     dropped = False   # whether the input left out a variable it assigned before
@@ -333,9 +340,7 @@ def uniform_perspectives(model: ObservationModel, group: Iterable[str],
                          memo: Optional[FoldMemo] = None) -> PerspectiveSet:
     """Everyone's individual perspectives, as a duplicate-free set, read
     through `memo` (a fresh one if not given)."""
-    members = tuple(group)
-    if not members:
-        raise ValidationError("a group must contain at least one agent")
+    members = _members(group)
     if memo is None:
         memo = FoldMemo()
     views = set()
@@ -353,10 +358,11 @@ class FixedPointStats:
 
 
 def common_perspectives(model: ObservationModel, group: Iterable[str],
-                        seed: PerspectiveSet,
+                        seq: StateSequence,
                         memo: Optional[FoldMemo] = None
                         ) -> Tuple[PerspectiveSet, FixedPointStats]:
-    """Least fixed point of repeatedly taking everyone's perspectives.
+    """Least fixed point of repeatedly taking everyone's perspectives,
+    starting from {seq}.
 
     Each iteration replaces the current set S with the union of all members'
     perspectives of every sequence in S; convergence is reached when the set
@@ -364,17 +370,9 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
     one that confirms stability. Views are read through `memo` (a fresh one
     if not given), so each (member, sequence) view is built once.
     """
-    members = tuple(group)
-    if not members:
-        raise ValidationError("a group must contain at least one agent")
-    views = frozenset(seed)
-    if not views:
-        raise ValidationError("the seed perspective set must be non-empty")
-    lengths = {len(w) for w in views}
-    if len(lengths) != 1:
-        raise ValidationError("seed sequences must share one length")
-    some = next(iter(views))
-    bound = 2 ** (len(some.sig.variables) * len(some))
+    members = _members(group)
+    views = frozenset([seq])
+    bound = 2 ** (len(seq.sig.variables) * len(seq))
     view = (FoldMemo() if memo is None else memo).view
     iterations = 0
     while True:
@@ -400,10 +398,7 @@ def common_observation(model: ObservationModel, group: Iterable[str],
     remaining sub-state is commonly observed. Each member's visibility comes
     from `memo` when one is given.
     """
-    members = tuple(group)
-    if not members:
-        raise ValidationError("a group must contain at least one agent")
-    tables = [_visibility(model, state.sig, (i,), memo) for i in members]
+    tables = [_visibility(model, state.sig, (i,), memo) for i in _members(group)]
     current = state
     while True:
         nxt = _masked(current, map(all, zip(*(t.mask(current) for t in tables))))

@@ -31,6 +31,7 @@ from .core import (
     Ternary,
     ValidationError,
     Value,
+    _TRUE,
 )
 from .perspectives import ObservationModel
 from .semantics import Evaluator
@@ -41,9 +42,6 @@ ABORTED = "aborted"
 
 # search depth limit when neither the caller nor the problem file sets one
 DEFAULT_MAX_DEPTH = 12
-
-# a module global: reading Ternary.TRUE is an enum attribute lookup per call
-_TRUE = Ternary.TRUE
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _apply_effects(sig: Signature, state: State,
         if new is None or not sig.in_domain(eff.var, new):
             return None
         vals[idx] = new
-    return sig.state_from_values(tuple(vals))
+    return State(sig, tuple(vals))
 
 
 def apply_action(evaluator: Evaluator, action: Action,
@@ -152,8 +150,9 @@ def breadth_first_plan(model: ObservationModel,
 
     Only siblings can be duplicates (module docstring), so no history is held
     outside the frontier. Exhausting all plans of length <= max_depth yields
-    "unsolvable"; exceeding a node or time budget yields "aborted" (nothing is
-    proven). Actions go in declaration order, so results are deterministic.
+    "unsolvable"; running past the time budget, or reaching `node_budget`
+    generated nodes (the root counts) with actions left to try, yields
+    "aborted" (nothing is proven). Actions go in declaration order, so results are deterministic.
     """
     sig = initial.sig
     missing = [v for v in sig.variables if v not in initial]
@@ -191,8 +190,6 @@ def breadth_first_plan(model: ObservationModel,
         return finish(SOLVED, (), expanded, generated)
     frontier = deque([root])
     while frontier:
-        if node_budget is not None and generated >= node_budget:
-            return finish(ABORTED, None, expanded, generated)
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
         node = frontier.popleft()
@@ -201,6 +198,9 @@ def breadth_first_plan(model: ObservationModel,
         expanded += 1
         queued = set()
         for action in actions:
+            # before every action, so no expansion generates past the budget
+            if node_budget is not None and generated >= node_budget:
+                return finish(ABORTED, None, expanded, generated)
             child = apply_action(evaluator, action, node)
             if child is None:
                 continue

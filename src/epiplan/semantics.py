@@ -22,6 +22,7 @@ from .core import (
     interpret_atom,
     validate_formula,
 )
+from .core import _FALSE, _TRUE, _UNKNOWN, _VERDICT
 from .perspectives import (
     FoldMemo,
     ObservationModel,
@@ -32,12 +33,9 @@ from .perspectives import (
     uniform_perspectives,
 )
 
-# Ternary's and GroupMode's members as module globals: reading one off the
-# class is an attribute lookup through the enum metaclass, paid on every node
-# visited
-_FALSE, _TRUE, _UNKNOWN = Ternary.FALSE, Ternary.TRUE, Ternary.UNKNOWN
+# GroupMode's members as module globals, as `core` keeps Ternary's: an enum
+# member read off its class is a metaclass lookup, paid per group node visited
 _COMMON, _UNIFORM, _DISTRIBUTED = GroupMode.COMMON, GroupMode.UNIFORM, GroupMode.DISTRIBUTED
-_VERDICT = (_FALSE, _TRUE)   # indexed by a bool
 
 
 @dataclass
@@ -185,7 +183,7 @@ class Evaluator:
         if phi.mode is _UNIFORM:
             views = uniform_perspectives(self.model, phi.group, seq, self._memo)
         else:
-            views, fp = common_perspectives(self.model, phi.group, frozenset([seq]), self._memo)
+            views, fp = common_perspectives(self.model, phi.group, seq, self._memo)
             self.stats.cf_iteration_counts.append(fp.iterations)
         verdict = _TRUE
         for w in views:

@@ -312,7 +312,7 @@ class LeakingModel(ObservationModel):
             if val is None:
                 vals[idx] = state.sig.domain(state.sig.variables[idx])[0]
                 break
-        return state.sig.state_from_values(tuple(vals))
+        return State(state.sig, tuple(vals))
 
 
 class FalselyTransparentModel(ObservationModel):

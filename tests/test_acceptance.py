@@ -92,12 +92,11 @@ def test_criterion_2_fixed_point_convergence(number_dom, plan1):
     rng = random.Random(20240402)
     for _ in range(200):
         sig, model, seq = random_instance(rng, max_vars=4, max_domain=3, max_len=6)
-        views, stats = common_perspectives(model, sig.agents, frozenset([seq]))
+        views, stats = common_perspectives(model, sig.agents, seq)
         bound = 2 ** (len(sig.variables) * len(seq))
         assert 1 <= stats.iterations <= bound
         assert stats.final_size == len(views)
-    views, stats = common_perspectives(number_dom.model, ("a", "b"),
-                                       frozenset([plan1]))
+    views, stats = common_perspectives(number_dom.model, ("a", "b"), plan1)
     assert {n_projection(w) for w in views} == {
         (None, 2, 2, 2, 2),
         (None, None, None, None, 1),

@@ -18,6 +18,7 @@ from epiplan.core import (
     Sees,
     SeesVar,
     Signature,
+    State,
     StateSequence,
     Ternary,
     ValidationError,
@@ -172,18 +173,18 @@ def _assigned(sig, row):
 
 def _full(sig, row, pick):
     """`row` with each unassigned variable at its domain's value `pick`."""
-    return sig.state_from_values(tuple(sig.domain(var)[pick] if val is None else val
-                                       for var, val in zip(sig.variables, row)))
+    return State(sig, tuple(sig.domain(var)[pick] if val is None else val
+                            for var, val in zip(sig.variables, row)))
 
 
 # every way the engine makes a state, each asked for the state of `row`
 _BUILDERS = {
     "make_state": lambda sig, row: sig.make_state(_assigned(sig, row)),
-    "state_from_values": lambda sig, row: sig.state_from_values(row),
+    "State": lambda sig, row: State(sig, row),
     "restrict": lambda sig, row: _full(sig, row, 0).restrict(_assigned(sig, row)),
-    "override": lambda sig, row: sig.state_from_values(
-        tuple(None if val is None else sig.domain(var)[-1]
-              for var, val in zip(sig.variables, row))).override(sig.state_from_values(row)),
+    "override": lambda sig, row: State(sig, tuple(
+        None if val is None else sig.domain(var)[-1]
+        for var, val in zip(sig.variables, row))).override(State(sig, row)),
     "observe": lambda sig, row: _SeesAssigned(sig, row).observe("a", _full(sig, row, -1)),
     "apply_effects": lambda sig, row: _apply_effects(
         sig, sig.make_state({}),
@@ -212,7 +213,7 @@ def test_equal_sequences_hash_equal_however_built(drawn, cut):
     twin = Signature(sig.agents, {var: sig.domain(var) for var in sig.variables
                                   if not sig.is_agent(var)})
     for row in pool:
-        assert twin.state_from_values(row) != sig.state_from_values(row)
+        assert State(twin, row) != State(sig, row)
 
     builders = itertools.cycle(_BUILDERS.values())
     states = [build(sig, row) for build, row in zip(builders, rows)]
@@ -226,7 +227,7 @@ def test_equal_sequences_hash_equal_however_built(drawn, cut):
         grown = grown.extend(state)
     for seq in (chained, grown):
         assert seq == whole and hash(seq) == hash(whole)
-    assert StateSequence([twin.state_from_values(row) for row in rows]) != whole
+    assert StateSequence([State(twin, row) for row in rows]) != whole
     longer = whole.extend(states[-1])
     assert longer != whole
 
@@ -284,7 +285,7 @@ class TestInterpretAtom:
         if left is None or right is None:
             want = Ternary.UNKNOWN
         else:
-            want = Ternary.from_bool(LITERAL[rel](left, right))
+            want = Ternary.TRUE if LITERAL[rel](left, right) else Ternary.FALSE
         assert interpret_atom(state, Atom(rel, lhs, rhs)) is want
 
 

@@ -16,11 +16,13 @@ from helpers import (
 from epiplan.core import Signature, StateSequence, ValidationError
 from epiplan.perspectives import (
     AxiomViolation,
+    FoldMemo,
     ObservationModel,
     check_observation_axioms,
     common_observation,
     common_perspectives,
     distributed_perspective,
+    group_observation,
     justified_perspective,
     uniform_perspectives,
 )
@@ -120,9 +122,14 @@ class TestGroupPerspectives:
         seq = StateSequence([sig.global_state({"x": 1})])
         assert len(uniform_perspectives(Blind(), ("a", "b"), seq)) == 1
 
-    def test_uniform_empty_group_rejected(self, number_dom, plan1):
-        with pytest.raises(ValidationError):
-            uniform_perspectives(number_dom.model, (), plan1)
+    @pytest.mark.parametrize("entry", [uniform_perspectives, distributed_perspective,
+                                       common_perspectives, group_observation,
+                                       common_observation], ids=lambda f: f.__name__)
+    def test_empty_group_rejected(self, number_dom, plan1, entry):
+        on = plan1.last if entry in (group_observation, common_observation) else plan1
+        for memo in (None, FoldMemo()):
+            with pytest.raises(ValidationError):
+                entry(number_dom.model, (), on, memo)
 
     def test_distributed_example(self):
         _, model, seq = step_gated_instance()
@@ -150,8 +157,7 @@ class TestGroupPerspectives:
 
 class TestCommonPerspectives:
     def test_plan1_fixed_point(self, number_dom, plan1):
-        views, stats = common_perspectives(number_dom.model, ("a", "b"),
-                                           frozenset([plan1]))
+        views, stats = common_perspectives(number_dom.model, ("a", "b"), plan1)
         assert {n_projection(w) for w in views} == {
             (None, 2, 2, 2, 2),
             (None, None, None, None, 1),
@@ -167,7 +173,7 @@ class TestCommonPerspectives:
 
         sig = Signature(["a", "b"], {"x": range(3)})
         seq = StateSequence([sig.global_state({"x": 1})])
-        views, stats = common_perspectives(Omniscient(), ("a", "b"), frozenset([seq]))
+        views, stats = common_perspectives(Omniscient(), ("a", "b"), seq)
         assert views == frozenset([seq])
         assert stats.iterations == 1
 
@@ -176,7 +182,7 @@ class TestCommonPerspectives:
         for _ in range(40):
             sig, model, seq = random_instance(rng, max_vars=3, max_len=4)
             group = sig.agents
-            views, stats = common_perspectives(model, group, frozenset([seq]))
+            views, stats = common_perspectives(model, group, seq)
             # stable: re-applying everyone's perspectives adds nothing
             regrown = set()
             for w in views:

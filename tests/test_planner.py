@@ -132,10 +132,13 @@ class TestSearch:
         assert runs[0].external_calls == runs[1].external_calls
 
     def test_node_budget_aborts(self, n1):
-        domain, problem = n1
-        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
-                                    problem.goals, max_depth=4, node_budget=2)
-        assert result.status == ABORTED
+        # the root always counts, so a budget below 1 still generates it
+        g2 = load_benchmark("grapevine", "g2")
+        for (domain, problem), budget in ((n1, 0), (n1, 2), (g2, 50)):
+            result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                        problem.goals, max_depth=4, node_budget=budget)
+            assert result.status == ABORTED
+            assert result.generated <= max(budget, 1)
 
     def test_partial_initial_state_rejected(self, n1):
         domain, problem = n1

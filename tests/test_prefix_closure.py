@@ -43,6 +43,7 @@ from epiplan.core import (
     Knows,
     Not,
     Signature,
+    State,
     StateSequence,
     make_group,
 )
@@ -98,7 +99,7 @@ def _partial(rng: random.Random, sig, states):
 
 
 def _cut(view: StateSequence, t: int) -> StateSequence:
-    return StateSequence(view.states[: t + 1])
+    return StateSequence(view[: t + 1])
 
 
 def _nested(model, path, seq):
@@ -119,7 +120,7 @@ def _by_definition(model, viewers, seq):
             seen = [u for u in range(t + 1)
                     if any(model.sees(i, seq[u], var) for i in viewers)]
             vals.append(retrieve_value(seq.prefix(t), seen[-1], var) if seen else None)
-        states.append(sig.state_from_values(tuple(vals)))
+        states.append(State(sig, tuple(vals)))
     return StateSequence(states)
 
 
@@ -171,9 +172,9 @@ def test_common_views_are_prefix_closed(kind, seed):
     rng = random.Random(seed)
     sig, model, seq = _instance(kind, rng, max_len=5)
     group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
-    full, _ = common_perspectives(model, group, frozenset([seq]))
+    full, _ = common_perspectives(model, group, seq)
     for t in range(len(seq)):
-        views, _ = common_perspectives(model, group, frozenset([seq.prefix(t)]))
+        views, _ = common_perspectives(model, group, seq.prefix(t))
         assert views == frozenset(_cut(w, t) for w in full)
 
 
@@ -240,7 +241,7 @@ def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
         assert {len(view) for view in cached.values()} == {len(seq)}
         assert {source for _, source in cached} <= {seq} | set(cached.values())
         assert (("a",), seq) in cached
-    unrelated = StateSequence(reversed(plan1.states))
+    unrelated = StateSequence(reversed(plan1))
     evaluator.evaluate(unrelated, phi)
     cached = _cached(evaluator)
     assert {source for _, source in cached} <= {unrelated} | set(cached.values())
@@ -383,7 +384,7 @@ def _fold_by_definition(model, viewers, seq):
         idx for idx, var in enumerate(sig.variables)
         if any(model.sees(i, state, var) for state in seq for i in viewers)
         and all(state.vals[idx] is None for state in seq))
-    last = tuple(next((state.vals[idx] for state in reversed(seq.states)
+    last = tuple(next((state.vals[idx] for state in reversed(seq)
                        if state.vals[idx] is not None), None)
                  for idx in range(len(sig.variables)))
     return unresolved, last
