@@ -364,34 +364,39 @@ def make_group(names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(dict.fromkeys(names)))
 
 
-def validate_formula(sig: Signature, phi: Formula) -> None:
+def validate_formula(sig: Signature, phi: Formula) -> bool:
     """Reject undeclared names, ill-typed atoms and beliefs nested under
     seeing/knowledge operators (the grammar forbids seeing or knowing a belief).
+
+    Returns whether a belief operator occurs in `phi`; a formula without one
+    reads only the last state of a sequence.
     """
-    _validate(sig, phi, False)
+    return _validate(sig, phi, False)
 
 
-def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> None:
+def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> bool:
     if isinstance(phi, Atom):
         _validate_atom(sig, phi)
-    elif isinstance(phi, Not):
-        _validate(sig, phi.child, inside_knowledge)
-    elif isinstance(phi, And):
-        _validate(sig, phi.left, inside_knowledge)
-        _validate(sig, phi.right, inside_knowledge)
-    elif isinstance(phi, GroupSeesVar):
+        return False
+    if isinstance(phi, Not):
+        return _validate(sig, phi.child, inside_knowledge)
+    if isinstance(phi, And):
+        left = _validate(sig, phi.left, inside_knowledge)
+        return _validate(sig, phi.right, inside_knowledge) or left
+    if isinstance(phi, GroupSeesVar):
         _check_group(sig, phi.group)
         sig.domain(phi.var)
-    elif isinstance(phi, (GroupSees, GroupKnows)):
+        return False
+    if isinstance(phi, (GroupSees, GroupKnows)):
         _check_group(sig, phi.group)
-        _validate(sig, phi.child, True)
-    elif isinstance(phi, GroupBelieves):
+        return _validate(sig, phi.child, True)
+    if isinstance(phi, GroupBelieves):
         if inside_knowledge:
             raise ValidationError("a belief operator may not appear under seeing/knowledge")
         _check_group(sig, phi.group)
         _validate(sig, phi.child, False)
-    else:
-        raise ValidationError(f"not a formula node: {phi!r}")
+        return True
+    raise ValidationError(f"not a formula node: {phi!r}")
 
 
 def _validate_atom(sig: Signature, atom: Atom) -> None:

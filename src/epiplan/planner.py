@@ -14,6 +14,12 @@ child is dropped as a duplicate or goal-tested (one `evaluate` per goal,
 stopping at the first goal missed) and queued. Each atom a formula reads is
 one `semantics.interpret_atom` call. These three are looked up by name on
 every call, never bound in advance, so the benchmark's tracer can wrap them.
+
+An action's effects read only the last state, so one search keeps, per
+action, a table from last state to successor state (None where an effect
+leaves its domain), and applies the effects once per distinct last state.
+Its evaluator likewise judges a belief-free formula once per distinct last
+state (`Evaluator`). Both tables live as long as the one search.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Formula,
@@ -42,6 +48,9 @@ ABORTED = "aborted"
 
 # search depth limit when neither the caller nor the problem file sets one
 DEFAULT_MAX_DEPTH = 12
+
+# marks a last state a successor table has not met; None means inapplicable
+_NOT_MET = object()
 
 
 @dataclass(frozen=True)
@@ -121,19 +130,26 @@ def _apply_effects(sig: Signature, state: State,
     return State(sig, tuple(vals))
 
 
-def apply_action(evaluator: Evaluator, action: Action,
-                 node: SearchNode) -> Optional[SearchNode]:
+def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
+                 successors: Optional[Dict[State, Optional[State]]] = None
+                 ) -> Optional[SearchNode]:
     """Extend the node by one action, or None if inapplicable.
 
     The precondition must evaluate to strictly true on the node's history;
-    merely-unknown preconditions do not license acting.
+    merely-unknown preconditions do not license acting. `successors` is this
+    action's table of successor states by last state: read where it holds
+    the node's last state, filled where it does not.
     """
     seq = node.sequence
     if action.precondition is not None:
         if evaluator.evaluate(seq, action.precondition) is not _TRUE:
             return None
     last = seq[-1]
-    successor = _apply_effects(last.sig, last, action.effects)
+    if successors is None:
+        successors = {}
+    successor = successors.get(last, _NOT_MET)
+    if successor is _NOT_MET:
+        successor = successors[last] = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
     return SearchNode(seq.extend(successor), node.plan + (action.name,))
@@ -189,6 +205,7 @@ def breadth_first_plan(model: ObservationModel,
     if satisfied(root):
         return finish(SOLVED, (), expanded, generated)
     frontier = deque([root])
+    tables = [(action, {}) for action in actions]
     while frontier:
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
@@ -197,11 +214,11 @@ def breadth_first_plan(model: ObservationModel,
             continue
         expanded += 1
         queued = set()
-        for action in actions:
+        for action, successors in tables:
             # before every action, so no expansion generates past the budget
             if node_budget is not None and generated >= node_budget:
                 return finish(ABORTED, None, expanded, generated)
-            child = apply_action(evaluator, action, node)
+            child = apply_action(evaluator, action, node, successors)
             if child is None:
                 continue
             generated += 1

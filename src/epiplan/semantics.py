@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List
+from typing import List, Optional
 
 from .core import (
     And,
@@ -17,6 +17,7 @@ from .core import (
     GroupSeesVar,
     Not,
     Signature,
+    State,
     StateSequence,
     Ternary,
     interpret_atom,
@@ -88,8 +89,15 @@ class Evaluator:
     a view of a sequence met before costs one memo hit per state. The memo
     grows with the distinct states and fold states met; the view states
     themselves are kept by their signature, one object per distinct state.
-    The memo makes an evaluator unsafe to share between threads; use one
-    per thread.
+
+    Only a belief reads more than the last state of a sequence, so the
+    evaluator also keeps, for each belief-free formula it has met, its
+    verdict per last state: such a formula is evaluated once per distinct
+    last state, and a sequence ending in that state reads the verdict back.
+    This table grows with the distinct last states times the belief-free
+    formulas met. A verdict read back is still a call: `stats` counts and
+    times it like any other. The memos make an evaluator unsafe to share
+    between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):
@@ -97,19 +105,29 @@ class Evaluator:
         self.stats = EvalStats()
         self._memo = FoldMemo()
         # (formula id, signature id) of each formula validated, mapped to the
-        # pair itself so that neither id can be recycled
-        self._checked_formulas: dict[tuple[int, int], tuple[Formula, Signature]] = {}
+        # pair itself, so that neither id can be recycled, and to the
+        # formula's verdict per last state, or None when it holds a belief
+        self._formulas: dict[tuple[int, int],
+                             tuple[Formula, Signature, Optional[dict[State, Ternary]]]] = {}
 
     def evaluate(self, seq: StateSequence, phi: Formula) -> Ternary:
-        sig = seq[0].sig
+        last = seq[-1]
+        sig = last.sig
         key = (id(phi), id(sig))
-        if key not in self._checked_formulas:
-            validate_formula(sig, phi)
-            self._checked_formulas[key] = (phi, sig)
+        entry = self._formulas.get(key)
+        if entry is None:
+            entry = self._formulas[key] = (
+                phi, sig, None if validate_formula(sig, phi) else {})
+        verdicts = entry[2]
         start = perf_counter()
-        self._memo.target = seq
         try:
-            result = self._eval(seq, phi)
+            if verdicts is None:
+                self._memo.target = seq
+                result = self._eval(seq, phi)
+            else:
+                result = verdicts.get(last)
+                if result is None:
+                    result = verdicts[last] = self._eval(seq, phi)
         finally:
             stats = self.stats
             stats.external_calls += 1

@@ -131,6 +131,19 @@ class TestSearch:
         assert runs[0].generated == runs[1].generated
         assert runs[0].external_calls == runs[1].external_calls
 
+    def test_search_statistics_are_pinned(self, n1):
+        # figures recorded before belief-free verdicts were read back by last
+        # state: a verdict read back is still a call, and no fixed point moves
+        domain, problem = n1
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    problem.goals, max_depth=4)
+        assert (result.expanded, result.generated, result.external_calls) == (2, 6, 14)
+        domain, problem = load_benchmark("grapevine", "g3")   # two CB goals
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    problem.goals, max_depth=problem.max_depth)
+        assert (result.expanded, result.generated, result.external_calls) == (17, 164, 521)
+        assert (result.common_max, result.common_avg) == (3, 75 / 34)
+
     def test_node_budget_aborts(self, n1):
         # the root always counts, so a budget below 1 still generates it
         g2 = load_benchmark("grapevine", "g2")
@@ -374,8 +387,11 @@ def test_sibling_pruning_matches_full_history_set_with_belief_goals():
 
 
 # --------------------------------------------------------------------------
-# The search layers stay attributable: one apply_action per (node, action),
-# one evaluate per precondition or goal test, one interpret_atom per atom.
+# The search layers stay attributable: one apply_action per (node, action)
+# and one evaluate per precondition or goal test; atoms and effects read only
+# the last state, so one interpret_atom per atom read per distinct (formula,
+# last state) and one _apply_effects per distinct (action, last state) whose
+# precondition holds.
 # --------------------------------------------------------------------------
 
 def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
@@ -391,8 +407,10 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     # x never exceeds 3, so the goal is unreachable and every node is expanded
     goals = ((Atom(">", "x", 3), Ternary.TRUE),)
 
-    applied, evaluated, atoms, expected_atoms = [], [], [], []
+    applied, evaluated, atoms, effected = [], [], [], []
+    expected_atoms, expected_effects = {}, set()
     apply_action_ = planner.apply_action
+    apply_effects = planner._apply_effects
     evaluate = semantics.Evaluator.evaluate
     interpret = semantics.interpret_atom
 
@@ -409,13 +427,21 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         right, more = reference(state, phi.right)
         return min(left, right), read + more
 
-    def counting_apply(evaluator, action, node):
+    def counting_apply(evaluator, action, node, successors=None):
         applied.append(action.name)
-        return apply_action_(evaluator, action, node)
+        last = node.sequence.last
+        if action.precondition is None or \
+                reference(last, action.precondition)[0] is Ternary.TRUE:
+            expected_effects.add((action.effects, last))
+        return apply_action_(evaluator, action, node, successors)
+
+    def counting_effects(sig, state, effects):
+        effected.append((effects, state))
+        return apply_effects(sig, state, effects)
 
     def counting_evaluate(self, seq, phi):
         evaluated.append(phi)
-        expected_atoms.append(reference(seq.last, phi)[1])
+        expected_atoms[(id(phi), seq.last)] = reference(seq.last, phi)[1]
         return evaluate(self, seq, phi)
 
     def counting_interpret(state, atom):
@@ -423,6 +449,7 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         return interpret(state, atom)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
+    monkeypatch.setattr(planner, "_apply_effects", counting_effects)
     monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
     monkeypatch.setattr(semantics, "interpret_atom", counting_interpret)
     result = breadth_first_plan(BLIND, actions, sig.global_state({"x": 0, "flag": False}),
@@ -430,7 +457,11 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     assert result.status == UNSOLVABLE and result.expanded > 0
     assert len(applied) == result.expanded * len(actions)
     assert len(evaluated) == result.external_calls
-    assert len(atoms) == sum(expected_atoms)
+    assert len(atoms) == sum(expected_atoms.values())
+    assert len(effected) == len(expected_effects)
+    assert set(effected) == expected_effects
+    # the tables save work here: last states repeat across the search
+    assert len(atoms) < len(evaluated) and len(effected) < len(applied)
 
 
 def test_effects_apply_in_order():

@@ -210,6 +210,23 @@ class TestStats:
         assert ev.stats.cf_iteration_counts == []
         assert ev.stats.common_max == 0 and ev.stats.common_avg == 0.0
 
+    def test_a_verdict_read_back_still_counts_as_a_call(self, number_dom, plan1,
+                                                       monkeypatch):
+        from epiplan import semantics
+
+        counted = []
+        original = semantics.interpret_atom
+
+        def counting(state, atom):
+            counted.append(atom)
+            return original(state, atom)
+
+        monkeypatch.setattr(semantics, "interpret_atom", counting)
+        ev = Evaluator(number_dom.model)
+        phi = parse_formula("(= n 1)", number_dom.signature)
+        assert ev.evaluate(plan1, phi) is ev.evaluate(plan1, phi)
+        assert ev.stats.external_calls == 2
+        assert len(counted) == 1
 
     @pytest.mark.parametrize("text, calls", [
         ("(= n 1)", 1),
@@ -236,6 +253,45 @@ class TestStats:
         monkeypatch.setattr(semantics, "interpret_atom", counting)
         evaluate(number_dom, plan1, text)
         assert len(counted) == calls
+
+
+class TestVerdictMemo:
+    """A long-lived evaluator reads a belief-free formula's verdict back by
+    last state; no verdict and no statistic may show it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_long_lived_evaluator_agrees_with_fresh_ones(self, seed):
+        rng = random.Random(seed)
+        sig, model, seq = random_instance(rng, max_vars=3, max_len=4)
+        # the same names under a second signature, variables in another order
+        twin = Signature(sig.agents, {var: sig.domain(var) for var in reversed(sig.variables)
+                                      if not sig.is_agent(var)})
+        pools = {}
+        for target in (sig, twin):
+            full = [target.make_state(dict(state.items())) for state in seq]
+            partial = [target.make_state({var: val for var, val in state.items()
+                                          if rng.random() < 0.6}) for state in full]
+            pools[target] = full + partial
+        formulas = []
+        for _ in range(3):
+            free = random_belief_free_formula(rng, sig, rng.randint(0, 2))
+            group = tuple(a for a in sig.agents if rng.random() < 0.6) or sig.agents[:1]
+            belief = GroupBelieves(rng.choice(list(GroupMode)), group, free)
+            formulas += [free, belief, And(free, Not(belief))]
+        ev = Evaluator(model)
+        fresh_counts = []
+        for _ in range(40):
+            pool = pools[rng.choice((sig, twin))]
+            # few last states under many histories
+            history = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            probe = StateSequence(history + [rng.choice(pool[:2] + pool[-1:])])
+            phi = rng.choice(formulas)
+            fresh = Evaluator(model)
+            assert ev.evaluate(probe, phi) is fresh.evaluate(probe, phi)
+            fresh_counts += fresh.stats.cf_iteration_counts
+        assert ev.stats.external_calls == 40
+        assert ev.stats.cf_iteration_counts == fresh_counts
 
 
 class TestErrors:
