@@ -17,9 +17,11 @@ every call, never bound in advance, so the benchmark's tracer can wrap them.
 
 An action's effects read only the last state, so one search keeps, per
 action, a table from last state to successor state (None where an effect
-leaves its domain), and applies the effects once per distinct last state.
-Its evaluator likewise judges a belief-free formula once per distinct last
-state (`Evaluator`). Both tables live as long as the one search.
+leaves its domain), and applies the effects once per distinct last state
+on which the precondition holds. Its evaluator likewise judges a
+belief-free formula once per distinct last state (`Evaluator`), though
+every test is still one `evaluate` call. Both tables live as long as the
+one search.
 """
 
 from __future__ import annotations
