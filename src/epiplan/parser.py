@@ -1,7 +1,9 @@
 """Text formats: formula s-expressions, domain files, problem files, traces.
 
 Formulas are prefix s-expressions, declarations keyword lines (grammar in the
-README). An error names its line, if any; only a formula error names a column.
+README). An error names its line, if any, and the column of the token at
+fault where there is one: a formula's token, or a word of a `var`, `eff`,
+`init` or `state` line.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class Token(NamedTuple):
 
 # a parenthesis, or a run of anything else up to whitespace or a parenthesis
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+# a run of anything up to whitespace: the words of a declaration line, whose
+# names may hold parentheses, `{` and `}`
+_WORD = re.compile(r"\S+")
 
 
 def _lines(text: str) -> Iterator[Tuple[int, str]]:
@@ -71,9 +76,10 @@ def _lines(text: str) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
-def _lex(line: str, lineno: int) -> List[Token]:
-    """The tokens of one line from `_lines`, with the file's line and column."""
-    return [Token(m.group(), lineno, m.start() + 1) for m in _TOKEN.finditer(line)]
+def _lex(line: str, lineno: int, pattern: re.Pattern = _TOKEN) -> List[Token]:
+    """The tokens of one line from `_lines`, with the file's line and column:
+    formula tokens, or with `_WORD` whitespace-separated words."""
+    return [Token(m.group(), lineno, m.start() + 1) for m in pattern.finditer(line)]
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +295,7 @@ def parse_domain(text: str) -> DomainFile:
     model_name = None
     obs_config: List[List[str]] = []
     raw_actions: List[Tuple[str, int, Optional[Tuple[List[Token], int]],
-                            List[Tuple[List[str], int]]]] = []
+                            List[Tuple[List[Token], int]]]] = []
 
     lines = _lines(text)
     for lineno, line in lines:
@@ -303,9 +309,10 @@ def parse_domain(text: str) -> DomainFile:
                 raise ParseError("agents line needs at least one agent", lineno)
             agents.extend(parts[1:])
         elif key == "var":
-            var_name, values = _parse_var_decl(parts, lineno)
+            words = _lex(line, lineno, _WORD)
+            var_name, values = _parse_var_decl(words, lineno)
             if var_name in domains:
-                raise ParseError(f"variable {var_name!r} declared twice", lineno)
+                raise ParseError(f"variable {var_name!r} declared twice", lineno, words[1].col)
             domains[var_name] = values
         elif key == "observation":
             _need(parts, 2, 2, lineno, "observation <model-name>")
@@ -318,7 +325,7 @@ def parse_domain(text: str) -> DomainFile:
             _need(parts, 2, 2, lineno, "action <name>")
             action_name = parts[1]
             pre: Optional[Tuple[List[Token], int]] = None
-            effs: List[Tuple[List[str], int]] = []
+            effs: List[Tuple[List[Token], int]] = []
             # the action's lines come from the same reader, up to its `end`
             for inner_no, inner_line in lines:
                 inner = inner_line.split()
@@ -330,7 +337,7 @@ def parse_domain(text: str) -> DomainFile:
                                          inner_no)
                     pre = (_lex(inner_line, inner_no)[1:], inner_no)
                 elif inner[0] == "eff":
-                    effs.append((inner[1:], inner_no))
+                    effs.append((_lex(inner_line, inner_no, _WORD), inner_no))
                 else:
                     raise ParseError(f"unexpected {inner[0]!r} inside action "
                                      f"{action_name!r}", inner_no)
@@ -380,70 +387,80 @@ def _need(parts: List[str], lo: int, hi: int, lineno: int, usage: str) -> None:
 MAX_INT_RANGE = 65536
 
 
-def _parse_var_decl(parts: List[str], lineno: int) -> Tuple[str, List[Value]]:
+def _parse_var_decl(words: List[Token], lineno: int) -> Tuple[str, List[Value]]:
     # var <name> : <type> ...
-    if len(parts) < 4 or parts[2] != ":":
-        raise ParseError("expected: var <name> : <type> ...", lineno)
-    var_name = parts[1]
-    kind = parts[3]
-    rest = parts[4:]
-    if kind == "bool":
+    if len(words) < 4 or words[2].text != ":":
+        raise ParseError("expected: var <name> : <type> ...", lineno,
+                         words[min(len(words), 3) - 1].col)
+    var_name = words[1].text
+    kind = words[3]
+    rest = words[4:]
+    if kind.text == "bool":
         if rest:
-            raise ParseError("bool variables take no arguments", lineno)
+            raise ParseError("bool variables take no arguments", lineno, rest[0].col)
         return var_name, [False, True]
-    if kind == "enum":
+    if kind.text == "enum":
         if not rest:
-            raise ParseError("enum variables need at least one symbol", lineno)
-        return var_name, list(rest)
-    if kind == "int":
-        if len(rest) == 1 and ".." in rest[0]:
-            lo_text, _, hi_text = rest[0].partition("..")
+            raise ParseError("enum variables need at least one symbol", lineno, kind.col)
+        return var_name, [word.text for word in rest]
+    if kind.text == "int":
+        if len(rest) == 1 and ".." in rest[0].text:
+            span = rest[0]
+            lo_text, _, hi_text = span.text.partition("..")
             try:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
-                raise ParseError(f"bad integer range {rest[0]!r}", lineno) from None
+                raise ParseError(f"bad integer range {span.text!r}", lineno, span.col) from None
             if hi < lo:
-                raise ParseError(f"empty integer range {rest[0]!r}", lineno)
+                raise ParseError(f"empty integer range {span.text!r}", lineno, span.col)
             if hi - lo >= MAX_INT_RANGE:
-                raise ParseError(f"integer range {rest[0]!r} holds more than "
-                                 f"{MAX_INT_RANGE} values", lineno)
+                raise ParseError(f"integer range {span.text!r} holds more than "
+                                 f"{MAX_INT_RANGE} values", lineno, span.col)
             return var_name, list(range(lo, hi + 1))
-        if len(rest) >= 3 and rest[0] == "{" and rest[-1] == "}":
-            try:
-                return var_name, [int(tok) for tok in rest[1:-1]]
-            except ValueError:
-                raise ParseError("integer set members must be integers", lineno) from None
-        raise ParseError("expected: int <lo>..<hi> or int { v1 v2 ... }", lineno)
-    raise ParseError(f"unknown variable type {kind!r}", lineno)
+        if len(rest) >= 3 and rest[0].text == "{" and rest[-1].text == "}":
+            members = []
+            for word in rest[1:-1]:
+                try:
+                    members.append(int(word.text))
+                except ValueError:
+                    raise ParseError("integer set members must be integers",
+                                     lineno, word.col) from None
+            return var_name, members
+        raise ParseError("expected: int <lo>..<hi> or int { v1 v2 ... }", lineno, kind.col)
+    raise ParseError(f"unknown variable type {kind.text!r}", lineno, kind.col)
 
 
-def _parse_effect(sig: Signature, tokens: List[str], lineno: int) -> Effect:
-    # <var> := <value-or-var> | <var> += <int> | <var> -= <int>
-    if len(tokens) != 3:
-        raise ParseError("expected: eff <var> := <value> | eff <var> += <int>", lineno)
-    var, op, operand = tokens
+def _parse_effect(sig: Signature, words: List[Token], lineno: int) -> Effect:
+    # eff <var> := <value-or-var> | eff <var> += <int> | eff <var> -= <int>
+    if len(words) != 4:
+        raise ParseError("expected: eff <var> := <value> | eff <var> += <int>", lineno,
+                         words[0].col)
+    var, op, operand = (word.text for word in words[1:])
     if var not in sig.index:
-        raise ParseError(f"undeclared variable {var!r}", lineno)
+        raise ParseError(f"undeclared variable {var!r}", lineno, words[1].col)
+    col = words[3].col
     if op == ":=":
         if operand in sig.index:
             if sig.domain_kind(operand) != sig.domain_kind(var):
-                raise ParseError(f"cannot copy {operand!r} into {var!r}: kinds differ", lineno)
+                raise ParseError(f"cannot copy {operand!r} into {var!r}: kinds differ",
+                                 lineno, col)
             return Effect(var, "copy", operand)
         value = _parse_constant(operand)
         if sig.domain_kind(var) != value_kind(value):
-            raise ParseError(f"value {operand!r} does not fit variable {var!r}", lineno)
+            raise ParseError(f"value {operand!r} does not fit variable {var!r}", lineno, col)
         if not sig.in_domain(var, value):
-            raise ParseError(f"value {operand!r} is not in the domain of {var!r}", lineno)
+            raise ParseError(f"value {operand!r} is not in the domain of {var!r}", lineno, col)
         return Effect(var, "set", value)
     if op in ("+=", "-="):
         if sig.domain_kind(var) != "int":
-            raise ParseError(f"arithmetic effects need an integer variable, got {var!r}", lineno)
+            raise ParseError(f"arithmetic effects need an integer variable, got {var!r}",
+                             lineno, words[1].col)
         try:
             delta = int(operand)
         except ValueError:
-            raise ParseError(f"expected an integer, found {operand!r}", lineno) from None
+            raise ParseError(f"expected an integer, found {operand!r}", lineno, col) from None
         return Effect(var, "add", delta if op == "+=" else -delta)
-    raise ParseError(f"unknown effect operator {op!r}", lineno)
+    raise ParseError(f"unknown effect operator {op!r}", lineno, words[2].col)
 
 
 # --------------------------------------------------------------------------
@@ -453,19 +470,24 @@ def _parse_effect(sig: Signature, tokens: List[str], lineno: int) -> Effect:
 _TARGETS = {"true": Ternary.TRUE, "false": Ternary.FALSE, "unknown": Ternary.UNKNOWN}
 
 
-def _assignments(sig: Signature, words: List[str], lineno: int,
+def _assignments(sig: Signature, words: List[Token], lineno: int,
                  into: Dict[str, Value]) -> Dict[str, Value]:
     """`into` with the `var=value` words of one line added. A variable given
-    twice, on this line or already in `into`, is an error."""
+    twice, on this line or already in `into`, is an error, and so is a value
+    outside its variable's domain."""
     for word in words:
-        var, eq, val = word.partition("=")
+        var, eq, val = word.text.partition("=")
         if not eq:
-            raise ParseError(f"expected var=value, found {word!r}", lineno)
+            raise ParseError(f"expected var=value, found {word.text!r}", lineno, word.col)
         if var in into:
-            raise ParseError(f"variable {var!r} given twice", lineno)
+            raise ParseError(f"variable {var!r} given twice", lineno, word.col)
         if var not in sig.index:
-            raise ParseError(f"undeclared variable {var!r}", lineno)
-        into[var] = _parse_constant(val)
+            raise ParseError(f"undeclared variable {var!r}", lineno, word.col)
+        value = _parse_constant(val)
+        if not sig.in_domain(var, value):
+            raise ParseError(f"value {format_value(value)} is outside the domain of {var!r}",
+                             lineno, word.col + len(var) + 1)
+        into[var] = value
     return into
 
 
@@ -495,7 +517,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
             _need(parts, 2, 2, lineno, "domain <name>")
             domain_name = parts[1]
         elif key == "init":
-            _assignments(sig, parts[1:], lineno, assignments)
+            _assignments(sig, _lex(line, lineno, _WORD)[1:], lineno, assignments)
         elif key == "goal":
             if len(parts) < 3 or parts[1] not in _TARGETS:
                 raise ParseError("expected: goal true|false|unknown (<formula>)", lineno)
@@ -560,7 +582,7 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
                 raise ParseError("init must be the first directive", lineno)
             if key == "state" and node is not None:
                 raise ParseError("cannot mix 'state' lines with init/do", lineno)
-            values = _assignments(sig, parts[1:], lineno, {})
+            values = _assignments(sig, _lex(line, lineno, _WORD)[1:], lineno, {})
             try:
                 if key == "init":   # total; global_state fills in the agent markers
                     node = SearchNode(StateSequence([sig.global_state(values)]), ())

@@ -13,10 +13,15 @@ state (the view's last row, the variables seen but never assigned, and the
 input's last values) and the next input state. A `FoldMemo` carries what has
 been worked out across builds and observations: which variables a group of
 viewers sees in a state, and each step taken, so a step met again is read
-back rather than redone. The same memo keeps the views built while one
-sequence is evaluated, keyed by viewer group, so the common fixed point,
-nested views, individual and group beliefs and several formulas on that
-sequence share them.
+back rather than redone; equal fold states and equal masks are one object.
+The memo also keeps the views the common fixed point builds over one
+sequence, so several fixed points on that sequence share them.
+
+Views are prefix-closed: the view of s_0..s_t is the first t + 1 rows of the
+view of any longer sequence. So a view need not be built to be read. A
+`FoldPaths` numbers viewer paths (chains of viewer groups: a's view, b's view
+of a's view, ...) and steps a tuple of fold states, one per path, by one
+input state: the fold states of a sequence's views after one more state.
 
 Every perspective function takes (model, agent or group, seq, memo=None) and
 returns one view of `seq` (`justified_perspective`, `distributed_perspective`)
@@ -27,7 +32,7 @@ point from {seq}, with its statistics). A group holds at least one agent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     EngineError,
@@ -138,15 +143,17 @@ class _Visibility:
     which variables they see, state by state, and the fold steps their views
     have taken.
 
-    `masks` maps a state to one flag per variable. A miss asks the model only
-    about the variables that are not transparent, and asks a viewer only
-    about those no earlier viewer sees. `steps` maps a fold state to a table
-    from an input state to the next fold state; one small table per fold
-    state costs less memory than a key tuple per step. `start` is the fold
-    state before any step.
+    `masks` maps a state to one flag per variable; equal masks are one
+    tuple, held in `shapes`. A miss asks the model only about the variables
+    that are not transparent, and asks a viewer only about those no earlier
+    viewer sees. `steps` maps a fold state to a table from an input state to
+    the next fold state; one small table per fold state costs less memory
+    than a key tuple per step. `folds` holds each distinct fold state met,
+    so equal ones are one object. `start` is the fold state before any step.
     """
 
-    __slots__ = ("always", "gated", "masks", "steps", "start", "_viewers", "_sees")
+    __slots__ = ("always", "gated", "masks", "shapes", "steps", "folds", "start",
+                 "_viewers", "_sees")
 
     def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
         self._viewers = _members(viewers)
@@ -155,9 +162,11 @@ class _Visibility:
         self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
                             if var not in transparent])
         self.masks: Dict[State, Tuple[bool, ...]] = {}
+        self.shapes: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
         self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
         nothing = State(sig, (None,) * len(sig.variables))
         self.start = FoldState(nothing, _NO_INDICES, nothing)
+        self.folds: Dict[FoldState, FoldState] = {self.start: self.start}
         self._sees = model.sees
 
     def compute(self, state: State) -> Tuple[bool, ...]:
@@ -169,7 +178,8 @@ class _Visibility:
                 if sees(agent, state, var):
                     mask[idx] = True
                     break
-        found = self.masks[state] = tuple(mask)
+        shape = tuple(mask)
+        found = self.masks[state] = self.shapes.setdefault(shape, shape)
         return found
 
     def mask(self, state: State) -> Tuple[bool, ...]:
@@ -190,11 +200,11 @@ class FoldMemo:
     (viewers, fold state, input state). The memo grows with the distinct
     states and fold states it meets.
 
-    `view` also keeps the views over one sequence, keyed by (viewers,
-    input), where an input is that sequence or a view over it. Set `target`
-    to the sequence about to be evaluated; the first view asked for after it
-    changes drops the views held. While `target` stays None, views are kept
-    for as long as the memo.
+    `view` also keeps the one-agent views the common fixed point builds over
+    one sequence, keyed by (viewers, input), where an input is that sequence
+    or a view over it. Set `target` to the sequence about to be evaluated;
+    the first view asked for after it changes drops the views held. While
+    `target` stays None, views are kept for as long as the memo.
     """
 
     __slots__ = ("visibility", "target", "_focus", "_views")
@@ -205,17 +215,17 @@ class FoldMemo:
         self._focus: Optional[StateSequence] = None
         self._views: Dict[Tuple[Tuple[str, ...], StateSequence], StateSequence] = {}
 
-    def view(self, model: ObservationModel, viewers: Tuple[str, ...], seq: StateSequence,
-             build: Callable[..., StateSequence]) -> StateSequence:
-        """The pooled view of `viewers` (one agent: an individual view) of
-        `seq`, held or made by `build(model, viewers, seq, self)`."""
+    def view(self, model: ObservationModel, agent: str, seq: StateSequence) -> StateSequence:
+        """`agent`'s view of `seq`, held or built by `justified_perspective`
+        (looked up at call time, so a wrapper installed on that name, as the
+        benchmark's tracer does, sees every build)."""
         if self._focus is not self.target:
             self._focus = self.target
             self._views = {}
-        key = (viewers, seq)
+        key = ((agent,), seq)
         found = self._views.get(key)
         if found is None:
-            found = self._views[key] = build(model, viewers, seq, self)
+            found = self._views[key] = justified_perspective(model, agent, seq, self)
         return found
 
 
@@ -236,27 +246,34 @@ def _believed_sequence(model: ObservationModel, viewers: Tuple[str, ...],
     """The sequence `viewers`, pooling their observations, believe after
     watching `seq` (one viewer: an individual perspective).
 
-    A left-to-right fold over timestamps from the empty fold state, one
-    `_fold_step` per input state. Steps are read from `memo` (a fresh one if
-    not given) when it has taken them before.
+    A left-to-right fold over timestamps from the empty fold state (`_fold`),
+    through `memo` (a fresh one if not given).
     """
     sig = seq[0].sig
     table = None if memo is None else memo.visibility.get((sig, viewers))
     if table is None:
         table = _visibility(model, sig, viewers, memo)
+    return StateSequence(_fold(table, seq)[0])
+
+
+def _fold(table: _Visibility, inputs: Iterable[State]) -> Tuple[List[State], FoldState]:
+    """The rows of the fold over `inputs` from the empty fold state, one
+    `_fold_step` per input state, and the fold state it ends in. A step
+    stored in `table` before is read back."""
     steps = table.steps
     fold = table.start
     rows = []
-    for state in seq:
+    for state in inputs:
         after = steps.get(fold)
         found = None if after is None else after.get(state)
         fold = _fold_step(table, fold, state) if found is None else found
         rows.append(fold.row)
-    return StateSequence(rows)
+    return rows, fold
 
 
 def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
-    """The fold state after `fold` takes in `state`, stored in `table.steps`.
+    """The fold state after `fold` takes in `state`, stored in `table.steps`
+    (an equal fold state stored before is reused).
 
     This applies the retrieval rule to the prefix [s_0..s_t] ending in
     `state`. A variable some viewer sees at t takes its value at t, else the
@@ -304,12 +321,71 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
     else:
         unresolved = frozenset(unresolved) if unresolved else _NO_INDICES
     found = FoldState(State(sig, tuple(row)), unresolved, State(sig, last) if dropped else state)
+    found = table.folds.setdefault(found, found)
     after = table.steps.get(fold)
     if after is None:
         table.steps[fold] = {state: found}
     else:
         after[state] = found
     return found
+
+
+class FoldPaths:
+    """Numbered viewer paths, and the stepping of their fold states.
+
+    A path is a chain of viewer groups: the view its first group has of a
+    sequence, the view its second group has of that view, and so on. A path
+    is added by its parent's number (the path one group shorter; -1 for
+    none) and the table of its last group, and numbered in the order added,
+    so a parent's number is below its children's. Folds over a sequence
+    along paths 0..n-1 are n fold states, a path's at its index; stepping
+    them in number order steps each parent before the paths that read its
+    new row.
+    """
+
+    __slots__ = ("tables", "parents", "_numbers")
+
+    def __init__(self):
+        self.tables: List[_Visibility] = []
+        self.parents: List[int] = []
+        self._numbers: Dict[Tuple[int, _Visibility], int] = {}
+
+    def number(self, parent: int, table: _Visibility) -> int:
+        """The number of the path that extends `parent` by `table`'s
+        viewers, added on first use."""
+        key = (parent, table)
+        found = self._numbers.get(key)
+        if found is None:
+            found = self._numbers[key] = len(self.tables)
+            self.tables.append(table)
+            self.parents.append(parent)
+        return found
+
+    def advance(self, folds: Tuple[FoldState, ...], state: State) -> Tuple[FoldState, ...]:
+        """The folds along paths 0..len(folds)-1 of a sequence, after the
+        sequence is extended by `state`: one step per path, in number order.
+        A path with no parent steps on `state`, any other on its parent's
+        new row."""
+        stepped: List[FoldState] = []
+        for fold, table, parent in zip(folds, self.tables, self.parents):
+            seen = state if parent < 0 else stepped[parent].row
+            after = table.steps.get(fold)
+            found = None if after is None else after.get(seen)
+            stepped.append(_fold_step(table, fold, seen) if found is None else found)
+        return tuple(stepped)
+
+    def walk(self, seq: StateSequence, numbers: Sequence[int]) -> List[Optional[FoldState]]:
+        """The folds over `seq` along `numbers` (ascending, each path's
+        parent among them), from the empty fold state: a list indexed by
+        path number, None at the paths not walked. Each path folds over its
+        parent's rows, or over `seq`."""
+        folds: List[Optional[FoldState]] = [None] * (numbers[-1] + 1 if numbers else 0)
+        rows: Dict[int, List[State]] = {}
+        for number in numbers:
+            parent = self.parents[number]
+            rows[number], folds[number] = _fold(self.tables[number],
+                                                seq if parent < 0 else rows[parent])
+        return folds
 
 
 def justified_perspective(model: ObservationModel, agent: str,
@@ -327,26 +403,15 @@ def distributed_perspective(model: ObservationModel, group: Iterable[str],
     return _believed_sequence(model, tuple(group), seq, memo=memo)
 
 
-def _individual(model: ObservationModel, viewers: Tuple[str, ...], seq: StateSequence,
-                memo: FoldMemo) -> StateSequence:
-    """The build of a one-agent view for `FoldMemo.view`. It looks up
-    `justified_perspective` at call time, so a wrapper installed on that
-    name (as the benchmark's tracer does) sees every build."""
-    return justified_perspective(model, viewers[0], seq, memo)
-
-
 def uniform_perspectives(model: ObservationModel, group: Iterable[str],
                          seq: StateSequence,
                          memo: Optional[FoldMemo] = None) -> PerspectiveSet:
-    """Everyone's individual perspectives, as a duplicate-free set, read
+    """Everyone's individual perspectives, as a duplicate-free set, built
     through `memo` (a fresh one if not given)."""
     members = _members(group)
     if memo is None:
         memo = FoldMemo()
-    views = set()
-    for i in members:
-        views.add(memo.view(model, (i,), seq, _individual))
-    return frozenset(views)
+    return frozenset([justified_perspective(model, i, seq, memo) for i in members])
 
 
 @dataclass(frozen=True)
@@ -380,7 +445,7 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
         grown = set()
         for w in views:
             for i in members:
-                grown.add(view(model, (i,), w, _individual))
+                grown.add(view(model, i, w))
         frozen = frozenset(grown)
         if frozen == views:
             return frozen, FixedPointStats(iterations, len(frozen))

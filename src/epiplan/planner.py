@@ -22,6 +22,14 @@ on which the precondition holds. Its evaluator likewise judges a
 belief-free formula once per distinct last state (`Evaluator`), though
 every test is still one `evaluate` call. Both tables live as long as the
 one search.
+
+A belief reads views of the whole history, but only through their fold
+states (`semantics`). The viewer paths the preconditions and goals reach
+are collected once per search, and each node carries its history's fold
+state on each of them: the root's walked from the empty fold state, a
+child's one fold step per path from its parent's. So no view is built for
+a belief without a common belief in it; a search with no such belief
+carries no fold states at all.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -41,7 +50,7 @@ from .core import (
     Value,
     _TRUE,
 )
-from .perspectives import ObservationModel
+from .perspectives import FoldState, ObservationModel
 from .semantics import Evaluator
 
 SOLVED = "solved"
@@ -76,10 +85,38 @@ class Action:
 
 
 class SearchNode(NamedTuple):
-    """A history and the plan that produced it; a tuple, so immutable."""
+    """A history and the plan that produced it; a tuple, so immutable.
+
+    `folds` are the history's fold states along the search evaluator's
+    viewer paths (`Evaluator.fold_states`): none on a node made this way,
+    and a belief's are then walked over the history. A node that carries
+    some is a `FoldedNode`, whose third item they are; they are numbered by
+    that evaluator's paths, so only that evaluator may apply or test it.
+    """
 
     sequence: StateSequence
     plan: Tuple[str, ...]
+    folds = ()
+
+
+class FoldedNode(SearchNode):
+    """A `SearchNode` with its fold states, a third item.
+
+    A tuple subclass is allocated with room for one item more than it holds,
+    so a third field on every node would move each node from the 64-byte
+    to the 80-byte size class; a search that reaches no viewer path keeps
+    two-item nodes.
+    """
+
+    __slots__ = ()
+    folds = property(itemgetter(2), doc="The fold states along the viewer paths.")
+
+    def __new__(cls, sequence: StateSequence, plan: Tuple[str, ...],
+                folds: Tuple[FoldState, ...]) -> "FoldedNode":
+        return tuple.__new__(cls, (sequence, plan, folds))
+
+    def __repr__(self) -> str:
+        return f"FoldedNode(sequence={self[0]!r}, plan={self[1]!r}, folds={self[2]!r})"
 
 
 Goal = Tuple[Formula, Ternary]
@@ -140,11 +177,13 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
     The precondition must evaluate to strictly true on the node's history;
     merely-unknown preconditions do not license acting. `successors` is this
     action's table of successor states by last state: read where it holds
-    the node's last state, filled where it does not.
+    the node's last state, filled where it does not. The child's fold
+    states are the node's, one step further, along `evaluator`'s paths.
     """
     seq = node.sequence
+    folds = node.folds
     if action.precondition is not None:
-        if evaluator.evaluate(seq, action.precondition) is not _TRUE:
+        if evaluator.evaluate(seq, action.precondition, folds) is not _TRUE:
             return None
     last = seq[-1]
     if successors is None:
@@ -154,6 +193,9 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
         successor = successors[last] = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
+    if folds:
+        return FoldedNode(seq.extend(successor), node.plan + (action.name,),
+                          evaluator.step_folds(folds, successor))
     return SearchNode(seq.extend(successor), node.plan + (action.name,))
 
 
@@ -196,12 +238,17 @@ def breadth_first_plan(model: ObservationModel,
         )
 
     def satisfied(node: SearchNode) -> bool:
+        seq, folds = node.sequence, node.folds
         for phi, target in goals:
-            if evaluator.evaluate(node.sequence, phi) is not target:
+            if evaluator.evaluate(seq, phi, folds) is not target:
                 return False
         return True
 
-    root = SearchNode(StateSequence([initial]), ())
+    history = StateSequence([initial])
+    formulas = [action.precondition for action in actions if action.precondition is not None]
+    formulas += [phi for phi, _ in goals]
+    folds = evaluator.fold_states(history, formulas)
+    root = FoldedNode(history, (), folds) if folds else SearchNode(history, ())
     expanded = 0
     generated = 1
     if satisfied(root):

@@ -50,9 +50,13 @@ def test_tracer_wraps_and_restores_every_patched_name(number_dom, plan1):
             assert _current(owner, name) is not original, name
         perspectives._believed_sequence = counting
         evaluator = Evaluator(number_dom.model)
+        # a belief over a common belief still builds its views: the E and D
+        # ones below are what calls uniform_perspectives and
+        # distributed_perspective, as beliefs without a C read fold states
         for text in ("(B a (= n 1))", "(EB (a b) (= n 1))", "(DB (a b) (= n 1))",
                      "(CB (a b) (< n 3))", "(K b (= n 1))", "(DB (a) (B b (= n 1)))",
-                     "(B a (B b (= n 1)))"):
+                     "(B a (B b (= n 1)))", "(EB (a b) (CB (a b) (< n 3)))",
+                     "(DB (a b) (CB (a b) (= n 1)))"):
             evaluator.evaluate(plan1, parse_formula(text, number_dom.signature))
     finally:
         perspectives._believed_sequence = fold

@@ -354,6 +354,53 @@ class TestLinePositions:
         assert err.value.line == 4
 
 
+class TestDeclarationColumns:
+    """Errors on `var`, `eff`, `init` and `state` lines name the column of
+    the word at fault; names may still hold parentheses and braces."""
+
+    @pytest.mark.parametrize("old, new, line, col, message", [
+        ("var n : int 0..2", "var n : int  0..x", 5, 14, "bad integer range '0..x'"),
+        ("var n : int 0..2", "var n : flt", 5, 9, "unknown variable type 'flt'"),
+        ("var n : int 0..2", "var n : int { 0 one }", 5, 17, "must be integers"),
+        ("var peeking_b : bool", "var peeking_a : bool", 7, 5, "declared twice"),
+        ("  eff n += 1", "  eff n += one", 16, 12, "expected an integer"),
+        ("  eff n += 1", "  eff  m += 1", 16, 8, "undeclared variable 'm'"),
+        ("  eff n += 1", "  eff n *= 1", 16, 9, "unknown effect operator"),
+        ("  eff peeking_a := true", "  eff peeking_a := 3", 12, 20, "does not fit"),
+    ])
+    def test_domain_error_columns(self, old, new, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_domain(MINI_DOMAIN.replace(old, new))
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("init, col, message", [
+        ("init n=2 m=1", 10, "undeclared variable 'm'"),
+        ("init  n=2 n=1", 11, "'n' given twice"),
+        ("init n=2 peeking_a", 10, "expected var=value"),
+        ("init n=2 peeking_a=maybe", 20, "outside the domain of 'peeking_a'"),
+    ])
+    def test_init_error_columns(self, init, col, message):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"problem p\ndomain mini\n{init}\ngoal true (= n 2)\n", domain)
+        assert (err.value.line, err.value.col) == (3, col)
+        assert message in str(err.value)
+
+    def test_state_error_column(self):
+        domain = parse_domain(MINI_DOMAIN)
+        with pytest.raises(ParseError) as err:
+            parse_trace("state n=1 peeking_a=false\nstate n=1 peeking_b=3\n", domain)
+        assert (err.value.line, err.value.col) == (2, 21)
+
+    def test_names_with_parentheses_and_braces(self):
+        text = MINI_DOMAIN.replace("var n : int 0..2", "var n : int 0..2\nvar c(1) : enum {x} y)")
+        text = text.replace("  eff n += 1", "  eff c(1) := {x}")
+        domain = parse_domain(text)
+        assert domain.signature.domain("c(1)") == ("{x}", "y)")
+        assert domain.actions[1].effects[0].operand == "{x}"
+
+
 class TestAssignments:
     @pytest.mark.parametrize("trace, line", [
         ("init n=1 n=2 peeking_a=false peeking_b=false\n", 1),

@@ -27,6 +27,7 @@ from epiplan.planner import (
     UNSOLVABLE,
     Action,
     Effect,
+    FoldedNode,
     SearchNode,
     apply_action,
     breadth_first_plan,
@@ -439,10 +440,10 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         effected.append((effects, state))
         return apply_effects(sig, state, effects)
 
-    def counting_evaluate(self, seq, phi):
+    def counting_evaluate(self, seq, phi, folds=()):
         evaluated.append(phi)
         expected_atoms[(id(phi), seq.last)] = reference(seq.last, phi)[1]
-        return evaluate(self, seq, phi)
+        return evaluate(self, seq, phi, folds)
 
     def counting_interpret(state, atom):
         atoms.append(atom)
@@ -464,6 +465,53 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     assert len(atoms) < len(evaluated) and len(effected) < len(applied)
 
 
+def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
+    """With beliefs, the unit of work is one fold step per viewer path per
+    generated child, from its parent's fold states; no view is built, and
+    every precondition and goal test is still one `evaluate` call."""
+    from epiplan import perspectives, planner
+
+    sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
+    model = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
+    up = Action("up", parse_formula("(B b (< x 3))", sig), (Effect("x", "add", 1),))
+    down = Action("down", parse_formula("(DB (a b) (> x 0))", sig), (Effect("x", "add", -1),))
+    toggle = Action("toggle", None, (Effect("flag", "set", True),))
+    # unreachable, so every node is expanded; the paths are (b), (a b), (a), (a)(b)
+    goals = ((parse_formula("(B a (B b (> x 3)))", sig), Ternary.TRUE),)
+
+    applied, advanced, built = [], [], []
+    apply_action_ = planner.apply_action
+    advance = perspectives.FoldPaths.advance
+    believed = perspectives._believed_sequence
+
+    def counting_apply(evaluator, action, node, successors=None):
+        child = apply_action_(evaluator, action, node, successors)
+        if child is not None:
+            applied.append((node, child))
+        return child
+
+    def counting_advance(self, folds, state):
+        advanced.append(len(folds))
+        return advance(self, folds, state)
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return believed(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    monkeypatch.setattr(perspectives.FoldPaths, "advance", counting_advance)
+    monkeypatch.setattr(perspectives, "_believed_sequence", counting_build)
+    result = breadth_first_plan(model, (up, down, toggle),
+                                sig.global_state({"x": 0, "flag": False}), goals, max_depth=3)
+    assert result.status == UNSOLVABLE and result.expanded > 0
+    assert len(applied) == result.generated - 1
+    assert advanced == [4] * len(applied)
+    assert built == []
+    for node, child in applied:
+        assert child.sequence == node.sequence.extend(child.sequence.last)
+        assert len(child.folds) == 4
+
+
 def test_effects_apply_in_order():
     """A later effect of an action reads what an earlier one wrote."""
     sig = Signature(["a"], {"x": range(4), "y": range(4)})
@@ -475,9 +523,23 @@ def test_effects_apply_in_order():
 
 
 def test_search_node_is_immutable(n1):
-    node = _root(n1[1])
-    assert (node.sequence, node.plan) == tuple(node)
-    with pytest.raises(AttributeError):
-        node.plan = ("peek_a",)
+    domain, problem = n1
+    node = _root(problem)
+    assert (node.sequence, node.plan) == tuple(node) and node.folds == ()
+    # a node that carries fold states holds them as a third item
+    evaluator = Evaluator(domain.model)
+    folds = evaluator.fold_states(node.sequence, [parse_formula("(B a (= n 2))",
+                                                                domain.signature)])
+    folded = apply_action(evaluator, _action(domain, "peek_a"),
+                          FoldedNode(node.sequence, node.plan, folds))
+    assert isinstance(folded, SearchNode) and len(folded.folds) == len(folds) == 1
+    assert (folded.sequence, folded.plan, folded.folds) == tuple(folded)
+    for each in (node, folded):
+        with pytest.raises(AttributeError):
+            each.plan = ("peek_a",)
+        with pytest.raises(AttributeError):
+            each.folds = ()
+        with pytest.raises(AttributeError):
+            each.extra = 1
     with pytest.raises(AttributeError):
         node.extra = 1

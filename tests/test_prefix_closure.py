@@ -8,11 +8,12 @@ These tests pin the invariant down on random rule-table models and on the
 three bundled observation models. The last tests cover the fold's memo, the
 one cache an evaluator keeps for its lifetime, with the views of its target
 keyed by viewer group: views and observations match memo-free definitions,
-one agent's view is one entry for B, EB and DB alike, the fold states the
-memo steps through match their definition, equal view states are one object,
-`sees` is asked once per state and viewer group (by beliefs, seeing and
-knowledge alike), a model used under two signatures never mixes them, and a
-dropped memo is freed without the cyclic collector.
+one agent's view is one path for B, EB and DB alike, the fold states the
+memo steps through and those search nodes carry match their definition,
+equal view states are one object, `sees` is asked once per state and viewer
+group (by beliefs, seeing and knowledge alike), a model used under two
+signatures never mixes them, and a dropped memo is freed without the cyclic
+collector.
 """
 
 import gc
@@ -49,7 +50,7 @@ from epiplan.core import (
 )
 from epiplan import perspectives
 from epiplan.parser import parse_formula, parse_trace
-from epiplan.planner import breadth_first_plan
+from epiplan.planner import Action, Effect, FoldedNode, SearchNode, apply_action, breadth_first_plan
 from epiplan.perspectives import (
     FoldMemo,
     ObservationModel,
@@ -227,9 +228,10 @@ def _cached(evaluator):
 
 
 def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
-    """Walking a trace forwards, the cache keeps only views as long as the
-    sequence last evaluated, over it or over views of it; an unrelated
-    sequence drops them all."""
+    """Walking a trace forwards, the cache keeps only the views the common
+    fixed point built, as long as the sequence last evaluated, over it or
+    over views of it; a belief without a common belief in it adds none, and
+    an unrelated sequence drops them all."""
     evaluator = Evaluator(number_dom.model)
     phi = parse_formula("(and (CB (a b) (< n 3)) (B a (B b (= n 1))))",
                         number_dom.signature)
@@ -241,6 +243,9 @@ def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
         assert {len(view) for view in cached.values()} == {len(seq)}
         assert {source for _, source in cached} <= {seq} | set(cached.values())
         assert (("a",), seq) in cached
+        views, _ = common_perspectives(number_dom.model, ("a", "b"), seq)
+        assert set(cached.values()) <= views
+        assert {viewers for viewers, _ in cached} <= {("a",), ("b",)}
     unrelated = StateSequence(reversed(plan1))
     evaluator.evaluate(unrelated, phi)
     cached = _cached(evaluator)
@@ -248,29 +253,49 @@ def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
     assert (("a",), unrelated) in cached and (("a",), plan1) not in cached
 
 
+def _chain(paths, number):
+    """The viewer groups along path `number`, first group first."""
+    chain = []
+    while number >= 0:
+        chain.append(paths.tables[number]._viewers)
+        number = paths.parents[number]
+    return chain[::-1]
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_one_agent_view_is_shared_by_b_eb_and_db(number_dom, plan1, order):
     """`(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` read a's view of the target
-    from one cache entry, whichever asks first."""
+    along one path, whichever asks first; φ = `(B b ...)` adds one path, b's
+    view of a's view. No view is built, and each step the walks take is
+    worked out once."""
     texts = [f"({op} {who} (B b (= n 1)))" for op, who in (("B", "a"), ("EB", "(a)"),
                                                          ("DB", "(a)"))]
     formulas = [parse_formula(texts[i], number_dom.signature) for i in order]
-    built = Counter()
-    original = perspectives._believed_sequence
+    built, taken = Counter(), Counter()
+    believed, step = perspectives._believed_sequence, perspectives._fold_step
 
-    def counting(model, viewers, seq, memo=None):
+    def counting_build(model, viewers, seq, memo=None):
         built[(viewers, seq)] += 1
-        return original(model, viewers, seq, memo)
+        return believed(model, viewers, seq, memo)
 
-    perspectives._believed_sequence = counting
+    def counting_step(table, fold, state):
+        taken[(table, fold, state)] += 1
+        return step(table, fold, state)
+
+    perspectives._believed_sequence = counting_build
+    perspectives._fold_step = counting_step
     try:
         evaluator = Evaluator(number_dom.model)
         verdicts = {evaluator.evaluate(plan1, phi) for phi in formulas}
     finally:
-        perspectives._believed_sequence = original
+        perspectives._believed_sequence = believed
+        perspectives._fold_step = step
     assert verdicts == {Evaluator(number_dom.model).evaluate(plan1, formulas[0])}
-    assert built[(("a",), plan1)] == 1
-    assert max(built.values()) == 1
+    paths = evaluator._paths
+    assert [_chain(paths, n) for n in range(len(paths.tables))] == [[("a",)], [("a",), ("b",)]]
+    assert not built
+    assert {table for table, _, _ in taken} == set(paths.tables)
+    assert max(taken.values()) == 1
 
 
 def test_memo_is_freed_by_reference_counting_alone(number_dom, plan1):
@@ -504,6 +529,50 @@ def test_memo_takes_each_fold_step_once(kind, seed, partial):
     finally:
         perspectives._fold_step = original
     assert taken and max(taken.values()) == 1
+
+
+def _stepping_action(sig, state):
+    """An action with no precondition that sets every declared variable to
+    its value in the global `state`, so applying it appends `state`."""
+    return Action("go", None, tuple(Effect(var, "set", state.get(var))
+                                    for var in sig.variables if not sig.is_agent(var)))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
+    """A search node's fold state on every viewer path, each stepped once
+    from its parent's by `apply_action`, equals the fold of the whole
+    history along that path: the last row of the view by the retrieval
+    rule, what its viewers have seen but its input never assigned, and the
+    input's last values. Shorter nodes, children of one parent and a second
+    search-like walk share the evaluator."""
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng, max_len=5)
+    formulas = [_belief_formula(rng, sig) for _ in range(3)] + \
+        [_random_formula(rng, sig) for _ in range(2)]
+    evaluator = Evaluator(model)
+    history = seq.prefix(0)
+    node = FoldedNode(history, (), evaluator.fold_states(history, formulas))
+    paths = evaluator._paths
+    assert len(node.folds) == len(paths.tables)
+    nodes = [node]
+    for state in list(seq[1:]) + random_states(rng, sig, 2):
+        node = apply_action(evaluator, _stepping_action(sig, state), node)
+        assert node.sequence.last is state
+        nodes.append(node)
+    for node in nodes:
+        for phi in formulas:
+            assert evaluator.evaluate(node.sequence, phi, node.folds) is \
+                Evaluator(model).evaluate(node.sequence, phi)
+        for number, fold in enumerate(node.folds):
+            chain = _chain(paths, number)
+            source = node.sequence
+            for viewers in chain[:-1]:
+                source = _by_definition(model, viewers, source)
+            assert fold.row is _by_definition(model, chain[-1], source).last
+            assert (fold.unresolved, fold.last.vals) == \
+                _fold_by_definition(model, chain[-1], source)
 
 
 def test_fold_over_trace_state_lines_that_drop_a_variable(number_dom):
