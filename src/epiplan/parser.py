@@ -82,6 +82,13 @@ def _lex(line: str, lineno: int, pattern: re.Pattern = _TOKEN) -> List[Token]:
     return [Token(m.group(), lineno, m.start() + 1) for m in pattern.finditer(line)]
 
 
+def _word_error(message: str, line: str, lineno: int, word: int) -> ParseError:
+    """An error at the `word`-th word (from 0) of `line.split()`. Declaration
+    lines are read with `str.split()`, and the column is worked out only
+    for an error, as `_WORD` matches exactly the words `str.split()` gives."""
+    return ParseError(message, lineno, _lex(line, lineno, _WORD)[word].col)
+
+
 # --------------------------------------------------------------------------
 # Formulas
 # --------------------------------------------------------------------------
@@ -295,7 +302,7 @@ def parse_domain(text: str) -> DomainFile:
     model_name = None
     obs_config: List[List[str]] = []
     raw_actions: List[Tuple[str, int, Optional[Tuple[List[Token], int]],
-                            List[Tuple[List[Token], int]]]] = []
+                            List[Tuple[List[str], str, int]]]] = []
 
     lines = _lines(text)
     for lineno, line in lines:
@@ -309,10 +316,9 @@ def parse_domain(text: str) -> DomainFile:
                 raise ParseError("agents line needs at least one agent", lineno)
             agents.extend(parts[1:])
         elif key == "var":
-            words = _lex(line, lineno, _WORD)
-            var_name, values = _parse_var_decl(words, lineno)
+            var_name, values = _parse_var_decl(parts, line, lineno)
             if var_name in domains:
-                raise ParseError(f"variable {var_name!r} declared twice", lineno, words[1].col)
+                raise _word_error(f"variable {var_name!r} declared twice", line, lineno, 1)
             domains[var_name] = values
         elif key == "observation":
             _need(parts, 2, 2, lineno, "observation <model-name>")
@@ -325,7 +331,7 @@ def parse_domain(text: str) -> DomainFile:
             _need(parts, 2, 2, lineno, "action <name>")
             action_name = parts[1]
             pre: Optional[Tuple[List[Token], int]] = None
-            effs: List[Tuple[List[Token], int]] = []
+            effs: List[Tuple[List[str], str, int]] = []
             # the action's lines come from the same reader, up to its `end`
             for inner_no, inner_line in lines:
                 inner = inner_line.split()
@@ -337,7 +343,7 @@ def parse_domain(text: str) -> DomainFile:
                                          inner_no)
                     pre = (_lex(inner_line, inner_no)[1:], inner_no)
                 elif inner[0] == "eff":
-                    effs.append((_lex(inner_line, inner_no, _WORD), inner_no))
+                    effs.append((inner, inner_line, inner_no))
                 else:
                     raise ParseError(f"unexpected {inner[0]!r} inside action "
                                      f"{action_name!r}", inner_no)
@@ -367,7 +373,7 @@ def parse_domain(text: str) -> DomainFile:
         precondition = None
         if pre is not None:
             precondition = _formula(pre[0], sig, pre[1])
-        effects = tuple(_parse_effect(sig, tokens, lno) for tokens, lno in effs)
+        effects = tuple(_parse_effect(sig, words, text, lno) for words, text, lno in effs)
         actions.append(Action(action_name, precondition, effects))
 
     try:
@@ -387,80 +393,81 @@ def _need(parts: List[str], lo: int, hi: int, lineno: int, usage: str) -> None:
 MAX_INT_RANGE = 65536
 
 
-def _parse_var_decl(words: List[Token], lineno: int) -> Tuple[str, List[Value]]:
+def _parse_var_decl(parts: List[str], line: str, lineno: int) -> Tuple[str, List[Value]]:
     # var <name> : <type> ...
-    if len(words) < 4 or words[2].text != ":":
-        raise ParseError("expected: var <name> : <type> ...", lineno,
-                         words[min(len(words), 3) - 1].col)
-    var_name = words[1].text
-    kind = words[3]
-    rest = words[4:]
-    if kind.text == "bool":
+    if len(parts) < 4 or parts[2] != ":":
+        raise _word_error("expected: var <name> : <type> ...", line, lineno,
+                          min(len(parts), 3) - 1)
+    var_name = parts[1]
+    kind = parts[3]
+    rest = parts[4:]
+    if kind == "bool":
         if rest:
-            raise ParseError("bool variables take no arguments", lineno, rest[0].col)
+            raise _word_error("bool variables take no arguments", line, lineno, 4)
         return var_name, [False, True]
-    if kind.text == "enum":
+    if kind == "enum":
         if not rest:
-            raise ParseError("enum variables need at least one symbol", lineno, kind.col)
-        return var_name, [word.text for word in rest]
-    if kind.text == "int":
-        if len(rest) == 1 and ".." in rest[0].text:
-            span = rest[0]
-            lo_text, _, hi_text = span.text.partition("..")
+            raise _word_error("enum variables need at least one symbol", line, lineno, 3)
+        return var_name, list(rest)
+    if kind == "int":
+        if len(rest) == 1 and ".." in rest[0]:
+            lo_text, _, hi_text = rest[0].partition("..")
             try:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
-                raise ParseError(f"bad integer range {span.text!r}", lineno, span.col) from None
+                raise _word_error(f"bad integer range {rest[0]!r}", line, lineno, 4) from None
             if hi < lo:
-                raise ParseError(f"empty integer range {span.text!r}", lineno, span.col)
+                raise _word_error(f"empty integer range {rest[0]!r}", line, lineno, 4)
             if hi - lo >= MAX_INT_RANGE:
-                raise ParseError(f"integer range {span.text!r} holds more than "
-                                 f"{MAX_INT_RANGE} values", lineno, span.col)
+                raise _word_error(f"integer range {rest[0]!r} holds more than "
+                                  f"{MAX_INT_RANGE} values", line, lineno, 4)
             return var_name, list(range(lo, hi + 1))
-        if len(rest) >= 3 and rest[0].text == "{" and rest[-1].text == "}":
+        if len(rest) >= 3 and rest[0] == "{" and rest[-1] == "}":
             members = []
-            for word in rest[1:-1]:
+            for at, word in enumerate(rest[1:-1], start=5):
                 try:
-                    members.append(int(word.text))
+                    members.append(int(word))
                 except ValueError:
-                    raise ParseError("integer set members must be integers",
-                                     lineno, word.col) from None
+                    raise _word_error("integer set members must be integers",
+                                      line, lineno, at) from None
             return var_name, members
-        raise ParseError("expected: int <lo>..<hi> or int { v1 v2 ... }", lineno, kind.col)
-    raise ParseError(f"unknown variable type {kind.text!r}", lineno, kind.col)
+        raise _word_error("expected: int <lo>..<hi> or int { v1 v2 ... }", line, lineno, 3)
+    raise _word_error(f"unknown variable type {kind!r}", line, lineno, 3)
 
 
-def _parse_effect(sig: Signature, words: List[Token], lineno: int) -> Effect:
+def _parse_effect(sig: Signature, parts: List[str], line: str, lineno: int) -> Effect:
     # eff <var> := <value-or-var> | eff <var> += <int> | eff <var> -= <int>
-    if len(words) != 4:
-        raise ParseError("expected: eff <var> := <value> | eff <var> += <int>", lineno,
-                         words[0].col)
-    var, op, operand = (word.text for word in words[1:])
+    if len(parts) != 4:
+        raise _word_error("expected: eff <var> := <value> | eff <var> += <int>",
+                          line, lineno, 0)
+    _, var, op, operand = parts
     if var not in sig.index:
-        raise ParseError(f"undeclared variable {var!r}", lineno, words[1].col)
-    col = words[3].col
+        raise _word_error(f"undeclared variable {var!r}", line, lineno, 1)
     if op == ":=":
         if operand in sig.index:
             if sig.domain_kind(operand) != sig.domain_kind(var):
-                raise ParseError(f"cannot copy {operand!r} into {var!r}: kinds differ",
-                                 lineno, col)
+                raise _word_error(f"cannot copy {operand!r} into {var!r}: kinds differ",
+                                  line, lineno, 3)
             return Effect(var, "copy", operand)
         value = _parse_constant(operand)
         if sig.domain_kind(var) != value_kind(value):
-            raise ParseError(f"value {operand!r} does not fit variable {var!r}", lineno, col)
+            raise _word_error(f"value {operand!r} does not fit variable {var!r}",
+                              line, lineno, 3)
         if not sig.in_domain(var, value):
-            raise ParseError(f"value {operand!r} is not in the domain of {var!r}", lineno, col)
+            raise _word_error(f"value {operand!r} is not in the domain of {var!r}",
+                              line, lineno, 3)
         return Effect(var, "set", value)
     if op in ("+=", "-="):
         if sig.domain_kind(var) != "int":
-            raise ParseError(f"arithmetic effects need an integer variable, got {var!r}",
-                             lineno, words[1].col)
+            raise _word_error(f"arithmetic effects need an integer variable, got {var!r}",
+                              line, lineno, 1)
         try:
             delta = int(operand)
         except ValueError:
-            raise ParseError(f"expected an integer, found {operand!r}", lineno, col) from None
+            raise _word_error(f"expected an integer, found {operand!r}",
+                              line, lineno, 3) from None
         return Effect(var, "add", delta if op == "+=" else -delta)
-    raise ParseError(f"unknown effect operator {op!r}", lineno, words[2].col)
+    raise _word_error(f"unknown effect operator {op!r}", line, lineno, 2)
 
 
 # --------------------------------------------------------------------------
@@ -470,23 +477,24 @@ def _parse_effect(sig: Signature, words: List[Token], lineno: int) -> Effect:
 _TARGETS = {"true": Ternary.TRUE, "false": Ternary.FALSE, "unknown": Ternary.UNKNOWN}
 
 
-def _assignments(sig: Signature, words: List[Token], lineno: int,
+def _assignments(sig: Signature, parts: List[str], line: str, lineno: int,
                  into: Dict[str, Value]) -> Dict[str, Value]:
-    """`into` with the `var=value` words of one line added. A variable given
-    twice, on this line or already in `into`, is an error, and so is a value
-    outside its variable's domain."""
-    for word in words:
-        var, eq, val = word.text.partition("=")
+    """`into` with the `var=value` words of one line added (its words after
+    the first). A variable given twice, on this line or already in `into`,
+    is an error, and so is a value outside its variable's domain."""
+    for at in range(1, len(parts)):
+        word = parts[at]
+        var, eq, val = word.partition("=")
         if not eq:
-            raise ParseError(f"expected var=value, found {word.text!r}", lineno, word.col)
+            raise _word_error(f"expected var=value, found {word!r}", line, lineno, at)
         if var in into:
-            raise ParseError(f"variable {var!r} given twice", lineno, word.col)
+            raise _word_error(f"variable {var!r} given twice", line, lineno, at)
         if var not in sig.index:
-            raise ParseError(f"undeclared variable {var!r}", lineno, word.col)
+            raise _word_error(f"undeclared variable {var!r}", line, lineno, at)
         value = _parse_constant(val)
         if not sig.in_domain(var, value):
-            raise ParseError(f"value {format_value(value)} is outside the domain of {var!r}",
-                             lineno, word.col + len(var) + 1)
+            raise _word_error(f"value {format_value(value)} is outside the domain of "
+                              f"{var!r}", line, lineno, at)
         into[var] = value
     return into
 
@@ -517,7 +525,7 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
             _need(parts, 2, 2, lineno, "domain <name>")
             domain_name = parts[1]
         elif key == "init":
-            _assignments(sig, _lex(line, lineno, _WORD)[1:], lineno, assignments)
+            _assignments(sig, parts, line, lineno, assignments)
         elif key == "goal":
             if len(parts) < 3 or parts[1] not in _TARGETS:
                 raise ParseError("expected: goal true|false|unknown (<formula>)", lineno)
@@ -582,7 +590,7 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
                 raise ParseError("init must be the first directive", lineno)
             if key == "state" and node is not None:
                 raise ParseError("cannot mix 'state' lines with init/do", lineno)
-            values = _assignments(sig, _lex(line, lineno, _WORD)[1:], lineno, {})
+            values = _assignments(sig, parts, line, lineno, {})
             try:
                 if key == "init":   # total; global_state fills in the agent markers
                     node = SearchNode(StateSequence([sig.global_state(values)]), ())

@@ -27,9 +27,9 @@ A belief reads views of the whole history, but only through their fold
 states (`semantics`). The viewer paths the preconditions and goals reach
 are collected once per search, and each node carries its history's fold
 state on each of them: the root's walked from the empty fold state, a
-child's one fold step per path from its parent's. So no view is built for
-a belief without a common belief in it; a search with no such belief
-carries no fold states at all.
+child's one fold step per path from its parent's, taken once the child is
+kept (not a duplicate). So no view is built for a belief without a common
+belief in it; a search with no such belief carries no fold states at all.
 """
 
 from __future__ import annotations
@@ -177,13 +177,12 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
     The precondition must evaluate to strictly true on the node's history;
     merely-unknown preconditions do not license acting. `successors` is this
     action's table of successor states by last state: read where it holds
-    the node's last state, filled where it does not. The child's fold
-    states are the node's, one step further, along `evaluator`'s paths.
+    the node's last state, filled where it does not. The precondition reads
+    the node's fold states; the child carries none (a search steps them).
     """
     seq = node.sequence
-    folds = node.folds
     if action.precondition is not None:
-        if evaluator.evaluate(seq, action.precondition, folds) is not _TRUE:
+        if evaluator.evaluate(seq, action.precondition, node.folds) is not _TRUE:
             return None
     last = seq[-1]
     if successors is None:
@@ -193,9 +192,6 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
         successor = successors[last] = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
-    if folds:
-        return FoldedNode(seq.extend(successor), node.plan + (action.name,),
-                          evaluator.step_folds(folds, successor))
     return SearchNode(seq.extend(successor), node.plan + (action.name,))
 
 
@@ -238,9 +234,8 @@ def breadth_first_plan(model: ObservationModel,
         )
 
     def satisfied(node: SearchNode) -> bool:
-        seq, folds = node.sequence, node.folds
         for phi, target in goals:
-            if evaluator.evaluate(seq, phi, folds) is not target:
+            if evaluator.evaluate(node.sequence, phi, node.folds) is not target:
                 return False
         return True
 
@@ -262,6 +257,7 @@ def breadth_first_plan(model: ObservationModel,
         if len(node.plan) >= max_depth:
             continue
         expanded += 1
+        folds = node.folds
         queued = set()
         for action, successors in tables:
             # before every action, so no expansion generates past the budget
@@ -271,9 +267,13 @@ def breadth_first_plan(model: ObservationModel,
             if child is None:
                 continue
             generated += 1
-            if child.sequence[-1] in queued:
+            last = child.sequence[-1]
+            if last in queued:
                 continue
-            queued.add(child.sequence[-1])
+            queued.add(last)
+            if folds:
+                # kept, so its fold states are needed: one step per path
+                child = FoldedNode(child.sequence, child.plan, evaluator.step_folds(folds, last))
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
             frontier.append(child)

@@ -378,7 +378,7 @@ class TestDeclarationColumns:
         ("init n=2 m=1", 10, "undeclared variable 'm'"),
         ("init  n=2 n=1", 11, "'n' given twice"),
         ("init n=2 peeking_a", 10, "expected var=value"),
-        ("init n=2 peeking_a=maybe", 20, "outside the domain of 'peeking_a'"),
+        ("init n=2 peeking_a=maybe", 10, "outside the domain of 'peeking_a'"),
     ])
     def test_init_error_columns(self, init, col, message):
         domain = parse_domain(MINI_DOMAIN)
@@ -391,7 +391,8 @@ class TestDeclarationColumns:
         domain = parse_domain(MINI_DOMAIN)
         with pytest.raises(ParseError) as err:
             parse_trace("state n=1 peeking_a=false\nstate n=1 peeking_b=3\n", domain)
-        assert (err.value.line, err.value.col) == (2, 21)
+        assert (err.value.line, err.value.col) == (2, 11)
+        assert str(err.value).startswith("line 2, col 11: ")
 
     def test_names_with_parentheses_and_braces(self):
         text = MINI_DOMAIN.replace("var n : int 0..2", "var n : int 0..2\nvar c(1) : enum {x} y)")

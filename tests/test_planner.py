@@ -467,28 +467,24 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
 
 def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
     """With beliefs, the unit of work is one fold step per viewer path per
-    generated child, from its parent's fold states; no view is built, and
-    every precondition and goal test is still one `evaluate` call."""
-    from epiplan import perspectives, planner
+    kept child (not a duplicate), from its parent's fold states; no view is
+    built, and every precondition and goal test is still one `evaluate`
+    call, handed the node's fold states."""
+    from epiplan import perspectives, semantics
 
     sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
     model = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
     up = Action("up", parse_formula("(B b (< x 3))", sig), (Effect("x", "add", 1),))
     down = Action("down", parse_formula("(DB (a b) (> x 0))", sig), (Effect("x", "add", -1),))
     toggle = Action("toggle", None, (Effect("flag", "set", True),))
+    stay = Action("stay", None, (Effect("x", "add", 0),))
     # unreachable, so every node is expanded; the paths are (b), (a b), (a), (a)(b)
-    goals = ((parse_formula("(B a (B b (> x 3)))", sig), Ternary.TRUE),)
+    goal = parse_formula("(B a (B b (> x 3)))", sig)
 
-    applied, advanced, built = [], [], []
-    apply_action_ = planner.apply_action
+    advanced, built, tested = [], [], []
     advance = perspectives.FoldPaths.advance
     believed = perspectives._believed_sequence
-
-    def counting_apply(evaluator, action, node, successors=None):
-        child = apply_action_(evaluator, action, node, successors)
-        if child is not None:
-            applied.append((node, child))
-        return child
+    evaluate = semantics.Evaluator.evaluate
 
     def counting_advance(self, folds, state):
         advanced.append(len(folds))
@@ -498,18 +494,24 @@ def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
         built.append(args)
         return believed(*args, **kwargs)
 
-    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    def counting_evaluate(self, seq, phi, folds=()):
+        if phi is goal:
+            tested.append(seq)
+        assert len(folds) == 4
+        return evaluate(self, seq, phi, folds)
+
     monkeypatch.setattr(perspectives.FoldPaths, "advance", counting_advance)
     monkeypatch.setattr(perspectives, "_believed_sequence", counting_build)
-    result = breadth_first_plan(model, (up, down, toggle),
-                                sig.global_state({"x": 0, "flag": False}), goals, max_depth=3)
+    monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
+    result = breadth_first_plan(model, (up, down, toggle, stay),
+                                sig.global_state({"x": 0, "flag": False}),
+                                ((goal, Ternary.TRUE),), max_depth=3)
     assert result.status == UNSOLVABLE and result.expanded > 0
-    assert len(applied) == result.generated - 1
-    assert advanced == [4] * len(applied)
+    # `stay` repeats its parent's state and `toggle` often does, so some
+    # children are duplicates, never goal-tested nor stepped
+    assert len(tested) < result.generated
+    assert advanced == [4] * (len(tested) - 1)
     assert built == []
-    for node, child in applied:
-        assert child.sequence == node.sequence.extend(child.sequence.last)
-        assert len(child.folds) == 4
 
 
 def test_effects_apply_in_order():
@@ -530,8 +532,7 @@ def test_search_node_is_immutable(n1):
     evaluator = Evaluator(domain.model)
     folds = evaluator.fold_states(node.sequence, [parse_formula("(B a (= n 2))",
                                                                 domain.signature)])
-    folded = apply_action(evaluator, _action(domain, "peek_a"),
-                          FoldedNode(node.sequence, node.plan, folds))
+    folded = FoldedNode(node.sequence, node.plan, folds)
     assert isinstance(folded, SearchNode) and len(folded.folds) == len(folds) == 1
     assert (folded.sequence, folded.plan, folded.folds) == tuple(folded)
     for each in (node, folded):

@@ -46,11 +46,12 @@ from epiplan.core import (
     Signature,
     State,
     StateSequence,
+    Ternary,
     make_group,
 )
 from epiplan import perspectives
 from epiplan.parser import parse_formula, parse_trace
-from epiplan.planner import Action, Effect, FoldedNode, SearchNode, apply_action, breadth_first_plan
+from epiplan.planner import Action, Effect, breadth_first_plan
 from epiplan.perspectives import (
     FoldMemo,
     ObservationModel,
@@ -531,43 +532,48 @@ def test_memo_takes_each_fold_step_once(kind, seed, partial):
     assert taken and max(taken.values()) == 1
 
 
-def _stepping_action(sig, state):
-    """An action with no precondition that sets every declared variable to
-    its value in the global `state`, so applying it appends `state`."""
-    return Action("go", None, tuple(Effect(var, "set", state.get(var))
-                                    for var in sig.variables if not sig.is_agent(var)))
+def _stepping_action(rng, sig, name):
+    """An action that sets every declared variable to its value in a random
+    global state, with no precondition or a random belief one."""
+    state = random_states(rng, sig, 1)[0]
+    pre = _belief_formula(rng, sig) if rng.random() < 0.5 else None
+    return Action(name, pre, tuple(Effect(var, "set", state.get(var))
+                                   for var in sig.variables if not sig.is_agent(var)))
 
 
 @SETTINGS
 @given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
 def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
-    """A search node's fold state on every viewer path, each stepped once
-    from its parent's by `apply_action`, equals the fold of the whole
+    """Every node of a search hands the evaluator, with each precondition
+    and goal test, its fold state on every viewer path; each was stepped
+    once from its parent's. Each equals the fold of the node's whole
     history along that path: the last row of the view by the retrieval
     rule, what its viewers have seen but its input never assigned, and the
-    input's last values. Shorter nodes, children of one parent and a second
-    search-like walk share the evaluator."""
+    input's last values."""
     rng = random.Random(seed)
-    sig, model, seq = _instance(kind, rng, max_len=5)
-    formulas = [_belief_formula(rng, sig) for _ in range(3)] + \
-        [_random_formula(rng, sig) for _ in range(2)]
-    evaluator = Evaluator(model)
-    history = seq.prefix(0)
-    node = FoldedNode(history, (), evaluator.fold_states(history, formulas))
-    paths = evaluator._paths
-    assert len(node.folds) == len(paths.tables)
-    nodes = [node]
-    for state in list(seq[1:]) + random_states(rng, sig, 2):
-        node = apply_action(evaluator, _stepping_action(sig, state), node)
-        assert node.sequence.last is state
-        nodes.append(node)
-    for node in nodes:
-        for phi in formulas:
-            assert evaluator.evaluate(node.sequence, phi, node.folds) is \
-                Evaluator(model).evaluate(node.sequence, phi)
-        for number, fold in enumerate(node.folds):
+    sig, model, seq = _instance(kind, rng, max_len=1)
+    actions = [_stepping_action(rng, sig, f"go{k}") for k in range(3)]
+    goals = [(_belief_formula(rng, sig), Ternary.TRUE),
+             (_random_formula(rng, sig), Ternary.FALSE)]
+    handed = {}
+    evaluate = Evaluator.evaluate
+
+    def recording(self, history, phi, folds=()):
+        if folds:
+            assert handed.setdefault(history, (self, folds)) == (self, folds)
+        return evaluate(self, history, phi, folds)
+
+    Evaluator.evaluate = recording
+    try:
+        breadth_first_plan(model, actions, seq[0], goals, max_depth=3)
+    finally:
+        Evaluator.evaluate = evaluate
+    for history, (evaluator, folds) in handed.items():
+        paths = evaluator._paths
+        assert len(folds) == len(paths.tables)
+        for number, fold in enumerate(folds):
             chain = _chain(paths, number)
-            source = node.sequence
+            source = history
             for viewers in chain[:-1]:
                 source = _by_definition(model, viewers, source)
             assert fold.row is _by_definition(model, chain[-1], source).last
