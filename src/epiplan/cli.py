@@ -196,15 +196,15 @@ def _cmd_solve(args) -> int:
                                 problem.goals, max_depth=max_depth,
                                 node_budget=args.node_budget,
                                 time_budget=args.time_budget)
-    row = _result_row(problem.name, result, _goal_text(problem))
-    if result.status == SOLVED:
-        if args.format == "text":
+    if args.format == "text":
+        # json and tsv give the status in `plan_length` and the exit code
+        if result.status == SOLVED:
             print("PLAN: " + (" ".join(result.plan) if result.plan else "(empty)"))
-    elif result.status == UNSOLVABLE:
-        print(f"UNSOLVABLE within depth {max_depth}")
-    else:
-        print("ABORTED: budget exhausted before the search finished")
-    _print_rows([row], args.format)
+        elif result.status == UNSOLVABLE:
+            print(f"UNSOLVABLE within depth {max_depth}")
+        else:
+            print("ABORTED: budget exhausted before the search finished")
+    _print_rows([_result_row(problem.name, result, _goal_text(problem))], args.format)
     if result.status == SOLVED:
         return 0
     if result.status == UNSOLVABLE:

@@ -364,29 +364,33 @@ def make_group(names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(dict.fromkeys(names)))
 
 
-def validate_formula(sig: Signature, phi: Formula) -> bool:
+_BELIEF, _COMMON_BELIEF = 1, 2   # the flags `validate_formula` returns
+
+
+def validate_formula(sig: Signature, phi: Formula) -> int:
     """Reject undeclared names, ill-typed atoms and beliefs nested under
     seeing/knowledge operators (the grammar forbids seeing or knowing a belief).
 
-    Returns whether a belief operator occurs in `phi`; a formula without one
-    reads only the last state of a sequence.
+    Returns the flags of the beliefs in `phi`: 0 when none occurs (the
+    formula reads only the last state of a sequence), else _BELIEF, with
+    _COMMON_BELIEF added when a common belief occurs.
     """
     return _validate(sig, phi, False)
 
 
-def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> bool:
+def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> int:
     if isinstance(phi, Atom):
         _validate_atom(sig, phi)
-        return False
+        return 0
     if isinstance(phi, Not):
         return _validate(sig, phi.child, inside_knowledge)
     if isinstance(phi, And):
         left = _validate(sig, phi.left, inside_knowledge)
-        return _validate(sig, phi.right, inside_knowledge) or left
+        return left | _validate(sig, phi.right, inside_knowledge)
     if isinstance(phi, GroupSeesVar):
         _check_group(sig, phi.group)
         sig.domain(phi.var)
-        return False
+        return 0
     if isinstance(phi, (GroupSees, GroupKnows)):
         _check_group(sig, phi.group)
         return _validate(sig, phi.child, True)
@@ -394,8 +398,8 @@ def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> bool:
         if inside_knowledge:
             raise ValidationError("a belief operator may not appear under seeing/knowledge")
         _check_group(sig, phi.group)
-        _validate(sig, phi.child, False)
-        return True
+        below = _validate(sig, phi.child, False)
+        return below | (_BELIEF | _COMMON_BELIEF if phi.mode is GroupMode.COMMON else _BELIEF)
     raise ValidationError(f"not a formula node: {phi!r}")
 
 

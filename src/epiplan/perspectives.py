@@ -482,9 +482,11 @@ def group_observation(model: ObservationModel, group: Iterable[str],
 # Axiom checking
 # --------------------------------------------------------------------------
 
+_SUBSTATES_PER_STATE = 2   # random sub-states `check_observation_axioms` probes
+
+
 def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
-                             states: Iterable[State], rng=None,
-                             substates_per_state: int = 2) -> None:
+                             states: Iterable[State], rng=None) -> None:
     """Verify containment, idempotence and monotonicity on sampled states,
     and that every declared-transparent variable is seen there.
 
@@ -500,7 +502,7 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
     for state in states:
         samples = [state]
         assigned = state.assigned()
-        for _ in range(substates_per_state):
+        for _ in range(_SUBSTATES_PER_STATE):
             keep = [v for v in assigned if rng.random() < 0.6]
             samples.append(state.restrict(keep))
         for sample in samples:

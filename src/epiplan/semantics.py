@@ -38,7 +38,7 @@ from .core import (
     interpret_atom,
     validate_formula,
 )
-from .core import _FALSE, _TRUE, _UNKNOWN, _VERDICT
+from .core import _COMMON_BELIEF, _FALSE, _TRUE, _UNKNOWN, _VERDICT
 from .perspectives import (
     FoldMemo,
     FoldPaths,
@@ -56,7 +56,6 @@ from .perspectives import (
 # member read off its class is a metaclass lookup, paid per group node visited
 _COMMON, _UNIFORM, _DISTRIBUTED = GroupMode.COMMON, GroupMode.UNIFORM, GroupMode.DISTRIBUTED
 _NEGATED = (_TRUE, _UNKNOWN, _FALSE)   # a verdict's negation, indexed by the verdict
-_BELIEF, _COMMON_BELIEF = 1, 2         # the flags `_beliefs` sets
 
 # A judge gives a formula's verdict from (evaluator, sequence, last state,
 # folds): the sequence only where a common belief needs it (None on a view
@@ -64,11 +63,12 @@ _BELIEF, _COMMON_BELIEF = 1, 2         # the flags `_beliefs` sets
 Judge = Callable[["Evaluator", Optional[StateSequence], State, Sequence[FoldState]], Ternary]
 
 
-# A formula made ready on one signature, to be judged on a whole sequence:
-# its judge, the paths its folds are walked along (ascending, parents
-# included), and its verdicts by last state when it holds no belief (None
-# otherwise). A plain tuple, which unpacks faster than a named one.
-_Judgement = Tuple[Judge, Tuple[int, ...], Optional[Dict[State, Ternary]]]
+# A formula's record on one signature: the formula and the signature (which
+# pin the ids that key it), its judge on whole sequences, the paths its folds
+# are walked along (ascending, parents included) and, when it holds no
+# belief, its verdicts by last state (else None). A plain tuple, which
+# unpacks faster than a named one.
+_Record = Tuple[Formula, Signature, Judge, Tuple[int, ...], Optional[Dict[State, Ternary]]]
 
 
 @dataclass
@@ -112,24 +112,25 @@ class Evaluator:
     identical truth values and identical fixed-point iteration counts, in any
     order. Besides its `stats`, which can be merged across instances, the
     evaluator keeps for its whole lifetime one `FoldMemo`, one `FoldPaths`
-    and each formula it has met, made ready once per signature. The memo
-    keeps what the folds have worked out: which variables each viewer group
-    sees in each state met so far, and every fold step taken, so a step met
-    again is read back. It also holds the views the common fixed point built
-    over the sequence of the latest call that needed one. The paths are
-    those the formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and
+    and a record of each formula it has met, made once per signature. The
+    memo keeps what the folds have worked out: which variables each viewer
+    group sees in each state met so far, and every fold step taken, so a
+    step met again is read back. It also holds the views the common fixed
+    point built over the sequence of the latest call that needed one. The
+    paths are those the formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and
     `(DB (a) φ)` reach one path. The memo grows with the distinct states and
     fold states met; the view states themselves are kept by their signature,
     one object per distinct state.
 
-    A belief-free formula reads only the last state of a sequence, so the
-    evaluator keeps, for each one it has met, on its own or as the child of
-    a belief, its verdict per last state (or view row): such a formula is
-    judged once per distinct state, and read back after. These tables grow
-    with the distinct states times the belief-free formulas met. A verdict
-    read back is still a call: `stats` counts and times it like any other.
-    The memos make an evaluator unsafe to share between threads; use one per
-    thread.
+    A belief-free formula reads only the last state of a sequence, so its
+    record keeps its verdict per last state: one table, shared by every
+    reader of the formula, be it `evaluate`, a belief over it (on view rows
+    or views) or seeing and knowledge over it (on the state they are judged
+    on; observations are judged afresh). Such a formula is judged once per
+    distinct state and read back after. These tables grow with the
+    distinct states times the belief-free formulas met. A verdict read back
+    is still a call: `stats` counts and times it like any other. The memos
+    make an evaluator unsafe to share between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):
@@ -137,10 +138,8 @@ class Evaluator:
         self.stats = EvalStats()
         self._memo = FoldMemo()
         self._paths = FoldPaths()
-        # (formula id, signature id) of each formula met, mapped to the pair
-        # itself, so that neither id can be recycled, followed by its
-        # judgement's three parts
-        self._formulas: dict[tuple[int, int], tuple] = {}
+        # the record of each formula met, by (formula id, signature id)
+        self._formulas: dict[tuple[int, int], _Record] = {}
 
     def evaluate(self, seq: StateSequence, phi: Formula,
                  folds: Sequence[FoldState] = ()) -> Ternary:
@@ -149,24 +148,19 @@ class Evaluator:
         carries them (`fold_states`, `step_folds`); where it does not cover
         `phi`'s paths, they are walked over `seq`."""
         last = seq[-1]
-        sig = last.sig
-        key = (id(phi), id(sig))
-        entry = self._formulas.get(key)
-        if entry is None:
-            entry = self._formulas[key] = (phi, sig) + self._prepare(phi, sig)
-        verdicts = entry[4]
+        record = self._formulas.get((id(phi), id(last.sig)))
+        if record is None:
+            record = self._record(phi, last.sig)
+        verdicts = record[4]
         start = perf_counter()
         try:
             if verdicts is None:
                 self._memo.target = seq
-                numbers = entry[3]
-                if numbers and len(folds) <= numbers[-1]:
-                    folds = self._paths.walk(seq, numbers)
-                result = entry[2](self, seq, last, folds)
+                result = _on_sequence(self, record, seq, folds)
             else:
                 result = verdicts.get(last)
                 if result is None:
-                    result = verdicts[last] = entry[2](self, seq, last, ())
+                    result = verdicts[last] = record[2](self, seq, last, ())
         finally:
             stats = self.stats
             stats.external_calls += 1
@@ -178,12 +172,9 @@ class Evaluator:
     def fold_states(self, seq: StateSequence, formulas: Sequence[Formula]
                     ) -> Tuple[FoldState, ...]:
         """The folds over `seq` along every path this evaluator knows, once
-        `formulas` are made ready on `seq`'s signature (their paths known)."""
-        sig = seq.sig
+        `formulas` are recorded on `seq`'s signature (their paths known)."""
         for phi in formulas:
-            key = (id(phi), id(sig))
-            if key not in self._formulas:
-                self._formulas[key] = (phi, sig) + self._prepare(phi, sig)
+            self._record(phi, seq.sig)
         return tuple(self._paths.walk(seq, range(len(self._paths.tables))))
 
     def step_folds(self, folds: Tuple[FoldState, ...], state: State) -> Tuple[FoldState, ...]:
@@ -194,16 +185,26 @@ class Evaluator:
     # -- dispatch -----------------------------------------------------------
     #
     # The one dispatch on formula types: each node becomes a judge once per
-    # (formula, signature). Judges hold no reference to the evaluator, which
-    # holds them, so no reference cycle forms; they are handed it per call.
+    # (formula, signature), and a formula judged on whole sequences or
+    # states, rather than on a path's rows, has one record. Judges hold no
+    # reference to the evaluator, which holds them, so no reference cycle
+    # forms; they are handed it per call.
 
-    def _prepare(self, phi: Formula, sig: Signature) -> _Judgement:
-        """`phi`, validated and made ready on `sig`, to be judged on whole
-        sequences."""
-        beliefs = validate_formula(sig, phi)
-        numbers: Set[int] = set()
-        judge = self._compile(phi, sig, -1, numbers)
-        return judge, tuple(sorted(numbers)), None if beliefs else {}
+    def _record(self, phi: Formula, sig: Signature, beliefs: Optional[int] = None) -> _Record:
+        """The record of `phi` on `sig`; on first use `phi` is validated,
+        compiled to be judged on whole sequences and stored. `beliefs`, the
+        flags `validate_formula` gives `phi`, are passed where `phi` is part
+        of a formula validated on `sig` already, and spare the walk."""
+        key = (id(phi), id(sig))
+        record = self._formulas.get(key)
+        if record is None:
+            if beliefs is None:
+                beliefs = validate_formula(sig, phi)
+            numbers: Set[int] = set()
+            judge = self._compile(phi, sig, -1, numbers)
+            record = self._formulas[key] = (phi, sig, judge, tuple(sorted(numbers)),
+                                            None if beliefs else {})
+        return record
 
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
         """The judge of `phi` on the view along path `at` (-1: the sequence
@@ -230,10 +231,10 @@ class Evaluator:
                 return ev._group_sees(last, phi, None)
         elif isinstance(phi, (GroupSees, GroupKnows)):
             # belief-free below seeing, so the child reads one state alone
-            child = self._compile(phi.child, sig, -1, set())
+            inner = self._record(phi.child, sig, 0)
 
             def judge(ev, seq, last, folds):
-                return ev._group_sees(last, phi, child)
+                return ev._group_sees(last, phi, inner)
         elif isinstance(phi, GroupBelieves):
             return self._compile_belief(phi, sig, at, numbers)
         else:
@@ -249,15 +250,16 @@ class Evaluator:
     # pooled (D) or the common (C) one.
 
     def _group_sees(self, last: State, phi: GroupSeesVar | GroupSees | GroupKnows,
-                    child: Optional[Judge]) -> Ternary:
+                    inner: Optional[_Record]) -> Ternary:
         """Whether `phi.group` sees `phi.var` or settles `phi.child` (and, to
-        know it, the child holds); `child` judges `phi.child`."""
+        know it, the child holds); `inner` is `phi.child`'s record, whose
+        table keeps the child's verdict on `last` but not on observations."""
         group = phi.group
-        if child is None:
+        if inner is None:
             if phi.var not in last:
                 return _UNKNOWN
         else:
-            held = child(self, None, last, ())
+            held = _on_state(self, inner, last)
             if held is _UNKNOWN or held is _FALSE and isinstance(phi, GroupKnows):
                 return held
         # an observation is None (unknown) where the members it needs are absent
@@ -272,10 +274,10 @@ class Evaluator:
         for observed in observations:
             if observed is None:
                 seen = _UNKNOWN
-            elif child is None:
+            elif inner is None:
                 seen = _VERDICT[phi.var in observed]
             else:
-                seen = _VERDICT[child(self, None, observed, ()) is not _UNKNOWN]
+                seen = _VERDICT[inner[2](self, None, observed, ()) is not _UNKNOWN]
             verdict = min(verdict, seen)
         return verdict
 
@@ -286,18 +288,17 @@ class Evaluator:
         """A belief without a common belief in it reads the last rows of its
         viewers' paths; any other is judged on whole view sequences."""
         group, mode = phi.group, phi.mode
-        below = _beliefs(phi.child)
+        below = validate_formula(sig, phi.child)   # valid already; this reads its flags
         if mode is _COMMON or below & _COMMON_BELIEF:
             # only ever met on a whole sequence: a path belief's child holds no C
-            return _on_views(phi, self._prepare(phi.child, sig))
+            return _on_views(phi, self._record(phi.child, sig, below))
         viewers = [(i,) for i in group] if mode is _UNIFORM else [group]
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
                  for members in viewers]
         numbers.update(paths)
         if not below:
-            # belief-free: the verdict is the row's, kept per row
-            child = self._compile(phi.child, sig, -1, set())
-            verdicts: Dict[State, Ternary] = {}
+            # belief-free: the verdict is the row's, read from the child's record
+            _, _, child, _, verdicts = self._record(phi.child, sig, 0)
 
             def judge(ev, seq, last, folds):
                 verdict = _TRUE
@@ -327,36 +328,31 @@ class Evaluator:
         return judge
 
 
-def _beliefs(phi: Formula) -> int:
-    """The flags of the beliefs in `phi`: _BELIEF for any, _COMMON_BELIEF
-    for a common one."""
-    if isinstance(phi, And):
-        return _beliefs(phi.left) | _beliefs(phi.right)
-    if isinstance(phi, Not):
-        return _beliefs(phi.child)
-    if isinstance(phi, GroupBelieves):
-        return _beliefs(phi.child) | (_BELIEF | _COMMON_BELIEF if phi.mode is _COMMON
-                                      else _BELIEF)
-    return 0   # beliefs never sit under seeing or knowledge
-
-
-def _on_sequence(ev: Evaluator, inner: _Judgement, seq: StateSequence) -> Ternary:
-    """`inner`'s verdict on the whole sequence `seq`, as `evaluate` gives it
-    but not counted as a call."""
-    judge, numbers, verdicts = inner
-    last = seq[-1]
-    if verdicts is None:
-        return judge(ev, seq, last, ev._paths.walk(seq, numbers) if numbers else ())
-    found = verdicts.get(last)
+def _on_state(ev: Evaluator, record: _Record, state: State) -> Ternary:
+    """A belief-free `record`'s verdict on `state`, read from its table."""
+    verdicts = record[4]
+    found = verdicts.get(state)
     if found is None:
-        found = verdicts[last] = judge(ev, seq, last, ())
+        found = verdicts[state] = record[2](ev, None, state, ())
     return found
 
 
-def _on_views(phi: GroupBelieves, inner: _Judgement) -> Judge:
+def _on_sequence(ev: Evaluator, record: _Record, seq: StateSequence,
+                 folds: Sequence[FoldState] = ()) -> Ternary:
+    """`record`'s verdict on the whole sequence `seq`, as `evaluate` gives
+    it but not counted as a call; `folds` as `evaluate` takes them."""
+    if record[4] is not None:
+        return _on_state(ev, record, seq[-1])
+    numbers = record[3]
+    if numbers and len(folds) <= numbers[-1]:
+        folds = ev._paths.walk(seq, numbers)
+    return record[2](ev, seq, seq[-1], folds)
+
+
+def _on_views(phi: GroupBelieves, inner: _Record) -> Judge:
     """The judge of a belief on whole view sequences: the pooled view (D),
-    each member's (E) or the common fixed point (C), with `inner` judged on
-    every distinct view."""
+    each member's (E) or the common fixed point (C), with `inner`, the
+    child's record, judged on every distinct view."""
     group, mode = phi.group, phi.mode
 
     def judge(ev, seq, last, folds):

@@ -174,8 +174,7 @@ def test_criterion_7_observation_axiom_suite():
     for set_name, problem_name in (("number", "n0"), ("grapevine", "g0"), ("bbl", "bbl0")):
         domain, _ = load_benchmark(set_name, problem_name)
         states = random_states(rng, domain.signature, 1000)
-        check_observation_axioms(domain.model, domain.signature.agents, states,
-                                 rng=rng, substates_per_state=2)
+        check_observation_axioms(domain.model, domain.signature.agents, states, rng=rng)
     from epiplan.core import Signature
     sig = Signature(["a", "b"], {"flag": (True, False), "v1": (0, 1, 2)})
     states = random_states(rng, sig, 60)

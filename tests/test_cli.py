@@ -47,6 +47,23 @@ class TestSolve:
         assert header[0] == "id"
         assert row[header.index("plan_length")] == "2"
 
+    @pytest.mark.parametrize("limit, code, status", [
+        (["--max-depth", "0"], 3, "unsolvable"),
+        (["--node-budget", "1"], 4, "aborted"),
+    ])
+    def test_machine_formats_hold_only_rows_when_unsolved(self, paths, capsys,
+                                                          limit, code, status):
+        """json and tsv output give the status in `plan_length` and the exit
+        code; the text status line would break them."""
+        args = ["solve", paths["number.dom"], paths["n1.prob"], *limit]
+        assert main(args + ["--format", "json"]) == code
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[0]["plan_length"] == status
+        assert main(args + ["--format", "tsv"]) == code
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split("\t")[0] == "id"
+        assert row.split("\t")[header.split("\t").index("plan_length")] == status
+
     def test_goal_already_true(self, paths, capsys, tmp_path):
         prob = tmp_path / "easy.prob"
         prob.write_text("problem easy\ndomain number\n"

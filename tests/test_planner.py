@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,7 @@ from epiplan.core import (
     ValidationError,
     Var,
 )
+from epiplan.oracle import InstanceTooLarge, complete_eval
 from epiplan.parser import parse_formula
 from epiplan.planner import (
     ABORTED,
@@ -342,9 +343,8 @@ def _same_search(model, actions, initial, goals, max_depth):
     return result, dropped
 
 
-def _random_action(rng, sig, name):
-    """An action of one or two set, copy or add effects, with no
-    precondition, a belief-free one or a belief of one agent."""
+def _random_effects(rng, sig):
+    """One or two set, copy or add effects."""
     variables = [v for v in sig.variables if not sig.is_agent(v)]
     # effects write variables with more than one value, so that siblings
     # differ and the tree grows; the flag always has two
@@ -360,6 +360,13 @@ def _random_action(rng, sig, name):
             effects.append(Effect(var, "copy", rng.choice(variables)))
         else:
             effects.append(Effect(var, "set", rng.choice(domain)))
+    return tuple(effects)
+
+
+def _random_action(rng, sig, name):
+    """An action of one or two set, copy or add effects, with no
+    precondition, a belief-free one or a belief of one agent."""
+    effects = _random_effects(rng, sig)
     roll = rng.randrange(4)
     if roll < 2:
         pre = None
@@ -367,7 +374,7 @@ def _random_action(rng, sig, name):
         pre = random_belief_free_formula(rng, sig, 1)
     else:
         pre = Believes(rng.choice(sig.agents), random_belief_free_formula(rng, sig, 0))
-    return Action(name, pre, tuple(effects))
+    return Action(name, pre, effects)
 
 
 def test_sibling_pruning_matches_full_history_set_with_belief_goals():
@@ -385,6 +392,75 @@ def test_sibling_pruning_matches_full_history_set_with_belief_goals():
         dropped += _same_search(model, actions, seq[0], goals, rng.randint(3, 6))[1]
     # the instances do make siblings reach one state
     assert dropped > 0
+
+
+def _belief_over_atom(rng, sig):
+    """B, EB, DB or CB of a random group over one atom."""
+    var = rng.choice([v for v in sig.variables if not sig.is_agent(v)])
+    atom = Atom("=" if rng.random() < 0.7 else "!=", var, rng.choice(sig.domain(var)))
+    group = tuple(a for a in sig.agents if rng.random() < 0.6) or sig.agents[:1]
+    if rng.random() < 0.25:
+        return Believes(rng.choice(sig.agents), atom)
+    return GroupBelieves(rng.choice(list(GroupMode)), group, atom)
+
+
+def _replay_under_oracle(model, actions, initial, plan, goals, ceiling):
+    """Replay `plan`, asserting with the exhaustive semantics that every
+    precondition holds before its action and every TRUE or FALSE goal meets
+    its target at the end."""
+    by_name = {action.name: action for action in actions}
+    evaluator = Evaluator(model)
+    node = SearchNode(StateSequence([initial]), ())
+    for name in plan:
+        action = by_name[name]
+        if action.precondition is not None:
+            assert complete_eval(model, node.sequence, action.precondition, ceiling), \
+                (plan, name, action.precondition)
+        node = apply_action(evaluator, action, node)
+    for phi, target in goals:
+        if target is not Ternary.UNKNOWN:
+            claim = phi if target is Ternary.TRUE else Not(phi)
+            assert complete_eval(model, node.sequence, claim, ceiling), (plan, claim)
+
+
+def test_every_plan_replays_under_the_oracle():
+    """Plans for random small rule-table instances whose preconditions and
+    goals are one belief over an atom hold under `oracle.complete_eval`.
+    The goals take their targets from the end of a random walk where the
+    start misses them, so a plan of a step or more exists. Seeing and
+    knowledge stay out: ROADMAP item 1's defect is theirs. A plan whose
+    history outgrows the completion ceiling is skipped."""
+    rng = random.Random(29)
+    lengths, skipped = Counter(), 0
+    for _ in range(600):
+        sig, model, seq = random_instance(rng, max_vars=4, max_len=1)
+        actions = tuple(Action(f"act{k}", _belief_over_atom(rng, sig)
+                               if rng.random() < 0.7 else None, _random_effects(rng, sig))
+                        for k in range(rng.randint(3, 5)))
+        evaluator = Evaluator(model)
+        walk = SearchNode(seq, ())
+        for _ in range(rng.randint(2, 4)):
+            children = [child for child in (apply_action(evaluator, action, walk)
+                                            for action in actions) if child is not None]
+            walk = rng.choice(children or [walk])
+        # goals the walk's end meets and the start does not
+        goals = [(phi, evaluator.evaluate(walk.sequence, phi))
+                 for phi in (_belief_over_atom(rng, sig) for _ in range(4))]
+        goals = [(phi, target) for phi, target in goals
+                 if evaluator.evaluate(seq, phi) is not target][:2]
+        if not goals:
+            continue
+        result = breadth_first_plan(model, actions, seq[0], goals, max_depth=4)
+        assert result.status == SOLVED
+        try:
+            _replay_under_oracle(model, actions, seq[0], result.plan, goals, ceiling=20_000)
+        except InstanceTooLarge:
+            skipped += 1
+        else:
+            lengths[len(result.plan)] += 1
+    # most plans are checked, and some take more than one step
+    assert skipped < 10 and sum(lengths.values()) >= 150, (skipped, lengths)
+    assert sum(count for length, count in lengths.items() if length > 1) >= 5, lengths
 
 
 # --------------------------------------------------------------------------

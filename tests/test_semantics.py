@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_belief_free_formula, random_instance
+from epiplan.cli import load_benchmark
 from epiplan.core import (
     And,
     Atom,
@@ -23,6 +24,7 @@ from epiplan.core import (
     ValidationError,
 )
 from epiplan.parser import parse_formula
+from epiplan.perspectives import justified_perspective
 from epiplan.semantics import EvalStats, Evaluator
 
 
@@ -292,6 +294,30 @@ class TestVerdictMemo:
             fresh_counts += fresh.stats.cf_iteration_counts
         assert ev.stats.external_calls == 40
         assert ev.stats.cf_iteration_counts == fresh_counts
+
+    def test_nested_beliefs_share_one_verdict_table(self, monkeypatch):
+        """`(EB G (EB G φ))` reads φ on the last row of j's view of i's view
+        for all i, j in G: 16 paths on grapevine's four agents. φ is judged
+        once per distinct row, however many paths end there."""
+        from epiplan import semantics
+
+        domain, problem = load_benchmark("grapevine", "g2")
+        seq = StateSequence([problem.initial])
+        model = domain.model
+        agents = ("a", "b", "c", "d")
+        rows = {justified_perspective(model, j, justified_perspective(model, i, seq))[-1]
+                for i in agents for j in agents}
+        phi = parse_formula("(EB (a b c d) (EB (a b c d) (= sct_a t)))", domain.signature)
+        read = []
+        original = semantics.interpret_atom
+
+        def counting(state, atom):
+            read.append(state)
+            return original(state, atom)
+
+        monkeypatch.setattr(semantics, "interpret_atom", counting)
+        assert Evaluator(model).evaluate(seq, phi) is Ternary.UNKNOWN
+        assert sorted(map(id, read)) == sorted(map(id, rows))
 
 
 class TestErrors:
