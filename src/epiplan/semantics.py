@@ -286,7 +286,9 @@ class Evaluator:
     def _compile_belief(self, phi: GroupBelieves, sig: Signature, at: int,
                         numbers: Set[int]) -> Judge:
         """A belief without a common belief in it reads the last rows of its
-        viewers' paths; any other is judged on whole view sequences."""
+        viewers' paths; any other is judged on whole view sequences. A child
+        with beliefs read on those rows gets no record: compiled on the
+        sequence, it would add paths that every search node steps."""
         group, mode = phi.group, phi.mode
         below = validate_formula(sig, phi.child)   # valid already; this reads its flags
         if mode is _COMMON or below & _COMMON_BELIEF:
