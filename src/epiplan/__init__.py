@@ -43,7 +43,6 @@ from .oracle import CompletionSpace, InstanceTooLarge, complete_eval
 from .planner import (
     Action,
     Effect,
-    FoldedNode,
     PlanResult,
     SearchNode,
     apply_action,

@@ -31,17 +31,11 @@ REPORT_COLUMNS = ("id", "expanded", "generated", "common_max", "common_avg",
                   "external_calls", "avg_call_ms", "total_time_s", "plan_length",
                   "goals")
 
+# each set's (instance id, benchmark directory, problem) triples, indices 0-6
 BENCH_SETS = {
-    "number": [("N0", "number", "n0"), ("N1", "number", "n1"), ("N2", "number", "n2"),
-               ("N3", "number", "n3"), ("N4", "number", "n4"), ("N5", "number", "n5"),
-               ("N6", "number", "n6")],
-    "grapevine": [("G0", "grapevine", "g0"), ("G1", "grapevine", "g1"),
-                  ("G2", "grapevine", "g2"), ("G3", "grapevine", "g3"),
-                  ("G4", "grapevine", "g4"), ("G5", "grapevine", "g5"),
-                  ("G6", "grapevine", "g6")],
-    "bbl": [("BBL0", "bbl", "bbl0"), ("BBL1", "bbl", "bbl1"), ("BBL2", "bbl", "bbl2"),
-            ("BBL3", "bbl", "bbl3"), ("BBL4", "bbl", "bbl4"), ("BBL5", "bbl", "bbl5"),
-            ("BBL6", "bbl", "bbl6")],
+    directory: [(f"{tag}{i}", directory, f"{stem}{i}") for i in range(7)]
+    for tag, directory, stem in (("N", "number", "n"), ("G", "grapevine", "g"),
+                                 ("BBL", "bbl", "bbl"))
 }
 
 

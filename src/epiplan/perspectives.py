@@ -14,8 +14,9 @@ input's last values) and the next input state. A `FoldMemo` carries what has
 been worked out across builds and observations: which variables a group of
 viewers sees in a state, and each step taken, so a step met again is read
 back rather than redone; equal fold states and equal masks are one object.
-The memo also keeps the views the common fixed point builds over one
-sequence, so several fixed points on that sequence share them.
+The memo also holds the views the common fixed point builds, so fixed
+points over the same sequences share them until the memo's owner empties
+its `views`.
 
 Views are prefix-closed: the view of s_0..s_t is the first t + 1 rows of the
 view of any longer sequence. So a view need not be built to be read. A
@@ -200,33 +201,17 @@ class FoldMemo:
     (viewers, fold state, input state). The memo grows with the distinct
     states and fold states it meets.
 
-    `view` also keeps the one-agent views the common fixed point builds over
-    one sequence, keyed by (viewers, input), where an input is that sequence
-    or a view over it. Set `target` to the sequence about to be evaluated;
-    the first view asked for after it changes drops the views held. While
-    `target` stays None, views are kept for as long as the memo.
+    `views` holds the one-agent views the common fixed point builds, keyed
+    by (agent, input), where an input is the sequence a fixed point starts
+    from or a view over it. They stay until the memo's owner empties the
+    table, as an `Evaluator` does at the start of each `evaluate` call.
     """
 
-    __slots__ = ("visibility", "target", "_focus", "_views")
+    __slots__ = ("visibility", "views")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
-        self.target: Optional[StateSequence] = None
-        self._focus: Optional[StateSequence] = None
-        self._views: Dict[Tuple[Tuple[str, ...], StateSequence], StateSequence] = {}
-
-    def view(self, model: ObservationModel, agent: str, seq: StateSequence) -> StateSequence:
-        """`agent`'s view of `seq`, held or built by `justified_perspective`
-        (looked up at call time, so a wrapper installed on that name, as the
-        benchmark's tracer does, sees every build)."""
-        if self._focus is not self.target:
-            self._focus = self.target
-            self._views = {}
-        key = ((agent,), seq)
-        found = self._views.get(key)
-        if found is None:
-            found = self._views[key] = justified_perspective(model, agent, seq, self)
-        return found
+        self.views: Dict[Tuple[str, StateSequence], StateSequence] = {}
 
 
 def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
@@ -432,20 +417,27 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
     Each iteration replaces the current set S with the union of all members'
     perspectives of every sequence in S; convergence is reached when the set
     stops changing. One iteration is counted per application, including the
-    one that confirms stability. Views are read through `memo` (a fresh one
-    if not given), so each (member, sequence) view is built once.
+    one that confirms stability. Views are held in `memo.views` (a fresh
+    memo if not given), so each (member, sequence) view is built once, by
+    `justified_perspective` looked up at call time (a wrapper installed on
+    that name, as the benchmark's tracer does, sees every build).
     """
     members = _members(group)
     views = frozenset([seq])
     bound = 2 ** (len(seq.sig.variables) * len(seq))
-    view = (FoldMemo() if memo is None else memo).view
+    if memo is None:
+        memo = FoldMemo()
+    held = memo.views
     iterations = 0
     while True:
         iterations += 1
         grown = set()
         for w in views:
             for i in members:
-                grown.add(view(model, i, w))
+                found = held.get((i, w))
+                if found is None:
+                    found = held[(i, w)] = justified_perspective(model, i, w, memo)
+                grown.add(found)
         frozen = frozenset(grown)
         if frozen == views:
             return frozen, FixedPointStats(iterations, len(frozen))

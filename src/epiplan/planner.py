@@ -37,7 +37,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -85,38 +84,19 @@ class Action:
 
 
 class SearchNode(NamedTuple):
-    """A history and the plan that produced it; a tuple, so immutable.
+    """A history, the plan that produced it and the history's fold states;
+    a tuple, so immutable.
 
-    `folds` are the history's fold states along the search evaluator's
-    viewer paths (`Evaluator.fold_states`): none on a node made this way,
-    and a belief's are then walked over the history. A node that carries
-    some is a `FoldedNode`, whose third item they are; they are numbered by
-    that evaluator's paths, so only that evaluator may apply or test it.
+    `folds` are the fold states along the search evaluator's viewer paths
+    (`Evaluator.fold_states`); a node built with none has its beliefs'
+    folds walked over the history. They are numbered by that evaluator's
+    paths, so only that evaluator may apply or test a node that carries
+    some.
     """
 
     sequence: StateSequence
     plan: Tuple[str, ...]
-    folds = ()
-
-
-class FoldedNode(SearchNode):
-    """A `SearchNode` with its fold states, a third item.
-
-    A tuple subclass is allocated with room for one item more than it holds,
-    so a third field on every node would move each node from the 64-byte
-    to the 80-byte size class; a search that reaches no viewer path keeps
-    two-item nodes.
-    """
-
-    __slots__ = ()
-    folds = property(itemgetter(2), doc="The fold states along the viewer paths.")
-
-    def __new__(cls, sequence: StateSequence, plan: Tuple[str, ...],
-                folds: Tuple[FoldState, ...]) -> "FoldedNode":
-        return tuple.__new__(cls, (sequence, plan, folds))
-
-    def __repr__(self) -> str:
-        return f"FoldedNode(sequence={self[0]!r}, plan={self[1]!r}, folds={self[2]!r})"
+    folds: Tuple[FoldState, ...] = ()
 
 
 Goal = Tuple[Formula, Ternary]
@@ -243,7 +223,7 @@ def breadth_first_plan(model: ObservationModel,
     formulas = [action.precondition for action in actions if action.precondition is not None]
     formulas += [phi for phi, _ in goals]
     folds = evaluator.fold_states(history, formulas)
-    root = FoldedNode(history, (), folds) if folds else SearchNode(history, ())
+    root = SearchNode(history, (), folds)
     expanded = 0
     generated = 1
     if satisfied(root):
@@ -273,7 +253,7 @@ def breadth_first_plan(model: ObservationModel,
             queued.add(last)
             if folds:
                 # kept, so its fold states are needed: one step per path
-                child = FoldedNode(child.sequence, child.plan, evaluator.step_folds(folds, last))
+                child = SearchNode(child.sequence, child.plan, evaluator.step_folds(folds, last))
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
             frontier.append(child)

@@ -57,6 +57,13 @@ from .perspectives import (
 _COMMON, _UNIFORM, _DISTRIBUTED = GroupMode.COMMON, GroupMode.UNIFORM, GroupMode.DISTRIBUTED
 _NEGATED = (_TRUE, _UNKNOWN, _FALSE)   # a verdict's negation, indexed by the verdict
 
+# The most viewer paths a belief chain (a belief judged on the sequence and
+# the beliefs below it) may reach and still be judged on them; each path is
+# stepped at every search node, and k nested E beliefs over a group of g
+# reach g + g² + ... + g^k. A chain past it is judged on views (`_on_views`),
+# and its child decides afresh.
+_MAX_BELIEF_PATHS = 64
+
 # A judge gives a formula's verdict from (evaluator, sequence, last state,
 # folds): the sequence only where a common belief needs it (None on a view
 # row), and the folds along the evaluator's paths, indexed by path number.
@@ -116,11 +123,13 @@ class Evaluator:
     memo keeps what the folds have worked out: which variables each viewer
     group sees in each state met so far, and every fold step taken, so a
     step met again is read back. It also holds the views the common fixed
-    point built over the sequence of the latest call that needed one. The
-    paths are those the formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and
-    `(DB (a) φ)` reach one path. The memo grows with the distinct states and
-    fold states met; the view states themselves are kept by their signature,
-    one object per distinct state.
+    point builds for one `evaluate` call: a call that judges a belief
+    empties them first. The paths are those the formulas' beliefs reach;
+    `(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` reach one path, and a belief
+    chain is judged on paths only while it reaches at most
+    `_MAX_BELIEF_PATHS`. The memo grows with the distinct states and fold
+    states met; the view states themselves are kept by their signature, one
+    object per distinct state.
 
     A belief-free formula reads only the last state of a sequence, so its
     record keeps its verdict per last state: one table, shared by every
@@ -155,7 +164,7 @@ class Evaluator:
         start = perf_counter()
         try:
             if verdicts is None:
-                self._memo.target = seq
+                self._memo.views.clear()
                 result = _on_sequence(self, record, seq, folds)
             else:
                 result = verdicts.get(last)
@@ -286,13 +295,16 @@ class Evaluator:
     def _compile_belief(self, phi: GroupBelieves, sig: Signature, at: int,
                         numbers: Set[int]) -> Judge:
         """A belief without a common belief in it reads the last rows of its
-        viewers' paths; any other is judged on whole view sequences. A child
-        with beliefs read on those rows gets no record: compiled on the
+        viewers' paths, if the chain it tops reaches at most
+        `_MAX_BELIEF_PATHS`; any other is judged on whole view sequences. A
+        child with beliefs read on those rows gets no record: compiled on the
         sequence, it would add paths that every search node steps."""
         group, mode = phi.group, phi.mode
         below = validate_formula(sig, phi.child)   # valid already; this reads its flags
-        if mode is _COMMON or below & _COMMON_BELIEF:
-            # only ever met on a whole sequence: a path belief's child holds no C
+        if (mode is _COMMON or below & _COMMON_BELIEF
+                or at < 0 and _paths_reached(phi) > _MAX_BELIEF_PATHS):
+            # only ever met on a whole sequence: a path belief's child holds
+            # no C, and the top of its chain found the chain's paths in bound
             return _on_views(phi, self._record(phi.child, sig, below))
         viewers = [(i,) for i in group] if mode is _UNIFORM else [group]
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
@@ -328,6 +340,20 @@ class Evaluator:
                     verdict = _UNKNOWN
             return verdict
         return judge
+
+
+def _paths_reached(phi: Formula) -> int:
+    """How many viewer paths the beliefs in `phi`, which holds no common
+    belief, reach: a path is counted once per belief that reaches it, so
+    the count is never below the number of distinct paths."""
+    if isinstance(phi, GroupBelieves):
+        groups = len(phi.group) if phi.mode is _UNIFORM else 1
+        return groups * (1 + _paths_reached(phi.child))
+    if isinstance(phi, Not):
+        return _paths_reached(phi.child)
+    if isinstance(phi, And):
+        return _paths_reached(phi.left) + _paths_reached(phi.right)
+    return 0
 
 
 def _on_state(ev: Evaluator, record: _Record, state: State) -> Ternary:

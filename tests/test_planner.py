@@ -28,7 +28,6 @@ from epiplan.planner import (
     UNSOLVABLE,
     Action,
     Effect,
-    FoldedNode,
     SearchNode,
     apply_action,
     breadth_first_plan,
@@ -145,6 +144,20 @@ class TestSearch:
                                     problem.goals, max_depth=problem.max_depth)
         assert (result.expanded, result.generated, result.external_calls) == (17, 164, 521)
         assert (result.common_max, result.common_avg) == (3, 75 / 34)
+
+    def test_deep_e_belief_goal_keeps_its_plan(self):
+        # seven nested EB over four agents would reach 21,844 viewer paths,
+        # each stepped at every node; its top is judged on views instead,
+        # and the plan and node counts stay those of the search on paths
+        domain, problem = load_benchmark("grapevine", "g2")
+        text = "(= sct_a t)"
+        for _ in range(7):
+            text = f"(EB (a b c d) {text})"
+        goals = ((parse_formula(text, domain.signature), Ternary.TRUE),)
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    goals, max_depth=3)
+        assert result.status == SOLVED and len(result.plan) == 3
+        assert result.generated == 170
 
     def test_node_budget_aborts(self, n1):
         # the root always counts, so a budget below 1 still generates it
@@ -603,13 +616,13 @@ def test_effects_apply_in_order():
 def test_search_node_is_immutable(n1):
     domain, problem = n1
     node = _root(problem)
-    assert (node.sequence, node.plan) == tuple(node) and node.folds == ()
-    # a node that carries fold states holds them as a third item
+    # a node built from (sequence, plan) has three items, the folds empty
+    assert (node.sequence, node.plan, ()) == tuple(node) and node.folds == ()
     evaluator = Evaluator(domain.model)
     folds = evaluator.fold_states(node.sequence, [parse_formula("(B a (= n 2))",
                                                                 domain.signature)])
-    folded = FoldedNode(node.sequence, node.plan, folds)
-    assert isinstance(folded, SearchNode) and len(folded.folds) == len(folds) == 1
+    folded = SearchNode(node.sequence, node.plan, folds)
+    assert len(folded) == 3 and len(folded.folds) == len(folds) == 1
     assert (folded.sequence, folded.plan, folded.folds) == tuple(folded)
     for each in (node, folded):
         with pytest.raises(AttributeError):
@@ -618,5 +631,3 @@ def test_search_node_is_immutable(n1):
             each.folds = ()
         with pytest.raises(AttributeError):
             each.extra = 1
-    with pytest.raises(AttributeError):
-        node.extra = 1

@@ -216,23 +216,75 @@ def test_long_lived_evaluator_matches_fresh_ones(kind, seed):
              for phi in formulas]
     long_lived = Evaluator(model)
     fresh_counts = []
+    over = {}
     for seq, phi in calls:
         fresh = Evaluator(model)
         assert long_lived.evaluate(seq, phi) is fresh.evaluate(seq, phi), phi
         fresh_counts.extend(fresh.stats.cf_iteration_counts)
+        if seq not in over:
+            over[seq] = _views_over(model, seq)
+        _assert_held_for_one_call(long_lived, over[seq])
     assert long_lived.stats.cf_iteration_counts == fresh_counts
 
 
 def _cached(evaluator):
-    """The evaluator's cached views, keyed by (viewers, input)."""
-    return dict(evaluator._memo._views)
+    """The views the evaluator holds, keyed by (agent, input)."""
+    return dict(evaluator._memo.views)
+
+
+def _views_over(model, seq):
+    """`seq` and every view over it, pooled or individual, of any depth."""
+    agents = seq.sig.agents
+    groups = [group for size in range(1, len(agents) + 1)
+              for group in itertools.combinations(agents, size)]
+    memo = FoldMemo()
+    over, todo = {seq}, [seq]
+    while todo:
+        source = todo.pop()
+        for group in groups:
+            view = distributed_perspective(model, group, source, memo)
+            if view not in over:
+                over.add(view)
+                todo.append(view)
+    return over
+
+
+def _assert_held_for_one_call(evaluator, over):
+    """After a call on a sequence that judged a belief, every view held was
+    built in that call: it and its input are in `over`, the sequence and
+    the views over it (`_views_over`)."""
+    cached = _cached(evaluator)
+    assert {source for _, source in cached} | set(cached.values()) <= over
+
+
+def test_views_are_held_for_one_call(number_dom, plan1):
+    """An evaluator reused on interleaved sequences (A, B, A) gives the
+    verdicts and fixed-point iteration counts of fresh evaluators, and
+    after each call holds only the views that call built."""
+    texts = ("(CB (a b) (< n 3))",
+             "(and (CB (a b) (< n 3)) (B a (B b (= n 1))))",
+             "(EB (a b) (CB (a b) (= n 1)))",
+             "(CB (a b) (B a (= n 1)))")
+    formulas = [parse_formula(text, number_dom.signature) for text in texts]
+    other = StateSequence(reversed(plan1))
+    evaluator = Evaluator(number_dom.model)
+    fresh_counts = []
+    for seq in (plan1, other, plan1):
+        over = _views_over(number_dom.model, seq)
+        for phi in formulas:
+            fresh = Evaluator(number_dom.model)
+            assert evaluator.evaluate(seq, phi) is fresh.evaluate(seq, phi), phi
+            fresh_counts.extend(fresh.stats.cf_iteration_counts)
+            assert _cached(evaluator)
+            _assert_held_for_one_call(evaluator, over)
+    assert evaluator.stats.cf_iteration_counts == fresh_counts
 
 
 def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
     """Walking a trace forwards, the cache keeps only the views the common
-    fixed point built, as long as the sequence last evaluated, over it or
-    over views of it; a belief without a common belief in it adds none, and
-    an unrelated sequence drops them all."""
+    fixed point built in the latest call, as long as its sequence, over it
+    or over views of it; a belief without a common belief in it adds none,
+    and an unrelated sequence drops them all."""
     evaluator = Evaluator(number_dom.model)
     phi = parse_formula("(and (CB (a b) (< n 3)) (B a (B b (= n 1))))",
                         number_dom.signature)
@@ -243,15 +295,15 @@ def test_cache_holds_views_over_the_latest_target_only(number_dom, plan1):
         cached = _cached(evaluator)
         assert {len(view) for view in cached.values()} == {len(seq)}
         assert {source for _, source in cached} <= {seq} | set(cached.values())
-        assert (("a",), seq) in cached
+        assert ("a", seq) in cached
         views, _ = common_perspectives(number_dom.model, ("a", "b"), seq)
         assert set(cached.values()) <= views
-        assert {viewers for viewers, _ in cached} <= {("a",), ("b",)}
+        assert {agent for agent, _ in cached} <= {"a", "b"}
     unrelated = StateSequence(reversed(plan1))
     evaluator.evaluate(unrelated, phi)
     cached = _cached(evaluator)
     assert {source for _, source in cached} <= {unrelated} | set(cached.values())
-    assert (("a",), unrelated) in cached and (("a",), plan1) not in cached
+    assert ("a", unrelated) in cached and ("a", plan1) not in cached
 
 
 def _chain(paths, number):
@@ -390,12 +442,10 @@ def test_memoised_views_match_memo_free_builds(kind, seed):
     for seq in _related_sequences(rng, sig, child):
         for phi in formulas:
             evaluator.evaluate(seq, phi)
-            # the cache holds individual, pooled and nested views
-            for (viewer, source), view in _cached(evaluator).items():
-                if len(viewer) == 1:
-                    assert view == justified_perspective(model, viewer[0], source)
-                else:
-                    assert view == distributed_perspective(model, viewer, source)
+            # the cache holds the common fixed point's one-agent views,
+            # over the sequence and over views
+            for (agent, source), view in _cached(evaluator).items():
+                assert view == justified_perspective(model, agent, source)
                 for state in view:
                     assert state.sig is sig
                     assert canonical.setdefault(state.vals, state) is state
@@ -676,7 +726,9 @@ def test_one_model_under_two_signatures_keeps_them_apart():
     evaluator = Evaluator(model)
     for sig in (first, second):
         seq = sequences[sig]
-        phi = Believes("a", Atom("=", sig.variables[1], 0))
-        assert evaluator.evaluate(seq, phi) is Evaluator(model).evaluate(seq, phi)
-        assert all(state.sig is sig
-                   for view in _cached(evaluator).values() for state in view)
+        atom = Atom("=", sig.variables[1], 0)
+        for phi in (Believes("a", atom), GroupBelieves(GroupMode.COMMON, ("a",), atom)):
+            assert evaluator.evaluate(seq, phi) is Evaluator(model).evaluate(seq, phi)
+            assert all(state.sig is sig
+                       for view in _cached(evaluator).values() for state in view)
+        assert _cached(evaluator)

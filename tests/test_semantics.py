@@ -22,9 +22,11 @@ from epiplan.core import (
     StateSequence,
     Ternary,
     ValidationError,
+    interpret_atom,
 )
+from epiplan import semantics
 from epiplan.parser import parse_formula
-from epiplan.perspectives import justified_perspective
+from epiplan.perspectives import justified_perspective, uniform_perspectives
 from epiplan.semantics import EvalStats, Evaluator
 
 
@@ -318,6 +320,54 @@ class TestVerdictMemo:
         monkeypatch.setattr(semantics, "interpret_atom", counting)
         assert Evaluator(model).evaluate(seq, phi) is Ternary.UNKNOWN
         assert sorted(map(id, read)) == sorted(map(id, rows))
+
+
+def _nested(text, depth):
+    """`text` under `depth` nested `(EB (a b) ...)`."""
+    for _ in range(depth):
+        text = f"(EB (a b) {text})"
+    return text
+
+
+def _on_views(model, seq, depth, atom, known):
+    """The verdict of `_nested(atom, depth)` on `seq`, judged on whole views
+    of every member, level by level; `known` holds the verdicts found."""
+    key = (seq, depth)
+    if key not in known:
+        if depth == 0:
+            known[key] = interpret_atom(seq[-1], atom)
+        else:
+            known[key] = min(_on_views(model, view, depth - 1, atom, known)
+                             for view in uniform_perspectives(model, GROUP, seq))
+    return known[key]
+
+
+class TestPathBound:
+    """A chain of k nested E beliefs over a group of g reaches g + ... + g^k
+    viewer paths; past `_MAX_BELIEF_PATHS` its top is judged on views."""
+
+    @pytest.mark.parametrize("atom, depth", [("(= peeking_a peeking_a)", 12),
+                                             ("(= n 1)", 99)])
+    def test_deep_chain_stays_in_bound(self, number_dom, plan1, atom, depth):
+        phi = parse_formula(_nested(atom, depth), number_dom.signature)
+        evaluator = Evaluator(number_dom.model)
+        verdict = evaluator.evaluate(plan1, phi)
+        # the five innermost beliefs reach 2 + 4 + ... + 32 paths, and those
+        # above them are judged on views; all twelve on paths reach 8,190
+        assert len(evaluator._paths.tables) == 62 <= semantics._MAX_BELIEF_PATHS
+        bottom = parse_formula(atom, number_dom.signature)
+        assert verdict is _on_views(number_dom.model, plan1, depth, bottom, {})
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_paths_and_views_agree(self, number_dom, plan1, depth):
+        for text in ("(= n 1)", "(< n 3)", "(= peeking_a true)"):
+            phi = parse_formula(_nested(text, depth), number_dom.signature)
+            atom = parse_formula(text, number_dom.signature)
+            evaluator = Evaluator(number_dom.model)
+            for t in range(len(plan1)):
+                seq = plan1.prefix(t)
+                assert evaluator.evaluate(seq, phi) is \
+                    _on_views(number_dom.model, seq, depth, atom, {}), (text, t)
 
 
 class TestErrors:
