@@ -364,43 +364,33 @@ def make_group(names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(dict.fromkeys(names)))
 
 
-_BELIEF, _COMMON_BELIEF = 1, 2   # the flags `validate_formula` returns
-
-
-def validate_formula(sig: Signature, phi: Formula) -> int:
+def validate_formula(sig: Signature, phi: Formula) -> None:
     """Reject undeclared names, ill-typed atoms and beliefs nested under
-    seeing/knowledge operators (the grammar forbids seeing or knowing a belief).
-
-    Returns the flags of the beliefs in `phi`: 0 when none occurs (the
-    formula reads only the last state of a sequence), else _BELIEF, with
-    _COMMON_BELIEF added when a common belief occurs.
-    """
-    return _validate(sig, phi, False)
+    seeing/knowledge operators (the grammar forbids seeing or knowing a belief)."""
+    _validate(sig, phi, False)
 
 
-def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> int:
+def _validate(sig: Signature, phi: Formula, inside_knowledge: bool) -> None:
     if isinstance(phi, Atom):
         _validate_atom(sig, phi)
-        return 0
-    if isinstance(phi, Not):
-        return _validate(sig, phi.child, inside_knowledge)
-    if isinstance(phi, And):
-        left = _validate(sig, phi.left, inside_knowledge)
-        return left | _validate(sig, phi.right, inside_knowledge)
-    if isinstance(phi, GroupSeesVar):
+    elif isinstance(phi, Not):
+        _validate(sig, phi.child, inside_knowledge)
+    elif isinstance(phi, And):
+        _validate(sig, phi.left, inside_knowledge)
+        _validate(sig, phi.right, inside_knowledge)
+    elif isinstance(phi, GroupSeesVar):
         _check_group(sig, phi.group)
         sig.domain(phi.var)
-        return 0
-    if isinstance(phi, (GroupSees, GroupKnows)):
+    elif isinstance(phi, (GroupSees, GroupKnows)):
         _check_group(sig, phi.group)
-        return _validate(sig, phi.child, True)
-    if isinstance(phi, GroupBelieves):
+        _validate(sig, phi.child, True)
+    elif isinstance(phi, GroupBelieves):
         if inside_knowledge:
             raise ValidationError("a belief operator may not appear under seeing/knowledge")
         _check_group(sig, phi.group)
-        below = _validate(sig, phi.child, False)
-        return below | (_BELIEF | _COMMON_BELIEF if phi.mode is GroupMode.COMMON else _BELIEF)
-    raise ValidationError(f"not a formula node: {phi!r}")
+        _validate(sig, phi.child, False)
+    else:
+        raise ValidationError(f"not a formula node: {phi!r}")
 
 
 def _validate_atom(sig: Signature, atom: Atom) -> None:

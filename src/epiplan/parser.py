@@ -564,14 +564,22 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
 
 def parse_trace(text: str, domain: DomainFile) -> StateSequence:
     """A trace is either `init` plus `do` lines (replayed through the action
-    model, checking preconditions) or explicit `state` lines."""
+    model, checking preconditions) or explicit `state` lines. A replay
+    carries its node's fold states, as a search does (`planner`), along the
+    paths of the preconditions the `do` lines name, so a belief
+    precondition does not walk the whole history again at every step."""
     sig = domain.signature
     action_by_name = {a.name: a for a in domain.actions}
     states: List[State] = []
     node: Optional[SearchNode] = None
     evaluator = Evaluator(domain.model)
+    lines = list(_lines(text))
+    named = {parts[1] for parts in (line.split() for _, line in lines)
+             if parts[0] == "do" and len(parts) == 2}
+    preconditions = [a.precondition for a in domain.actions
+                     if a.name in named and a.precondition is not None]
 
-    for lineno, line in _lines(text):
+    for lineno, line in lines:
         parts = line.split()
         key = parts[0]
         if key == "do":
@@ -584,7 +592,8 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             successor = apply_action(evaluator, action, node)
             if successor is None:
                 raise ParseError(f"action {parts[1]!r} is not applicable at this point", lineno)
-            node = successor
+            node = SearchNode(successor.sequence, successor.plan,
+                              evaluator.step_folds(node.folds, successor.sequence[-1]))
         elif key in ("init", "state"):
             if key == "init" and (node is not None or states):
                 raise ParseError("init must be the first directive", lineno)
@@ -593,7 +602,8 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             values = _assignments(sig, parts, line, lineno, {})
             try:
                 if key == "init":   # total; global_state fills in the agent markers
-                    node = SearchNode(StateSequence([sig.global_state(values)]), ())
+                    start = StateSequence([sig.global_state(values)])
+                    node = SearchNode(start, (), evaluator.fold_states(start, preconditions))
                 else:
                     states.append(sig.make_state({**dict.fromkeys(sig.agents, True), **values}))
             except ValidationError as exc:

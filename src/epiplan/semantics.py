@@ -10,9 +10,10 @@ are all that one more state needs, so a search node carries them and a
 child's are one fold step from its parent's (`planner`). A plain
 `evaluate(seq, φ)` walks them from the empty fold state.
 
-A common belief, and a belief whose child holds one, is judged on whole
-view sequences instead: the common fixed point iterates over sequences, and
-its statistics count them.
+A belief is judged on whole view sequences instead when it is common (the
+common fixed point iterates over sequences, and its statistics count them)
+or when its chain reaches too many paths; one count, `_paths_reached`,
+decides which (`Evaluator._compile_belief`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     interpret_atom,
     validate_formula,
 )
-from .core import _COMMON_BELIEF, _FALSE, _TRUE, _UNKNOWN, _VERDICT
+from .core import _FALSE, _TRUE, _UNKNOWN, _VERDICT
 from .perspectives import (
     FoldMemo,
     FoldPaths,
@@ -61,8 +62,10 @@ _NEGATED = (_TRUE, _UNKNOWN, _FALSE)   # a verdict's negation, indexed by the ve
 # the beliefs below it) may reach and still be judged on them; each path is
 # stepped at every search node, and k nested E beliefs over a group of g
 # reach g + g² + ... + g^k. A chain past it is judged on views (`_on_views`),
-# and its child decides afresh.
+# and its child decides afresh. `_paths_reached` saturates one above it, and
+# counts a common belief, which is always judged on views, as that much.
 _MAX_BELIEF_PATHS = 64
+_OVER_BOUND = _MAX_BELIEF_PATHS + 1
 
 # A judge gives a formula's verdict from (evaluator, sequence, last state,
 # folds): the sequence only where a common belief needs it (None on a view
@@ -199,20 +202,21 @@ class Evaluator:
     # reference to the evaluator, which holds them, so no reference cycle
     # forms; they are handed it per call.
 
-    def _record(self, phi: Formula, sig: Signature, beliefs: Optional[int] = None) -> _Record:
+    def _record(self, phi: Formula, sig: Signature, reached: Optional[int] = None) -> _Record:
         """The record of `phi` on `sig`; on first use `phi` is validated,
-        compiled to be judged on whole sequences and stored. `beliefs`, the
-        flags `validate_formula` gives `phi`, are passed where `phi` is part
-        of a formula validated on `sig` already, and spare the walk."""
+        compiled to be judged on whole sequences and stored. `reached`,
+        `_paths_reached(phi)`, is passed where `phi` is part of a formula
+        validated on `sig` already, and spares the validation."""
         key = (id(phi), id(sig))
         record = self._formulas.get(key)
         if record is None:
-            if beliefs is None:
-                beliefs = validate_formula(sig, phi)
+            if reached is None:
+                validate_formula(sig, phi)
+                reached = _paths_reached(phi)
             numbers: Set[int] = set()
             judge = self._compile(phi, sig, -1, numbers)
             record = self._formulas[key] = (phi, sig, judge, tuple(sorted(numbers)),
-                                            None if beliefs else {})
+                                            None if reached else {})
         return record
 
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
@@ -294,19 +298,18 @@ class Evaluator:
 
     def _compile_belief(self, phi: GroupBelieves, sig: Signature, at: int,
                         numbers: Set[int]) -> Judge:
-        """A belief without a common belief in it reads the last rows of its
-        viewers' paths, if the chain it tops reaches at most
-        `_MAX_BELIEF_PATHS`; any other is judged on whole view sequences. A
-        child with beliefs read on those rows gets no record: compiled on the
-        sequence, it would add paths that every search node steps."""
-        group, mode = phi.group, phi.mode
-        below = validate_formula(sig, phi.child)   # valid already; this reads its flags
-        if (mode is _COMMON or below & _COMMON_BELIEF
-                or at < 0 and _paths_reached(phi) > _MAX_BELIEF_PATHS):
-            # only ever met on a whole sequence: a path belief's child holds
-            # no C, and the top of its chain found the chain's paths in bound
-            return _on_views(phi, self._record(phi.child, sig, below))
-        viewers = [(i,) for i in group] if mode is _UNIFORM else [group]
+        """A belief reads the last rows of its viewers' paths while the
+        paths it reaches (each viewer's, and below each those its child's
+        beliefs reach) number at most `_MAX_BELIEF_PATHS`; a common belief
+        in the child counts past that. A common belief, and one past the
+        bound, is judged on whole view sequences. A belief below an
+        in-bound one reaches fewer paths, so only a chain's top is judged on
+        views. A child with beliefs read on rows gets no record: compiled on
+        the sequence, it would add paths that every search node steps."""
+        viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
+        below = _paths_reached(phi.child)   # 0: the child is belief-free
+        if phi.mode is _COMMON or len(viewers) * (1 + below) > _MAX_BELIEF_PATHS:
+            return _on_views(phi, sig, below)
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
                  for members in viewers]
         numbers.update(paths)
@@ -343,16 +346,19 @@ class Evaluator:
 
 
 def _paths_reached(phi: Formula) -> int:
-    """How many viewer paths the beliefs in `phi`, which holds no common
-    belief, reach: a path is counted once per belief that reaches it, so
-    the count is never below the number of distinct paths."""
+    """How many viewer paths the beliefs in `phi` reach, up to
+    `_OVER_BOUND`; a common belief counts as that. A path is counted once
+    per belief that reaches it, so the count is never below the number of
+    distinct paths. 0 means `phi` holds no belief and reads only the last
+    state of a sequence."""
     if isinstance(phi, GroupBelieves):
         groups = len(phi.group) if phi.mode is _UNIFORM else 1
-        return groups * (1 + _paths_reached(phi.child))
+        below = _OVER_BOUND if phi.mode is _COMMON else _paths_reached(phi.child)
+        return min(groups * (1 + below), _OVER_BOUND)
     if isinstance(phi, Not):
         return _paths_reached(phi.child)
     if isinstance(phi, And):
-        return _paths_reached(phi.left) + _paths_reached(phi.right)
+        return min(_paths_reached(phi.left) + _paths_reached(phi.right), _OVER_BOUND)
     return 0
 
 
@@ -377,11 +383,15 @@ def _on_sequence(ev: Evaluator, record: _Record, seq: StateSequence,
     return record[2](ev, seq, seq[-1], folds)
 
 
-def _on_views(phi: GroupBelieves, inner: _Record) -> Judge:
+def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
     """The judge of a belief on whole view sequences: the pooled view (D),
-    each member's (E) or the common fixed point (C), with `inner`, the
-    child's record, judged on every distinct view."""
-    group, mode = phi.group, phi.mode
+    each member's (E) or the common fixed point (C), with the child's
+    record judged on every distinct view. `below` is the child's
+    `_paths_reached`. The record is read in the judge, so it is made on
+    first use and the paths its beliefs reach are numbered only once a view
+    needs them: they are walked over views, never stepped at a search
+    node."""
+    group, mode, child = phi.group, phi.mode, phi.child
 
     def judge(ev, seq, last, folds):
         if mode is _DISTRIBUTED:
@@ -391,6 +401,7 @@ def _on_views(phi: GroupBelieves, inner: _Record) -> Judge:
         else:
             views, fp = common_perspectives(ev.model, group, seq, ev._memo)
             ev.stats.cf_iteration_counts.append(fp.iterations)
+        inner = ev._record(child, sig, below)
         verdict = _TRUE
         for w in views:
             verdict = min(verdict, _on_sequence(ev, inner, w))

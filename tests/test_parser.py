@@ -16,10 +16,13 @@ from epiplan.core import (
     Sees,
     SeesVar,
     Signature,
+    StateSequence,
     Ternary,
     Var,
+    format_value,
     make_group,
 )
+from epiplan.cli import load_benchmark
 from epiplan.parser import (
     MAX_INT_RANGE,
     ParseError,
@@ -29,6 +32,9 @@ from epiplan.parser import (
     parse_problem,
     parse_trace,
 )
+from epiplan.perspectives import FoldPaths
+from epiplan.planner import SearchNode, apply_action
+from epiplan.semantics import Evaluator
 
 
 @pytest.fixture
@@ -294,6 +300,31 @@ class TestTraces:
         domain = parse_domain(MINI_DOMAIN)
         with pytest.raises(ParseError):
             parse_trace("init n=1 peeking_a=true peeking_b=false\ndo flip\n", domain)
+
+    def test_replay_carries_fold_states(self, monkeypatch):
+        """A replay walks its preconditions' viewer paths once, at `init`,
+        and steps them by one state per action, as a search does; it
+        replays the sequence that nodes carrying no fold states give."""
+        domain, problem = load_benchmark("grapevine", "g0")
+        sig = domain.signature
+        names = ["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"] * 5
+        text = "init " + " ".join(f"{var}={format_value(value)}"
+                                  for var, value in problem.initial.items()
+                                  if not sig.is_agent(var))
+        text += "".join(f"\ndo {name}" for name in names)
+        walked = []
+        walk = FoldPaths.walk
+        monkeypatch.setattr(FoldPaths, "walk", lambda self, seq, numbers:
+                            walked.append(len(seq)) or walk(self, seq, numbers))
+        seq = parse_trace(text, domain)
+        monkeypatch.undo()
+        assert walked == [1]
+        evaluator = Evaluator(domain.model)
+        node = SearchNode(StateSequence([problem.initial]), ())
+        for name in names:
+            node = apply_action(evaluator, next(a for a in domain.actions if a.name == name),
+                                node)
+        assert node.folds == () and seq == node.sequence
 
     def test_explicit_states_allow_partial(self):
         domain = parse_domain(MINI_DOMAIN)

@@ -159,6 +159,21 @@ class TestSearch:
         assert result.status == SOLVED and len(result.plan) == 3
         assert result.generated == 170
 
+    @pytest.mark.parametrize("text", ["(CB (a b) (B a (= n 1)))",
+                                      "(EB (a b) " * 6 + "(= n 1)" + ")" * 6])
+    def test_view_judged_children_stay_off_the_node(self, n1, text):
+        # a belief judged on views numbers its child's paths when a view
+        # first needs them, so no node carries a fold state on them (the
+        # six EB reach 126 paths, the five below the top 62)
+        domain, problem = n1
+        phi = parse_formula(text, domain.signature)
+        start = StateSequence([problem.initial])
+        assert Evaluator(domain.model).fold_states(start, [phi]) == ()
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    ((phi, Ternary.TRUE),), max_depth=problem.max_depth)
+        assert result.plan == ("peek_a", "subtract", "return_a", "peek_b")
+        assert result.generated == 46
+
     def test_node_budget_aborts(self, n1):
         # the root always counts, so a budget below 1 still generates it
         g2 = load_benchmark("grapevine", "g2")

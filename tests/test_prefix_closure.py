@@ -595,11 +595,12 @@ def _stepping_action(rng, sig, name):
 @given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
 def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
     """Every node of a search hands the evaluator, with each precondition
-    and goal test, its fold state on every viewer path; each was stepped
-    once from its parent's. Each equals the fold of the node's whole
-    history along that path: the last row of the view by the retrieval
-    rule, what its viewers have seen but its input never assigned, and the
-    input's last values."""
+    and goal test, its fold state on every viewer path those formulas read
+    from the node; each was stepped once from its parent's. Each equals
+    the fold of the node's whole history along that path: the last row of
+    the view by the retrieval rule, what its viewers have seen but its
+    input never assigned, and the input's last values. Paths numbered
+    later are read over views only, and no node carries them."""
     rng = random.Random(seed)
     sig, model, seq = _instance(kind, rng, max_len=1)
     actions = [_stepping_action(rng, sig, f"go{k}") for k in range(3)]
@@ -618,9 +619,13 @@ def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
         breadth_first_plan(model, actions, seq[0], goals, max_depth=3)
     finally:
         Evaluator.evaluate = evaluate
+    formulas = [action.precondition for action in actions if action.precondition is not None]
+    formulas += [phi for phi, _ in goals]
     for history, (evaluator, folds) in handed.items():
         paths = evaluator._paths
-        assert len(folds) == len(paths.tables)
+        for phi in formulas:
+            assert all(number < len(folds)
+                       for number in evaluator._formulas[(id(phi), id(sig))][3])
         for number, fold in enumerate(folds):
             chain = _chain(paths, number)
             source = history

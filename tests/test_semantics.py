@@ -370,6 +370,18 @@ class TestPathBound:
                     _on_views(number_dom.model, seq, depth, atom, {}), (text, t)
 
 
+    def test_chain_beside_a_common_belief_counts_in_bound(self, number_dom, plan1):
+        # the path count saturates: 99 EB levels beside a CB make no
+        # overflowing count, and each conjunct is judged as alone
+        deep = Atom("=", "n", 1)
+        for _ in range(99):
+            deep = GroupBelieves(GroupMode.UNIFORM, GROUP, deep)
+        common = GroupBelieves(GroupMode.COMMON, GROUP, Atom("=", "n", 1))
+        both = Evaluator(number_dom.model).evaluate(plan1, And(deep, common))
+        assert both is min(Evaluator(number_dom.model).evaluate(plan1, phi)
+                           for phi in (deep, common))
+
+
 class TestErrors:
     def test_unknown_agent_rejected(self, number_dom, plan1):
         ev = Evaluator(number_dom.model)
@@ -380,6 +392,17 @@ class TestErrors:
         ev = Evaluator(number_dom.model)
         with pytest.raises(ValidationError):
             ev.evaluate(plan1, Atom("<", "peeking_a", True))
+
+    def test_formula_is_validated_once(self, number_dom, plan1, monkeypatch):
+        """A fresh evaluator validates a formula once, not once more per
+        belief above each of its nodes."""
+        validated = []
+        validate = semantics.validate_formula
+        monkeypatch.setattr(semantics, "validate_formula",
+                            lambda sig, phi: validated.append(phi) or validate(sig, phi))
+        phi = parse_formula("(B a (B b (B a (= n 1))))", number_dom.signature)
+        Evaluator(number_dom.model).evaluate(plan1, phi)
+        assert validated == [phi]
 
     @pytest.mark.parametrize("text", ["(= n 1)", "(B a (= n 1))"])
     def test_formula_is_validated_under_each_signature(self, number_dom, plan1, text):
