@@ -36,7 +36,7 @@ from .core import (
     validate_formula,
     value_kind,
 )
-from .perspectives import ObservationModel, make_model
+from .perspectives import FoldState, ObservationModel, make_model
 from .planner import Action, Effect, apply_action, SearchNode
 from .semantics import Evaluator
 
@@ -567,19 +567,25 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
     model, checking preconditions) or explicit `state` lines. A replay
     carries its node's fold states, as a search does (`planner`), along the
     paths of the preconditions the `do` lines name, so a belief
-    precondition does not walk the whole history again at every step."""
+    precondition does not walk the whole history again at every step. A
+    path is stepped only up to the last `do` line that reads it: the paths
+    are numbered latest-read first, and the folds are cut to those the
+    `do` lines still ahead read."""
     sig = domain.signature
     action_by_name = {a.name: a for a in domain.actions}
     states: List[State] = []
     node: Optional[SearchNode] = None
     evaluator = Evaluator(domain.model)
     lines = list(_lines(text))
-    named = {parts[1] for parts in (line.split() for _, line in lines)
-             if parts[0] == "do" and len(parts) == 2}
-    preconditions = [a.precondition for a in domain.actions
-                     if a.name in named and a.precondition is not None]
+    last_read: Dict[str, int] = {}   # each action a `do` line names: its last such line
+    for index, (_, line) in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "do" and len(parts) == 2:
+            last_read[parts[1]] = index
+    ahead = sorted(last_read, key=last_read.get, reverse=True)
+    reads: List[int] = []   # reads[k]: the folds the preconditions of ahead[:k+1] read
 
-    for lineno, line in lines:
+    for index, (lineno, line) in enumerate(lines):
         parts = line.split()
         key = parts[0]
         if key == "do":
@@ -592,8 +598,12 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             successor = apply_action(evaluator, action, node)
             if successor is None:
                 raise ParseError(f"action {parts[1]!r} is not applicable at this point", lineno)
+            while ahead and last_read[ahead[-1]] <= index:
+                ahead.pop()
+                reads.pop()
+            kept = node.folds[:reads[-1]] if reads else ()
             node = SearchNode(successor.sequence, successor.plan,
-                              evaluator.step_folds(node.folds, successor.sequence[-1]))
+                              evaluator.step_folds(kept, successor.sequence[-1]))
         elif key in ("init", "state"):
             if key == "init" and (node is not None or states):
                 raise ParseError("init must be the first directive", lineno)
@@ -603,7 +613,13 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             try:
                 if key == "init":   # total; global_state fills in the agent markers
                     start = StateSequence([sig.global_state(values)])
-                    node = SearchNode(start, (), evaluator.fold_states(start, preconditions))
+                    folds: Tuple[FoldState, ...] = ()
+                    for name in ahead:
+                        action = action_by_name.get(name)
+                        if action is not None and action.precondition is not None:
+                            folds = evaluator.fold_states(start, [action.precondition])
+                        reads.append(len(folds))
+                    node = SearchNode(start, (), folds)
                 else:
                     states.append(sig.make_state({**dict.fromkeys(sig.agents, True), **values}))
             except ValidationError as exc:

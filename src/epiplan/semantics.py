@@ -150,8 +150,11 @@ class Evaluator:
         self.stats = EvalStats()
         self._memo = FoldMemo()
         self._paths = FoldPaths()
-        # the record of each formula met, by (formula id, signature id)
+        # the record of each formula met, by (formula id, signature id), and
+        # `_paths_reached` of each belief's child in them, by the child's id
+        # (the records keep the formulas, so the ids stay theirs)
         self._formulas: dict[tuple[int, int], _Record] = {}
+        self._reached: Dict[int, int] = {}
 
     def evaluate(self, seq: StateSequence, phi: Formula,
                  folds: Sequence[FoldState] = ()) -> Ternary:
@@ -204,15 +207,17 @@ class Evaluator:
 
     def _record(self, phi: Formula, sig: Signature, reached: Optional[int] = None) -> _Record:
         """The record of `phi` on `sig`; on first use `phi` is validated,
-        compiled to be judged on whole sequences and stored. `reached`,
-        `_paths_reached(phi)`, is passed where `phi` is part of a formula
-        validated on `sig` already, and spares the validation."""
+        counted (`_paths_reached`, which keeps the count of each belief's
+        child in it), compiled to be judged on whole sequences and stored.
+        `reached`, `phi`'s count, is passed where `phi` is part of a formula
+        validated and counted on `sig` already: each formula is walked once
+        by each."""
         key = (id(phi), id(sig))
         record = self._formulas.get(key)
         if record is None:
             if reached is None:
                 validate_formula(sig, phi)
-                reached = _paths_reached(phi)
+                reached = _paths_reached(phi, self._reached)
             numbers: Set[int] = set()
             judge = self._compile(phi, sig, -1, numbers)
             record = self._formulas[key] = (phi, sig, judge, tuple(sorted(numbers)),
@@ -239,12 +244,9 @@ class Evaluator:
 
             def judge(ev, seq, last, folds):
                 return _NEGATED[child(ev, seq, last, folds)]
-        elif isinstance(phi, GroupSeesVar):
-            def judge(ev, seq, last, folds):
-                return ev._group_sees(last, phi, None)
-        elif isinstance(phi, (GroupSees, GroupKnows)):
-            # belief-free below seeing, so the child reads one state alone
-            inner = self._record(phi.child, sig, 0)
+        elif isinstance(phi, (GroupSeesVar, GroupSees, GroupKnows)):
+            # belief-free below seeing, so a child reads one state alone
+            inner = None if isinstance(phi, GroupSeesVar) else self._record(phi.child, sig, 0)
 
             def judge(ev, seq, last, folds):
                 return ev._group_sees(last, phi, inner)
@@ -307,7 +309,7 @@ class Evaluator:
         views. A child with beliefs read on rows gets no record: compiled on
         the sequence, it would add paths that every search node steps."""
         viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
-        below = _paths_reached(phi.child)   # 0: the child is belief-free
+        below = self._reached[id(phi.child)]   # 0: the child is belief-free
         if phi.mode is _COMMON or len(viewers) * (1 + below) > _MAX_BELIEF_PATHS:
             return _on_views(phi, sig, below)
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
@@ -345,20 +347,21 @@ class Evaluator:
         return judge
 
 
-def _paths_reached(phi: Formula) -> int:
+def _paths_reached(phi: Formula, table: Dict[int, int]) -> int:
     """How many viewer paths the beliefs in `phi` reach, up to
     `_OVER_BOUND`; a common belief counts as that. A path is counted once
     per belief that reaches it, so the count is never below the number of
     distinct paths. 0 means `phi` holds no belief and reads only the last
-    state of a sequence."""
+    state of a sequence. The count of each belief's child in `phi` goes to
+    `table`, by the child's id, so one walk counts every belief."""
     if isinstance(phi, GroupBelieves):
         groups = len(phi.group) if phi.mode is _UNIFORM else 1
-        below = _OVER_BOUND if phi.mode is _COMMON else _paths_reached(phi.child)
-        return min(groups * (1 + below), _OVER_BOUND)
+        below = table[id(phi.child)] = _paths_reached(phi.child, table)
+        return _OVER_BOUND if phi.mode is _COMMON else min(groups * (1 + below), _OVER_BOUND)
     if isinstance(phi, Not):
-        return _paths_reached(phi.child)
+        return _paths_reached(phi.child, table)
     if isinstance(phi, And):
-        return min(_paths_reached(phi.left) + _paths_reached(phi.right), _OVER_BOUND)
+        return min(_paths_reached(phi.left, table) + _paths_reached(phi.right, table), _OVER_BOUND)
     return 0
 
 
@@ -387,13 +390,14 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
     """The judge of a belief on whole view sequences: the pooled view (D),
     each member's (E) or the common fixed point (C), with the child's
     record judged on every distinct view. `below` is the child's
-    `_paths_reached`. The record is read in the judge, so it is made on
-    first use and the paths its beliefs reach are numbered only once a view
-    needs them: they are walked over views, never stepped at a search
-    node."""
+    `_paths_reached`. The record is made in the judge's first call, so the
+    paths its beliefs reach are numbered only once a view needs them: they
+    are walked over views, never stepped at a search node."""
     group, mode, child = phi.group, phi.mode, phi.child
+    inner: Optional[_Record] = None
 
     def judge(ev, seq, last, folds):
+        nonlocal inner
         if mode is _DISTRIBUTED:
             views = (distributed_perspective(ev.model, group, seq, ev._memo),)
         elif mode is _UNIFORM:
@@ -401,7 +405,7 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
         else:
             views, fp = common_perspectives(ev.model, group, seq, ev._memo)
             ev.stats.cf_iteration_counts.append(fp.iterations)
-        inner = ev._record(child, sig, below)
+        inner = inner or ev._record(child, sig, below)
         verdict = _TRUE
         for w in views:
             verdict = min(verdict, _on_sequence(ev, inner, w))

@@ -32,6 +32,7 @@ from epiplan.parser import (
     parse_problem,
     parse_trace,
 )
+from epiplan import perspectives
 from epiplan.perspectives import FoldPaths
 from epiplan.planner import SearchNode, apply_action
 from epiplan.semantics import Evaluator
@@ -301,30 +302,56 @@ class TestTraces:
         with pytest.raises(ParseError):
             parse_trace("init n=1 peeking_a=true peeking_b=false\ndo flip\n", domain)
 
-    def test_replay_carries_fold_states(self, monkeypatch):
-        """A replay walks its preconditions' viewer paths once, at `init`,
-        and steps them by one state per action, as a search does; it
-        replays the sequence that nodes carrying no fold states give."""
+    @staticmethod
+    def _grapevine_replay(names):
+        """g0's domain and start, a trace doing `names` from that start, and
+        the sequence that nodes carrying no fold states give."""
         domain, problem = load_benchmark("grapevine", "g0")
         sig = domain.signature
-        names = ["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"] * 5
         text = "init " + " ".join(f"{var}={format_value(value)}"
                                   for var, value in problem.initial.items()
                                   if not sig.is_agent(var))
         text += "".join(f"\ndo {name}" for name in names)
+        evaluator = Evaluator(domain.model)
+        node = SearchNode(StateSequence([problem.initial]), ())
+        for name in names:
+            node = apply_action(evaluator, next(a for a in domain.actions if a.name == name),
+                                node)
+        assert node.folds == ()
+        return domain, text, node.sequence
+
+    def test_replay_carries_fold_states(self, monkeypatch):
+        """A replay walks its preconditions' viewer paths only at `init`,
+        over the start alone, and steps them by one state per action, as a
+        search does; it replays the sequence that nodes carrying no fold
+        states give."""
+        names = ["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"] * 5
+        domain, text, reference = self._grapevine_replay(names)
         walked = []
         walk = FoldPaths.walk
         monkeypatch.setattr(FoldPaths, "walk", lambda self, seq, numbers:
                             walked.append(len(seq)) or walk(self, seq, numbers))
         seq = parse_trace(text, domain)
         monkeypatch.undo()
-        assert walked == [1]
-        evaluator = Evaluator(domain.model)
-        node = SearchNode(StateSequence([problem.initial]), ())
-        for name in names:
-            node = apply_action(evaluator, next(a for a in domain.actions if a.name == name),
-                                node)
-        assert node.folds == () and seq == node.sequence
+        assert walked and set(walked) == {1}
+        assert seq == reference
+
+    def test_replay_steps_a_path_up_to_its_last_reader(self, monkeypatch):
+        """b's path is read by the third `do` line only; the replay steps it
+        no further, so it makes no fold step that a replay on nodes carrying
+        no fold states does not make too."""
+        names = (["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"]
+                 + ["share_a_t", "move_b_room2", "move_b_room1"] * 6)
+        steps = []
+        fold_step = perspectives._fold_step
+        monkeypatch.setattr(perspectives, "_fold_step", lambda *args:
+                            steps.append(1) or fold_step(*args))
+        domain, text, reference = self._grapevine_replay(names)
+        fold_less = len(steps)
+        seq = parse_trace(text, domain)
+        replayed = len(steps) - fold_less
+        assert seq == reference
+        assert 0 < replayed <= fold_less
 
     def test_explicit_states_allow_partial(self):
         domain = parse_domain(MINI_DOMAIN)

@@ -393,16 +393,31 @@ class TestErrors:
         with pytest.raises(ValidationError):
             ev.evaluate(plan1, Atom("<", "peeking_a", True))
 
-    def test_formula_is_validated_once(self, number_dom, plan1, monkeypatch):
-        """A fresh evaluator validates a formula once, not once more per
-        belief above each of its nodes."""
-        validated = []
-        validate = semantics.validate_formula
+    def test_formula_is_validated_and_counted_once(self, number_dom, plan1, monkeypatch):
+        """A fresh evaluator validates a formula once, and counts the paths
+        of each of its nodes once, not once more per belief above it."""
+        validated, counted = [], []
+        validate, paths_reached = semantics.validate_formula, semantics._paths_reached
         monkeypatch.setattr(semantics, "validate_formula",
                             lambda sig, phi: validated.append(phi) or validate(sig, phi))
+        monkeypatch.setattr(semantics, "_paths_reached",
+                            lambda phi, table: counted.append(phi) or paths_reached(phi, table))
         phi = parse_formula("(B a (B b (B a (= n 1))))", number_dom.signature)
         Evaluator(number_dom.model).evaluate(plan1, phi)
         assert validated == [phi]
+        assert counted == [phi, phi.child, phi.child.child, phi.child.child.child]
+
+    def test_view_judged_child_record_is_fetched_once(self, number_dom, plan1, monkeypatch):
+        """A belief judged on views looks its child's record up on its first
+        call only."""
+        ev = Evaluator(number_dom.model)
+        phi = parse_formula("(CB (a b) (B a (= n 1)))", number_dom.signature)
+        first = ev.evaluate(plan1, phi)
+        fetched = []
+        record = Evaluator._record
+        monkeypatch.setattr(Evaluator, "_record",
+                            lambda self, *args: fetched.append(args) or record(self, *args))
+        assert ev.evaluate(plan1, phi) is first and fetched == []
 
     @pytest.mark.parametrize("text", ["(= n 1)", "(B a (= n 1))"])
     def test_formula_is_validated_under_each_signature(self, number_dom, plan1, text):
