@@ -44,8 +44,17 @@ class NumberModel(ObservationModel):
         return state.get(self._flag_of[agent]) is True
 
 
+def _no_config(model: str, config: list) -> None:
+    """Refuse `obs-config` lines for a model that reads none, rather than
+    drop them."""
+    if config:
+        raise ValidationError(f"the {model} model takes no obs-config lines, got: "
+                              f"{' '.join(config[0])}")
+
+
 @register_model("number")
 def _number_factory(sig: Signature, config: list) -> NumberModel:
+    _no_config("number", config)
     return NumberModel(sig)
 
 
@@ -106,6 +115,7 @@ class GrapevineModel(ObservationModel):
 
 @register_model("grapevine")
 def _grapevine_factory(sig: Signature, config: list) -> GrapevineModel:
+    _no_config("grapevine", config)
     return GrapevineModel(sig)
 
 

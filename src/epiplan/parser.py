@@ -36,7 +36,7 @@ from .core import (
     validate_formula,
     value_kind,
 )
-from .perspectives import FoldState, ObservationModel, make_model
+from .perspectives import ObservationModel, make_model
 from .planner import Action, Effect, apply_action, SearchNode
 from .semantics import Evaluator
 
@@ -209,21 +209,27 @@ def _parse_formula(stream: _TokenStream, sig: Signature,
             group = _parse_group(stream)
         arg = stream.peek()
         if node is GroupSees and arg is not None and arg.text != "(":
-            var_tok = stream.next("a variable")
+            var = _parse_variable(stream, sig)
             _expect_close(stream, head)
-            return GroupSeesVar(mode, group, var_tok.text), 1
+            return GroupSeesVar(mode, group, var), 1
         child, height = _parse_formula(stream, sig, depth + 1)
         _expect_close(stream, head)
         return node(mode, group, child), height + 1
     raise ParseError(f"unknown operator {name!r}", head.line, head.col)
 
 
+def _parse_variable(stream: _TokenStream, sig: Signature) -> str:
+    """A declared variable's name: an atom's left operand or what is seen."""
+    tok = stream.next("a variable")
+    if tok.text in "()":
+        raise ParseError("expected a variable name", tok.line, tok.col)
+    if tok.text not in sig.index:
+        raise ParseError(f"undeclared variable {tok.text!r}", tok.line, tok.col)
+    return tok.text
+
+
 def _parse_atom(stream: _TokenStream, sig: Signature, rel: str, head: Token) -> Atom:
-    lhs = stream.next("a variable")
-    if lhs.text in "()":
-        raise ParseError("expected a variable name", lhs.line, lhs.col)
-    if lhs.text not in sig.index:
-        raise ParseError(f"undeclared variable {lhs.text!r}", lhs.line, lhs.col)
+    lhs = _parse_variable(stream, sig)
     rhs_tok = stream.next("a constant or variable")
     if rhs_tok.text in "()":
         raise ParseError("expected a constant or variable", rhs_tok.line, rhs_tok.col)
@@ -233,7 +239,7 @@ def _parse_atom(stream: _TokenStream, sig: Signature, rel: str, head: Token) -> 
     else:
         rhs = _parse_constant(rhs_tok.text)
     _expect_close(stream, head)
-    return Atom(rel, lhs.text, rhs)
+    return Atom(rel, lhs, rhs)
 
 
 def _parse_group(stream: _TokenStream) -> Tuple[str, ...]:
@@ -408,6 +414,13 @@ def _parse_var_decl(parts: List[str], line: str, lineno: int) -> Tuple[str, List
     if kind == "enum":
         if not rest:
             raise _word_error("enum variables need at least one symbol", line, lineno, 3)
+        for at, word in enumerate(rest, start=4):
+            # values are read with `_parse_constant`, so nothing could name
+            # a symbol that reads as an int or a bool
+            value = _parse_constant(word)
+            if value_kind(value) != "symbol":
+                raise _word_error(f"enum symbol {word!r} reads as the {value_kind(value)} "
+                                  f"constant {format_value(value)}", line, lineno, at)
         return var_name, list(rest)
     if kind == "int":
         if len(rest) == 1 and ".." in rest[0]:
@@ -564,28 +577,14 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
 
 def parse_trace(text: str, domain: DomainFile) -> StateSequence:
     """A trace is either `init` plus `do` lines (replayed through the action
-    model, checking preconditions) or explicit `state` lines. A replay
-    carries its node's fold states, as a search does (`planner`), along the
-    paths of the preconditions the `do` lines name, so a belief
-    precondition does not walk the whole history again at every step. A
-    path is stepped only up to the last `do` line that reads it: the paths
-    are numbered latest-read first, and the folds are cut to those the
-    `do` lines still ahead read."""
+    model, checking preconditions) or explicit `state` lines."""
     sig = domain.signature
     action_by_name = {a.name: a for a in domain.actions}
     states: List[State] = []
     node: Optional[SearchNode] = None
     evaluator = Evaluator(domain.model)
-    lines = list(_lines(text))
-    last_read: Dict[str, int] = {}   # each action a `do` line names: its last such line
-    for index, (_, line) in enumerate(lines):
-        parts = line.split()
-        if parts[0] == "do" and len(parts) == 2:
-            last_read[parts[1]] = index
-    ahead = sorted(last_read, key=last_read.get, reverse=True)
-    reads: List[int] = []   # reads[k]: the folds the preconditions of ahead[:k+1] read
 
-    for index, (lineno, line) in enumerate(lines):
+    for lineno, line in _lines(text):
         parts = line.split()
         key = parts[0]
         if key == "do":
@@ -598,12 +597,7 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             successor = apply_action(evaluator, action, node)
             if successor is None:
                 raise ParseError(f"action {parts[1]!r} is not applicable at this point", lineno)
-            while ahead and last_read[ahead[-1]] <= index:
-                ahead.pop()
-                reads.pop()
-            kept = node.folds[:reads[-1]] if reads else ()
-            node = SearchNode(successor.sequence, successor.plan,
-                              evaluator.step_folds(kept, successor.sequence[-1]))
+            node = successor
         elif key in ("init", "state"):
             if key == "init" and (node is not None or states):
                 raise ParseError("init must be the first directive", lineno)
@@ -612,14 +606,7 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
             values = _assignments(sig, parts, line, lineno, {})
             try:
                 if key == "init":   # total; global_state fills in the agent markers
-                    start = StateSequence([sig.global_state(values)])
-                    folds: Tuple[FoldState, ...] = ()
-                    for name in ahead:
-                        action = action_by_name.get(name)
-                        if action is not None and action.precondition is not None:
-                            folds = evaluator.fold_states(start, [action.precondition])
-                        reads.append(len(folds))
-                    node = SearchNode(start, (), folds)
+                    node = SearchNode(StateSequence([sig.global_state(values)]), ())
                 else:
                     states.append(sig.make_state({**dict.fromkeys(sig.agents, True), **values}))
             except ValidationError as exc:

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -32,8 +33,6 @@ from epiplan.parser import (
     parse_problem,
     parse_trace,
 )
-from epiplan import perspectives
-from epiplan.perspectives import FoldPaths
 from epiplan.planner import SearchNode, apply_action
 from epiplan.semantics import Evaluator
 
@@ -104,6 +103,20 @@ class TestFormulas:
         with pytest.raises(ParseError) as err:
             parse_formula("(and (= n 1)\n  (= m 2))", sig)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("(S a)", 1, 5, "expected a variable name"),
+        ("(S a ))", 1, 6, "expected a variable name"),
+        ("(S a zz)", 1, 6, "undeclared variable 'zz'"),
+        ("(DS (a b) zz)", 1, 11, "undeclared variable 'zz'"),
+        ("(and (= n 1)\n  (CS (a b)  zz))", 2, 14, "undeclared variable 'zz'"),
+    ])
+    def test_variable_errors_name_their_token(self, sig, text, line, col, message):
+        # a seen variable is checked where it stands, as an atom's is
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, sig)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert message in str(err.value)
 
     def test_trailing_garbage_rejected(self, sig):
         with pytest.raises(ParseError):
@@ -225,6 +238,15 @@ observation number
         with pytest.raises(ParseError):
             parse_domain(MINI_DOMAIN.replace("observation number", "observation ghost"))
 
+    @pytest.mark.parametrize("model", ["number", "grapevine"])
+    def test_model_without_config_refuses_obs_config(self, model):
+        text = (resources.files("epiplan").joinpath("benchmarks").joinpath(model)
+                .joinpath(f"{model}.dom").read_text(encoding="utf-8"))
+        assert parse_domain(text).model is not None
+        with pytest.raises(ParseError) as err:
+            parse_domain(text + "\nobs-config pos a 1 2\n")
+        assert f"the {model} model takes no obs-config lines, got: pos a 1 2" in str(err.value)
+
     @pytest.mark.parametrize("effect", ["eff n := 99", "eff n := -1", "eff n := 3"])
     def test_out_of_domain_constant_effect(self, effect):
         bad = MINI_DOMAIN.replace("eff n += 1", effect)
@@ -302,12 +324,13 @@ class TestTraces:
         with pytest.raises(ParseError):
             parse_trace("init n=1 peeking_a=true peeking_b=false\ndo flip\n", domain)
 
-    @staticmethod
-    def _grapevine_replay(names):
-        """g0's domain and start, a trace doing `names` from that start, and
-        the sequence that nodes carrying no fold states give."""
+    def test_replay_is_the_apply_action_chain(self):
+        """A replay gives the sequence that `apply_action` gives from the
+        start, one action per `do` line, on nodes carrying no fold states."""
         domain, problem = load_benchmark("grapevine", "g0")
         sig = domain.signature
+        names = (["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"]
+                 + ["share_a_t", "move_b_room2", "move_b_room1"] * 6)
         text = "init " + " ".join(f"{var}={format_value(value)}"
                                   for var, value in problem.initial.items()
                                   if not sig.is_agent(var))
@@ -317,41 +340,8 @@ class TestTraces:
         for name in names:
             node = apply_action(evaluator, next(a for a in domain.actions if a.name == name),
                                 node)
-        assert node.folds == ()
-        return domain, text, node.sequence
-
-    def test_replay_carries_fold_states(self, monkeypatch):
-        """A replay walks its preconditions' viewer paths only at `init`,
-        over the start alone, and steps them by one state per action, as a
-        search does; it replays the sequence that nodes carrying no fold
-        states give."""
-        names = ["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"] * 5
-        domain, text, reference = self._grapevine_replay(names)
-        walked = []
-        walk = FoldPaths.walk
-        monkeypatch.setattr(FoldPaths, "walk", lambda self, seq, numbers:
-                            walked.append(len(seq)) or walk(self, seq, numbers))
-        seq = parse_trace(text, domain)
-        monkeypatch.undo()
-        assert walked and set(walked) == {1}
-        assert seq == reference
-
-    def test_replay_steps_a_path_up_to_its_last_reader(self, monkeypatch):
-        """b's path is read by the third `do` line only; the replay steps it
-        no further, so it makes no fold step that a replay on nodes carrying
-        no fold states does not make too."""
-        names = (["share_a_t", "move_b_room2", "share_b_t", "move_b_room1"]
-                 + ["share_a_t", "move_b_room2", "move_b_room1"] * 6)
-        steps = []
-        fold_step = perspectives._fold_step
-        monkeypatch.setattr(perspectives, "_fold_step", lambda *args:
-                            steps.append(1) or fold_step(*args))
-        domain, text, reference = self._grapevine_replay(names)
-        fold_less = len(steps)
-        seq = parse_trace(text, domain)
-        replayed = len(steps) - fold_less
-        assert seq == reference
-        assert 0 < replayed <= fold_less
+        assert len(node.sequence) == len(names) + 1
+        assert parse_trace(text, domain) == node.sequence
 
     def test_explicit_states_allow_partial(self):
         domain = parse_domain(MINI_DOMAIN)
@@ -420,6 +410,8 @@ class TestDeclarationColumns:
         ("var n : int 0..2", "var n : int  0..x", 5, 14, "bad integer range '0..x'"),
         ("var n : int 0..2", "var n : flt", 5, 9, "unknown variable type 'flt'"),
         ("var n : int 0..2", "var n : int { 0 one }", 5, 17, "must be integers"),
+        ("var n : int 0..2", "var n : enum zero  1 2", 5, 20, "'1' reads as the int constant 1"),
+        ("var n : int 0..2", "var n : enum yes true", 5, 18, "'true' reads as the bool"),
         ("var peeking_b : bool", "var peeking_a : bool", 7, 5, "declared twice"),
         ("  eff n += 1", "  eff n += one", 16, 12, "expected an integer"),
         ("  eff n += 1", "  eff  m += 1", 16, 8, "undeclared variable 'm'"),
