@@ -577,7 +577,10 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
 
 def parse_trace(text: str, domain: DomainFile) -> StateSequence:
     """A trace is either `init` plus `do` lines (replayed through the action
-    model, checking preconditions) or explicit `state` lines."""
+    model, checking preconditions) or explicit `state` lines. A replay
+    steps one search node per `do` line, as a search does, and rebuilds the
+    history once, at the end; a belief precondition walks its paths over
+    the history so far (`apply_action`)."""
     sig = domain.signature
     action_by_name = {a.name: a for a in domain.actions}
     states: List[State] = []

@@ -1,4 +1,4 @@
-"""Breadth-first planning over full state histories.
+"""Breadth-first planning over state histories, held as parent-linked nodes.
 
 Merging nodes on equal last states would be unsound, as a belief reads the
 whole history. Yet generated histories can only be equal as siblings, by
@@ -6,14 +6,21 @@ induction: the root is unique, children of distinct parents differ in their
 prefix, and children of one parent differ exactly when their last states do.
 So one set of successor states per expansion finds exactly the duplicates.
 
+A node holds no history. It is the textbook search node (Russell & Norvig,
+*Artificial Intelligence: A Modern Approach*, 3rd ed., §3.3.1): a last
+state, a link to its parent, the action taken there and its depth, plus its
+history's fold states (below). The plan is read back along the links once
+the goal is met, and the history only for a judge that reads whole
+sequences (`semantics`), so a child costs the same at every depth.
+
 One expansion pops the oldest node of the frontier and, for each action in
 declaration order, calls `apply_action` once: it evaluates the precondition
-on the node's history (one `Evaluator.evaluate` call) and, if that is
-strictly true and every effect stays in its domain, returns the child. A
-child is dropped as a duplicate or goal-tested (one `evaluate` per goal,
-stopping at the first goal missed) and queued. Each atom a formula reads is
-one `semantics.interpret_atom` call. These three are looked up by name on
-every call, never bound in advance, so the benchmark's tracer can wrap them.
+on the node (one `Evaluator.evaluate` call) and, if that is strictly true
+and every effect stays in its domain, returns the child. A child is dropped
+as a duplicate or goal-tested (one `evaluate` per goal, stopping at the
+first goal missed) and queued. Each atom a formula reads is one
+`semantics.interpret_atom` call. These three are looked up by name on every
+call, never bound in advance, so the benchmark's tracer can wrap them.
 
 An action's effects read only the last state, so one search keeps, per
 action, a table from last state to successor state (None where an effect
@@ -35,9 +42,9 @@ belief in it; a search with no such belief carries no fold states at all.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (
     Formula,
@@ -83,20 +90,58 @@ class Action:
     effects: Tuple[Effect, ...]
 
 
-class SearchNode(NamedTuple):
-    """A history, the plan that produced it and the history's fold states;
-    a tuple, so immutable.
+class SearchNode(namedtuple("SearchNode", "parent action depth folds last")):
+    """A node of the search tree: the node it was made from (`parent`, None
+    at a root) by the action named `action`, its `depth` (links to the
+    root) and its history's `last` state and fold states; a tuple, so
+    immutable. `last` comes last, so `node[-1]`, like `history[-1]`, is the
+    state a formula is judged on, and `Evaluator.evaluate` takes either.
+
+    `sequence` and `plan` rebuild the history and the plan along the links,
+    with a loop, so depth is bounded by the search alone.
+    `SearchNode(history, plan, folds=())` builds the chain of nodes along a
+    history and the plan that produced it, one action name per step, and
+    returns the last; a search makes each child with one link instead.
 
     `folds` are the fold states along the search evaluator's viewer paths
-    (`Evaluator.fold_states`); a node built with none has its beliefs'
-    folds walked over the history. They are numbered by that evaluator's
-    paths, so only that evaluator may apply or test a node that carries
-    some.
+    (`Evaluator.fold_states`); a node with none has its beliefs' folds
+    walked over the history. They are numbered by that evaluator's paths,
+    so only that evaluator may apply or test a node that carries some.
     """
 
-    sequence: StateSequence
-    plan: Tuple[str, ...]
-    folds: Tuple[FoldState, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, history: StateSequence, plan: Tuple[str, ...] = (),
+                folds: Tuple[FoldState, ...] = ()) -> "SearchNode":
+        if len(plan) != len(history) - 1:
+            raise ValueError(f"a history of {len(history)} states takes a plan of "
+                             f"{len(history) - 1} actions, not {len(plan)}")
+        node = None
+        for depth, state in enumerate(history):
+            node = tuple.__new__(cls, (node, plan[depth - 1] if depth else None, depth,
+                                       folds if depth == len(plan) else (), state))
+        return node
+
+    @property
+    def sequence(self) -> StateSequence:
+        """The history, from the root's state to this node's."""
+        states = []
+        node: Optional[SearchNode] = self
+        while node is not None:
+            states.append(node.last)
+            node = node.parent
+        states.reverse()
+        return StateSequence(states)
+
+    @property
+    def plan(self) -> Tuple[str, ...]:
+        """The action names from the root to this node."""
+        names = []
+        node = self
+        while node.parent is not None:
+            names.append(node.action)
+            node = node.parent
+        return tuple(reversed(names))
 
 
 Goal = Tuple[Formula, Ternary]
@@ -152,7 +197,7 @@ def _apply_effects(sig: Signature, state: State,
 def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
                  successors: Optional[Dict[State, Optional[State]]] = None
                  ) -> Optional[SearchNode]:
-    """Extend the node by one action, or None if inapplicable.
+    """The node's child by one action, or None if inapplicable.
 
     The precondition must evaluate to strictly true on the node's history;
     merely-unknown preconditions do not license acting. `successors` is this
@@ -160,11 +205,10 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
     the node's last state, filled where it does not. The precondition reads
     the node's fold states; the child carries none (a search steps them).
     """
-    seq = node.sequence
     if action.precondition is not None:
-        if evaluator.evaluate(seq, action.precondition, node.folds) is not _TRUE:
+        if evaluator.evaluate(node, action.precondition, node.folds) is not _TRUE:
             return None
-    last = seq[-1]
+    last = node.last
     if successors is None:
         successors = {}
     successor = successors.get(last, _NOT_MET)
@@ -172,7 +216,8 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
         successor = successors[last] = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
-    return SearchNode(seq.extend(successor), node.plan + (action.name,))
+    # one link to the node: no history or plan is copied
+    return tuple.__new__(SearchNode, (node, action.name, node.depth + 1, (), successor))
 
 
 def breadth_first_plan(model: ObservationModel,
@@ -184,8 +229,8 @@ def breadth_first_plan(model: ObservationModel,
                        time_budget: Optional[float] = None) -> PlanResult:
     """Shortest plan reaching all goal targets, FIFO order, duplicates pruned.
 
-    Only siblings can be duplicates (module docstring), so no history is held
-    outside the frontier. Exhausting all plans of length <= max_depth yields
+    Only siblings can be duplicates (module docstring), so no set of
+    histories is kept. Exhausting all plans of length <= max_depth yields
     "unsolvable"; running past the time budget, or reaching `node_budget`
     generated nodes (the root counts) with actions left to try, yields
     "aborted" (nothing is proven). Actions go in declaration order, so results are deterministic.
@@ -215,7 +260,7 @@ def breadth_first_plan(model: ObservationModel,
 
     def satisfied(node: SearchNode) -> bool:
         for phi, target in goals:
-            if evaluator.evaluate(node.sequence, phi, node.folds) is not target:
+            if evaluator.evaluate(node, phi, node.folds) is not target:
                 return False
         return True
 
@@ -234,7 +279,7 @@ def breadth_first_plan(model: ObservationModel,
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
         node = frontier.popleft()
-        if len(node.plan) >= max_depth:
+        if node.depth >= max_depth:
             continue
         expanded += 1
         folds = node.folds
@@ -247,13 +292,14 @@ def breadth_first_plan(model: ObservationModel,
             if child is None:
                 continue
             generated += 1
-            last = child.sequence[-1]
+            last = child.last
             if last in queued:
                 continue
             queued.add(last)
             if folds:
                 # kept, so its fold states are needed: one step per path
-                child = SearchNode(child.sequence, child.plan, evaluator.step_folds(folds, last))
+                child = tuple.__new__(SearchNode, (node, child.action, child.depth,
+                                                   evaluator.step_folds(folds, last), last))
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
             frontier.append(child)

@@ -8,7 +8,10 @@ pooled view's row and an E belief on each member's row. By prefix-closure a
 view's last row is all a belief-free φ reads there, and the fold states
 are all that one more state needs, so a search node carries them and a
 child's are one fold step from its parent's (`planner`). A plain
-`evaluate(seq, φ)` walks them from the empty fold state.
+`evaluate(seq, φ)` walks them from the empty fold state. A search node holds
+no history, so `evaluate` takes the node itself and reads its last state and
+fold states; a judge that reads whole sequences rebuilds the history along
+the node's parent links (`_history`).
 
 A belief is judged on whole view sequences instead when it is common (the
 common fixed point iterates over sequences, and its statistics count them)
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     And,
@@ -53,6 +56,9 @@ from .perspectives import (
     uniform_perspectives,
 )
 
+if TYPE_CHECKING:
+    from .planner import SearchNode
+
 # GroupMode's members as module globals, as `core` keeps Ternary's: an enum
 # member read off its class is a metaclass lookup, paid per group node visited
 _COMMON, _UNIFORM, _DISTRIBUTED = GroupMode.COMMON, GroupMode.UNIFORM, GroupMode.DISTRIBUTED
@@ -67,10 +73,15 @@ _NEGATED = (_TRUE, _UNKNOWN, _FALSE)   # a verdict's negation, indexed by the ve
 _MAX_BELIEF_PATHS = 64
 _OVER_BOUND = _MAX_BELIEF_PATHS + 1
 
-# A judge gives a formula's verdict from (evaluator, sequence, last state,
-# folds): the sequence only where a common belief needs it (None on a view
+# What a formula is judged on: a history, or a search node, whose history is
+# rebuilt only where a judge reads it (`_history`). Either's [-1] is its
+# last state.
+History = Union[StateSequence, "SearchNode"]
+
+# A judge gives a formula's verdict from (evaluator, history, last state,
+# folds): the history only where a common belief needs it (None on a view
 # row), and the folds along the evaluator's paths, indexed by path number.
-Judge = Callable[["Evaluator", Optional[StateSequence], State, Sequence[FoldState]], Ternary]
+Judge = Callable[["Evaluator", Optional[History], State, Sequence[FoldState]], Ternary]
 
 
 # A formula's record on one signature: the formula and the signature (which
@@ -156,12 +167,13 @@ class Evaluator:
         self._formulas: dict[tuple[int, int], _Record] = {}
         self._reached: Dict[int, int] = {}
 
-    def evaluate(self, seq: StateSequence, phi: Formula,
+    def evaluate(self, seq: History, phi: Formula,
                  folds: Sequence[FoldState] = ()) -> Ternary:
-        """The verdict of `phi` on `seq`. `folds` may give the folds over
-        `seq` along this evaluator's paths 0..len(folds)-1, as a search node
-        carries them (`fold_states`, `step_folds`); where it does not cover
-        `phi`'s paths, they are walked over `seq`."""
+        """The verdict of `phi` on `seq`, a history or a search node.
+        `folds` may give the folds over it along this evaluator's paths
+        0..len(folds)-1, as a search node carries them (`fold_states`,
+        `step_folds`); where it does not cover `phi`'s paths, they are
+        walked over the history."""
         last = seq[-1]
         record = self._formulas.get((id(phi), id(last.sig)))
         if record is None:
@@ -374,14 +386,21 @@ def _on_state(ev: Evaluator, record: _Record, state: State) -> Ternary:
     return found
 
 
-def _on_sequence(ev: Evaluator, record: _Record, seq: StateSequence,
+def _history(seq: History) -> StateSequence:
+    """`seq` itself, or the history a search node rebuilds along its parent
+    links (`planner.SearchNode.sequence`)."""
+    return seq if isinstance(seq, StateSequence) else seq.sequence
+
+
+def _on_sequence(ev: Evaluator, record: _Record, seq: History,
                  folds: Sequence[FoldState] = ()) -> Ternary:
     """`record`'s verdict on the whole sequence `seq`, as `evaluate` gives
-    it but not counted as a call; `folds` as `evaluate` takes them."""
+    it but not counted as a call; `seq` and `folds` as `evaluate` takes them."""
     if record[4] is not None:
         return _on_state(ev, record, seq[-1])
     numbers = record[3]
     if numbers and len(folds) <= numbers[-1]:
+        seq = _history(seq)
         folds = ev._paths.walk(seq, numbers)
     return record[2](ev, seq, seq[-1], folds)
 
@@ -389,15 +408,17 @@ def _on_sequence(ev: Evaluator, record: _Record, seq: StateSequence,
 def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
     """The judge of a belief on whole view sequences: the pooled view (D),
     each member's (E) or the common fixed point (C), with the child's
-    record judged on every distinct view. `below` is the child's
-    `_paths_reached`. The record is made in the judge's first call, so the
-    paths its beliefs reach are numbered only once a view needs them: they
-    are walked over views, never stepped at a search node."""
+    record judged on every distinct view; a search node's history is
+    rebuilt for them. `below` is the child's `_paths_reached`. The record is
+    made in the judge's first call, so the paths its beliefs reach are
+    numbered only once a view needs them: they are walked over views, never
+    stepped at a search node."""
     group, mode, child = phi.group, phi.mode, phi.child
     inner: Optional[_Record] = None
 
     def judge(ev, seq, last, folds):
         nonlocal inner
+        seq = _history(seq)
         if mode is _DISTRIBUTED:
             views = (distributed_perspective(ev.model, group, seq, ev._memo),)
         elif mode is _UNIFORM:

@@ -32,7 +32,7 @@ from epiplan.planner import (
     apply_action,
     breadth_first_plan,
 )
-from epiplan.semantics import Evaluator
+from epiplan.semantics import _MAX_BELIEF_PATHS, Evaluator
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +52,15 @@ class TestApply:
     def test_effect_appends_successor(self, n1):
         domain, problem = n1
         ev = Evaluator(domain.model)
-        child = apply_action(ev, _action(domain, "subtract"), _root(problem))
+        root = _root(problem)
+        child = apply_action(ev, _action(domain, "subtract"), root)
         assert child is not None
+        # one link to the root, read back as the plan and the history
+        assert (child.parent, child.action, child.depth, child.folds) == \
+            (root, "subtract", 1, ())
         assert child.plan == ("subtract",)
         assert len(child.sequence) == 2
-        assert child.sequence.last.get("n") == 1
+        assert child.last is child.sequence.last and child.last.get("n") == 1
         assert child.sequence[0].get("n") == 2
 
     def test_mutually_exclusive_peeks(self, n1):
@@ -534,7 +538,7 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
 
     def counting_apply(evaluator, action, node, successors=None):
         applied.append(action.name)
-        last = node.sequence.last
+        last = node.last
         if action.precondition is None or \
                 reference(last, action.precondition)[0] is Ternary.TRUE:
             expected_effects.add((action.effects, last))
@@ -544,10 +548,10 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         effected.append((effects, state))
         return apply_effects(sig, state, effects)
 
-    def counting_evaluate(self, seq, phi, folds=()):
+    def counting_evaluate(self, node, phi, folds=()):
         evaluated.append(phi)
-        expected_atoms[(id(phi), seq.last)] = reference(seq.last, phi)[1]
-        return evaluate(self, seq, phi, folds)
+        expected_atoms[(id(phi), node.last)] = reference(node.last, phi)[1]
+        return evaluate(self, node, phi, folds)
 
     def counting_interpret(state, atom):
         atoms.append(atom)
@@ -573,7 +577,7 @@ def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
     """With beliefs, the unit of work is one fold step per viewer path per
     kept child (not a duplicate), from its parent's fold states; no view is
     built, and every precondition and goal test is still one `evaluate`
-    call, handed the node's fold states."""
+    call, handed the node and its fold states."""
     from epiplan import perspectives, semantics
 
     sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
@@ -598,11 +602,11 @@ def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
         built.append(args)
         return believed(*args, **kwargs)
 
-    def counting_evaluate(self, seq, phi, folds=()):
+    def counting_evaluate(self, node, phi, folds=()):
         if phi is goal:
-            tested.append(seq)
-        assert len(folds) == 4
-        return evaluate(self, seq, phi, folds)
+            tested.append(node)
+        assert isinstance(node, SearchNode) and folds is node.folds and len(folds) == 4
+        return evaluate(self, node, phi, folds)
 
     monkeypatch.setattr(perspectives.FoldPaths, "advance", counting_advance)
     monkeypatch.setattr(perspectives, "_believed_sequence", counting_build)
@@ -631,18 +635,159 @@ def test_effects_apply_in_order():
 def test_search_node_is_immutable(n1):
     domain, problem = n1
     node = _root(problem)
-    # a node built from (sequence, plan) has three items, the folds empty
-    assert (node.sequence, node.plan, ()) == tuple(node) and node.folds == ()
+    # a root built from (sequence, plan): no parent, no action, depth 0
+    assert tuple(node) == (None, None, 0, (), problem.initial)
+    assert (node.sequence, node.plan, node.folds) == (StateSequence([problem.initial]), (), ())
     evaluator = Evaluator(domain.model)
     folds = evaluator.fold_states(node.sequence, [parse_formula("(B a (= n 2))",
                                                                 domain.signature)])
     folded = SearchNode(node.sequence, node.plan, folds)
-    assert len(folded) == 3 and len(folded.folds) == len(folds) == 1
-    assert (folded.sequence, folded.plan, folded.folds) == tuple(folded)
-    for each in (node, folded):
+    assert len(folded) == 5 and len(folded.folds) == len(folds) == 1
+    assert (folded.parent, folded.action, folded.depth, folded.folds, folded.last) == \
+        tuple(folded)
+    # a longer history becomes a chain of nodes; only the last carries folds
+    child = apply_action(evaluator, _action(domain, "subtract"), node)
+    history = child.sequence.extend(child.last)
+    chain = SearchNode(history, ("subtract", "wait"), folds)
+    assert (chain.sequence, chain.plan, chain.depth, chain.folds) == \
+        (history, ("subtract", "wait"), 2, folds)
+    assert chain.parent.folds == chain.parent.parent.folds == ()
+    with pytest.raises(ValueError):
+        SearchNode(history, ("subtract",))
+    for each in (node, folded, child):
         with pytest.raises(AttributeError):
             each.plan = ("peek_a",)
         with pytest.raises(AttributeError):
             each.folds = ()
         with pytest.raises(AttributeError):
+            each.parent = None
+        with pytest.raises(AttributeError):
             each.extra = 1
+
+
+# --------------------------------------------------------------------------
+# A node holds no history: a child is one link to its parent, and the
+# history and plan are rebuilt along the links. On a node the evaluator
+# reads the last state and the carried fold states, and rebuilds the history
+# only for a judge that reads whole sequences (common beliefs and chains
+# past the path bound).
+# --------------------------------------------------------------------------
+
+WALKED = {name: load_benchmark(name, problem)
+          for name, problem in (("number", "n0"), ("grapevine", "g0"), ("bbl", "bbl0"))}
+
+
+def _chain_past_bound(rng, sig):
+    """E beliefs of every agent over an atom, nested one level deeper than
+    `_MAX_BELIEF_PATHS` allows on paths."""
+    phi, reached = random_belief_free_formula(rng, sig, 0), 0
+    while reached <= _MAX_BELIEF_PATHS:
+        phi = GroupBelieves(GroupMode.UNIFORM, sig.agents, phi)
+        reached = len(sig.agents) * (1 + reached)
+    return phi
+
+
+def _walk_formulas(rng, sig):
+    """A belief of each mode over a random group, a random nest of them
+    and a chain past the path bound."""
+    def group():
+        return tuple(a for a in sig.agents if rng.random() < 0.6) or sig.agents[:1]
+
+    formulas = [GroupBelieves(mode, group(), random_belief_free_formula(rng, sig, 1))
+                for mode in GroupMode]
+    phi = random_belief_free_formula(rng, sig, 1)
+    for _ in range(rng.randint(1, 3)):
+        phi = GroupBelieves(rng.choice(list(GroupMode)), group(), phi)
+        if rng.random() < 0.3:
+            phi = Not(phi)
+    return formulas + [phi, _chain_past_bound(rng, sig)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("random",) + tuple(WALKED)), seed=st.integers(0, 2 ** 32 - 1))
+def test_linked_nodes_rebuild_and_judge_as_their_history(kind, seed):
+    """On a random action walk, a node carrying fold states (stepped as the
+    search steps them) and one carrying none rebuild the history and plan
+    that extension builds, and `evaluate` on either gives the verdict that
+    a fresh evaluator gives on the rebuilt history."""
+    rng = random.Random(seed)
+    if kind == "random":
+        sig, model, seq = random_instance(rng, max_vars=4, max_len=1)
+        actions = tuple(_random_action(rng, sig, f"act{k}") for k in range(4))
+        initial = seq[0]
+    else:
+        domain, problem = WALKED[kind]
+        sig, model, actions, initial = (domain.signature, domain.model, domain.actions,
+                                        problem.initial)
+    formulas = _walk_formulas(rng, sig)
+    evaluator = Evaluator(model)
+    history, plan = StateSequence([initial]), ()
+    pres = [action.precondition for action in actions if action.precondition is not None]
+    folded = SearchNode(history, plan, evaluator.fold_states(history, pres + formulas))
+    plain = SearchNode(history)
+    for _ in range(rng.randint(0, 5)):
+        steps = [(action, apply_action(evaluator, action, folded),
+                  apply_action(evaluator, action, plain)) for action in actions]
+        assert all((child is None) == (other is None) for _, child, other in steps)
+        steps = [step for step in steps if step[1] is not None]
+        if not steps:
+            break
+        action, child, plain = rng.choice(steps)
+        folded = child._replace(folds=evaluator.step_folds(folded.folds, child.last))
+        history, plan = history.extend(child.last), plan + (action.name,)
+        for node in (folded, plain):
+            assert (node.sequence, node.plan, node.depth) == (history, plan, len(plan))
+    fresh = Evaluator(model)
+    for phi in formulas:
+        verdict = fresh.evaluate(folded.sequence, phi)
+        assert evaluator.evaluate(folded, phi, folded.folds) is verdict, phi
+        assert evaluator.evaluate(plain, phi) is verdict, phi
+
+
+def test_a_search_copies_no_history(monkeypatch):
+    """A search extends no sequence. With atom-only preconditions and goals
+    it rebuilds no history either; with common-belief goals it rebuilds one
+    exactly for each `evaluate` of a goal, whose record reads whole
+    sequences, and for nothing else: the B preconditions read fold rows."""
+    from epiplan import semantics
+
+    extended, rebuilt, goal_tested = [], [], []
+    extend = StateSequence.extend
+    sequence = SearchNode.sequence.fget
+    evaluate = semantics.Evaluator.evaluate
+
+    def counting_extend(self, state):
+        extended.append(state)
+        return extend(self, state)
+
+    def counting_sequence(node):
+        rebuilt.append(node)
+        return sequence(node)
+
+    def counting_evaluate(self, node, phi, folds=()):
+        if any(phi is goal for goal, _ in goals):
+            goal_tested.append(node)
+        return evaluate(self, node, phi, folds)
+
+    monkeypatch.setattr(StateSequence, "extend", counting_extend)
+    monkeypatch.setattr(SearchNode, "sequence", property(counting_sequence))
+    monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
+    sig = Signature(["a"], {"x": range(4), "flag": (False, True)})
+    up = Action("up", Atom("<", "x", 3), (Effect("x", "add", 1),))
+    flip = Action("flip", Not(Atom("=", "flag", True)), (Effect("flag", "set", True),))
+    goals = ((Atom(">", "x", 3), Ternary.TRUE),)
+    result = breadth_first_plan(BLIND, (up, flip), sig.global_state({"x": 0, "flag": False}),
+                                goals, max_depth=4)
+    assert result.status == UNSOLVABLE and len(goal_tested) > 1
+    assert extended == [] and rebuilt == []
+
+    # (B b (CB (a b c d) (= sct_a f))) and (CB (a c d) (= sct_a t))
+    domain, problem = load_benchmark("grapevine", "g3")
+    goal_tested.clear()
+    goals = problem.goals
+    result = breadth_first_plan(domain.model, domain.actions, problem.initial, goals,
+                                max_depth=problem.max_depth)
+    assert result.status == SOLVED and result.common_max > 0
+    assert extended == []
+    assert len(goal_tested) > 1 and [id(node) for node in rebuilt] == \
+        [id(node) for node in goal_tested]

@@ -609,10 +609,11 @@ def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
     handed = {}
     evaluate = Evaluator.evaluate
 
-    def recording(self, history, phi, folds=()):
+    def recording(self, node, phi, folds=()):
         if folds:
+            history = node.sequence
             assert handed.setdefault(history, (self, folds)) == (self, folds)
-        return evaluate(self, history, phi, folds)
+        return evaluate(self, node, phi, folds)
 
     Evaluator.evaluate = recording
     try:
