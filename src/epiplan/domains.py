@@ -4,7 +4,10 @@ All three follow the same pattern: a handful of bookkeeping variables
 (peeking flags, locations, camera directions) are transparent — visible to
 every agent all the time — while the payload variables are gated by the
 bookkeeping. Because gating only ever consults values present in the state,
-the models are monotone and idempotent by construction.
+the models are monotone and idempotent by construction. Each declares the
+bookkeeping variables an agent's gating reads (`gate_variables`): its own
+peeking flag, its own location and every broadcast channel, or its own
+direction.
 """
 
 from __future__ import annotations
@@ -33,10 +36,14 @@ class NumberModel(ObservationModel):
                 raise ValidationError(f"{flag!r} must be boolean")
             flags[agent] = flag
         self._flag_of = flags
+        self._gates = {agent: frozenset([flag]) for agent, flag in flags.items()}
         self._transparent = frozenset(sig.agents) | frozenset(flags.values())
 
     def transparent_variables(self) -> FrozenSet[str]:
         return self._transparent
+
+    def gate_variables(self, agent: str) -> FrozenSet[str]:
+        return self._gates[agent]
 
     def sees(self, agent: str, state: State, var: str) -> bool:
         if var in self._transparent:
@@ -89,9 +96,13 @@ class GrapevineModel(ObservationModel):
                     self._channel_of[var] = channel
         self._channels = frozenset(self._channel_of.values())
         self._transparent = frozenset(sig.agents) | frozenset(self._loc_of.values())
+        self._gates = {agent: self._channels | {loc} for agent, loc in self._loc_of.items()}
 
     def transparent_variables(self) -> FrozenSet[str]:
         return self._transparent
+
+    def gate_variables(self, agent: str) -> FrozenSet[str]:
+        return self._gates[agent]
 
     def _hears(self, agent: str, state: State, channel: str) -> bool:
         room = state.get(channel)
@@ -140,6 +151,7 @@ class BBLModel(ObservationModel):
             self._dir_of[agent] = dvar
         dir_vars = frozenset(self._dir_of.values())
         self._transparent = frozenset(sig.agents) | dir_vars
+        self._gates = {agent: frozenset([dvar]) for agent, dvar in self._dir_of.items()}
         self._objects = tuple(v for v in sig.variables if v not in self._transparent)
         for obj in self._objects:
             if obj not in positions:
@@ -155,6 +167,9 @@ class BBLModel(ObservationModel):
 
     def transparent_variables(self) -> FrozenSet[str]:
         return self._transparent
+
+    def gate_variables(self, agent: str) -> FrozenSet[str]:
+        return self._gates[agent]
 
     def sees(self, agent: str, state: State, var: str) -> bool:
         if var in self._transparent:

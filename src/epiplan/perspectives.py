@@ -12,8 +12,9 @@ sequence, from the empty fold state. One step of it needs only a small fold
 state (the view's last row, the variables seen but never assigned, and the
 input's last values) and the next input state. A `FoldMemo` carries what has
 been worked out across builds and observations: which variables a group of
-viewers sees in a state, and each step taken, so a step met again is read
-back rather than redone; equal fold states and equal masks are one object.
+viewers sees, by the values of the variables their visibility reads (the
+model's gate variables), and each step taken, so a step met again is read
+back rather than redone; equal fold states are one object.
 The memo also holds the views the common fixed point builds, so fixed
 points over the same sequences share them until the memo's owner empties
 its `views`.
@@ -23,6 +24,8 @@ view of any longer sequence. So a view need not be built to be read. A
 `FoldPaths` numbers viewer paths (chains of viewer groups: a's view, b's view
 of a's view, ...) and steps a tuple of fold states, one per path, by one
 input state: the fold states of a sequence's views after one more state.
+A group's view of its own view is that view, so no path repeats a group
+twice in a row, and the common fixed point never builds such a view.
 
 Every perspective function takes (model, agent or group, seq, memo=None) and
 returns one view of `seq` (`justified_perspective`, `distributed_perspective`)
@@ -33,6 +36,7 @@ point from {seq}, with its statistics). A group holds at least one agent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -64,7 +68,8 @@ class ObservationModel:
     from the viewer's own local state. Perspective building relies on this.
 
     ``sees`` must be a deterministic function of (agent, state, variable):
-    perspective building caches its answers per state.
+    perspective building caches its answers per gate projection of a state
+    (``gate_variables``).
     """
 
     def sees(self, agent: str, state: State, var: str) -> bool:
@@ -88,6 +93,17 @@ class ObservationModel:
         checks this on its samples.
         """
         return frozenset()
+
+    def gate_variables(self, agent: str) -> Optional[FrozenSet[str]]:
+        """The variables ``sees(agent, state, var)`` may read, for any `var`;
+        None (the default) for every variable.
+
+        Must be sound: two states that agree on these give the same answers,
+        since the engine asks once per distinct projection of a state onto
+        its viewers' gates. `check_observation_axioms` checks on its samples
+        that restricting a state to the agent's gates never changes ``sees``.
+        """
+        return None
 
 
 _MODEL_FACTORIES: Dict[str, Callable[[Signature, list], ObservationModel]] = {}
@@ -141,20 +157,23 @@ class FoldState(NamedTuple):
 
 class _Visibility:
     """What a memo knows about one group of viewers under one signature:
-    which variables they see, state by state, and the fold steps their views
-    have taken.
+    which variables they see, by the gate projection of a state, and the
+    fold steps their views have taken.
 
-    `masks` maps a state to one flag per variable; equal masks are one
-    tuple, held in `shapes`. A miss asks the model only about the variables
-    that are not transparent, and asks a viewer only about those no earlier
-    viewer sees. `steps` maps a fold state to a table from an input state to
-    the next fold state; one small table per fold state costs less memory
-    than a key tuple per step. `folds` holds each distinct fold state met,
-    so equal ones are one object. `start` is the fold state before any step.
+    `masks` maps a state's projection onto the viewers' gate variables (the
+    union of `ObservationModel.gate_variables`; every variable if one of
+    them declares none) to one flag per variable, so `sees` is asked once
+    per distinct projection rather than once per state. A miss asks the
+    model only about the variables that are not transparent, and asks a
+    viewer only about those no earlier viewer sees. `steps` maps a fold
+    state to a table from an input state to the next fold state; one small
+    table per fold state costs less memory than a key tuple per step.
+    `folds` holds each distinct fold state met, so equal ones are one
+    object. `start` is the fold state before any step.
     """
 
-    __slots__ = ("always", "gated", "masks", "shapes", "steps", "folds", "start",
-                 "_viewers", "_sees")
+    __slots__ = ("always", "gated", "masks", "steps", "folds", "start",
+                 "_viewers", "_sees", "_key")
 
     def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
         self._viewers = _members(viewers)
@@ -162,30 +181,34 @@ class _Visibility:
         self.always = [var in transparent for var in sig.variables]
         self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
                             if var not in transparent])
-        self.masks: Dict[State, Tuple[bool, ...]] = {}
-        self.shapes: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
+        # the projection of a state's values that keys its mask: the values
+        # of the viewers' gate variables, or all of them
+        gates = [model.gate_variables(agent) for agent in self._viewers]
+        index = sig.index
+        read = range(len(index)) if None in gates else \
+            [index[var] for var in frozenset().union(*gates) if var in index]
+        self._key = itemgetter(*read) if read else lambda vals: ()
+        self.masks: Dict[object, Tuple[bool, ...]] = {}
         self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
         nothing = State(sig, (None,) * len(sig.variables))
         self.start = FoldState(nothing, _NO_INDICES, nothing)
         self.folds: Dict[FoldState, FoldState] = {self.start: self.start}
         self._sees = model.sees
 
-    def compute(self, state: State) -> Tuple[bool, ...]:
-        """The mask of `state`, worked out and stored."""
-        sees, viewers = self._sees, self._viewers
-        mask = self.always.copy()
-        for idx, var in self.gated:
-            for agent in viewers:
-                if sees(agent, state, var):
-                    mask[idx] = True
-                    break
-        shape = tuple(mask)
-        found = self.masks[state] = self.shapes.setdefault(shape, shape)
-        return found
-
     def mask(self, state: State) -> Tuple[bool, ...]:
-        found = self.masks.get(state)
-        return self.compute(state) if found is None else found
+        """The mask of `state`: read back, or worked out and stored."""
+        key = self._key(state.vals)
+        found = self.masks.get(key)
+        if found is None:
+            sees, viewers = self._sees, self._viewers
+            mask = self.always.copy()
+            for idx, var in self.gated:
+                for agent in viewers:
+                    if sees(agent, state, var):
+                        mask[idx] = True
+                        break
+            found = self.masks[key] = tuple(mask)
+        return found
 
 
 def _masked(state: State, mask: Iterable[bool]) -> State:
@@ -197,9 +220,9 @@ class FoldMemo:
     one memo serves one observation model.
 
     `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
-    is asked once per (viewers, state) and a fold step is taken once per
-    (viewers, fold state, input state). The memo grows with the distinct
-    states and fold states it meets.
+    is asked once per (viewers, gate projection of a state) and a fold step
+    is taken once per (viewers, fold state, input state). The memo grows
+    with the distinct states and fold states it meets.
 
     `views` holds the one-agent views the common fixed point builds, keyed
     by (agent, input), where an input is the sequence a fixed point starts
@@ -337,7 +360,11 @@ class FoldPaths:
 
     def number(self, parent: int, table: _Visibility) -> int:
         """The number of the path that extends `parent` by `table`'s
-        viewers, added on first use."""
+        viewers, added on first use. A viewer group's view of its own view
+        is that view, so a parent whose last group is `table`'s is its own
+        extension: `parent` itself."""
+        if parent >= 0 and self.tables[parent] is table:
+            return parent
         key = (parent, table)
         found = self._numbers.get(key)
         if found is None:
@@ -420,7 +447,13 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
     one that confirms stability. Views are held in `memo.views` (a fresh
     memo if not given), so each (member, sequence) view is built once, by
     `justified_perspective` looked up at call time (a wrapper installed on
-    that name, as the benchmark's tracer does, sees every build).
+    that name, as the benchmark's tracer does, sees every build). A
+    member's view of its own view is that view, so it is held as soon as
+    the view is built, and not built: the wrapper does not see it. Whether
+    a view is first met as a member's own view or first built depends on
+    the order in which sets of views are walked, so the count of builds
+    may differ slightly from run to run; the views and the statistics do
+    not.
     """
     members = _members(group)
     views = frozenset([seq])
@@ -437,6 +470,7 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
                 found = held.get((i, w))
                 if found is None:
                     found = held[(i, w)] = justified_perspective(model, i, w, memo)
+                    held[(i, found)] = found
                 grown.add(found)
         frozen = frozenset(grown)
         if frozen == views:
@@ -479,8 +513,11 @@ _SUBSTATES_PER_STATE = 2   # random sub-states `check_observation_axioms` probes
 
 def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
                              states: Iterable[State], rng=None) -> None:
-    """Verify containment, idempotence and monotonicity on sampled states,
-    and that every declared-transparent variable is seen there.
+    """Verify containment, idempotence and monotonicity on sampled states;
+    that every declared-transparent variable is seen there; that restricting
+    a sample to an agent's declared gate variables never changes what it
+    sees; and that each agent's view, and the agents' pooled view, of the
+    sampled states (one sequence, in order) is its own view of itself.
 
     Raises AxiomViolation with the offending agent/state on the first failure.
     Monotonicity is probed against random sub-states of each sample (pass an
@@ -490,7 +527,9 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
 
     rng = rng or _random.Random(0)
     agents = tuple(agents)
+    states = list(states)
     transparent = model.transparent_variables()
+    gates = {agent: model.gate_variables(agent) for agent in agents}
     for state in states:
         samples = [state]
         assigned = state.assigned()
@@ -499,11 +538,17 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
             samples.append(state.restrict(keep))
         for sample in samples:
             for agent in agents:
+                gated = None if gates[agent] is None else sample.restrict(gates[agent])
                 for var in sample.sig.variables:
                     if var in transparent and not model.sees(agent, sample, var):
                         raise AxiomViolation(
                             f"{var!r} is declared transparent but agent {agent!r} "
                             f"does not see it in {sample!r}")
+                    if gated is not None and \
+                            model.sees(agent, gated, var) != model.sees(agent, sample, var):
+                        raise AxiomViolation(
+                            f"agent {agent!r} sees {var!r} differently in {sample!r} and in "
+                            f"{gated!r}, its restriction to the declared gate variables")
                 seen = model.observe(agent, sample)
                 if model.observe(agent, sample) != seen:
                     raise AxiomViolation(
@@ -524,3 +569,15 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
                     raise AxiomViolation(
                         f"monotonicity fails for agent {agent!r}: "
                         f"O({sample!r}) = {small!r} is not within O({state!r}) = {large!r}")
+    if not states:
+        return
+    seq = StateSequence(states)
+    groups = [(agent,) for agent in agents] + ([agents] if len(agents) > 1 else [])
+    for viewers in groups:
+        view = _believed_sequence(model, viewers, seq)
+        again = _believed_sequence(model, viewers, view)
+        for t, (row, seen) in enumerate(zip(view, again)):
+            if row is not seen:
+                raise AxiomViolation(
+                    f"the view of {', '.join(viewers)} of the sampled states is not its "
+                    f"own view of itself: at step {t}, {row!r} -> {seen!r}")

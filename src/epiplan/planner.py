@@ -107,9 +107,20 @@ class SearchNode(namedtuple("SearchNode", "parent action depth folds last")):
     (`Evaluator.fold_states`); a node with none has its beliefs' folds
     walked over the history. They are numbered by that evaluator's paths,
     so only that evaluator may apply or test a node that carries some.
+
+    Unlike a tuple, a node compares and hashes by identity, and its `repr`
+    shows its action, depth and last state only: neither follows the
+    parent links, so neither recurses however deep the node.
     """
 
     __slots__ = ()
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"SearchNode(action={self.action!r}, depth={self.depth}, last={self.last!r})"
 
     def __new__(cls, history: StateSequence, plan: Tuple[str, ...] = (),
                 folds: Tuple[FoldState, ...] = ()) -> "SearchNode":

@@ -362,10 +362,12 @@ class Evaluator:
 def _paths_reached(phi: Formula, table: Dict[int, int]) -> int:
     """How many viewer paths the beliefs in `phi` reach, up to
     `_OVER_BOUND`; a common belief counts as that. A path is counted once
-    per belief that reaches it, so the count is never below the number of
-    distinct paths. 0 means `phi` holds no belief and reads only the last
-    state of a sequence. The count of each belief's child in `phi` goes to
-    `table`, by the child's id, so one walk counts every belief."""
+    per belief that reaches it, and a group's view of its own view, which
+    `FoldPaths.number` folds into the view's path, counts as a path of its
+    own, so the count is never below the number of distinct paths. 0
+    means `phi` holds no belief and reads only the last state of a
+    sequence. The count of each belief's child in `phi` goes to `table`,
+    by the child's id, so one walk counts every belief."""
     if isinstance(phi, GroupBelieves):
         groups = len(phi.group) if phi.mode is _UNIFORM else 1
         below = table[id(phi.child)] = _paths_reached(phi.child, table)

@@ -126,6 +126,9 @@ class RuleVisibility(ObservationModel):
     def transparent_variables(self):
         return self.flags
 
+    def gate_variables(self, agent: str):
+        return self.flags
+
 
 _DOMAIN_POOLS = ((0, 1, 2), (True, False), ("red", "green", "blue"), (1, 2))
 
@@ -349,3 +352,47 @@ class NonIdempotentModel(ObservationModel):
         if var == "flag":
             return False
         return state.get("flag") is True
+
+
+class FalselyGatedModel(ObservationModel):
+    """Declares the flag its only gate but reads v1 itself: v1 is seen
+    exactly where it is 1."""
+
+    name = "broken-gates"
+
+    def sees(self, agent, state, var):
+        if state.sig.is_agent(var) or var == "flag":
+            return True
+        return state.get(var) == 1
+
+    def gate_variables(self, agent):
+        return frozenset({"flag"})
+
+
+class MixedStateModel(ObservationModel):
+    """Sound on every state that pairs g with x as `mixed_samples` do, but
+    not monotone on a view row that keeps an old g beside a new x.
+
+    The agent sees g unless g is 1 and x is not 0, and sees x unless g is 0
+    and x is 1. Over the samples (0, 0), (1, 1), (1, 0) its view keeps g at
+    0 beside x at 1, a state no sample holds, where it no longer sees x: so
+    its view of its view differs from its view.
+    """
+
+    name = "broken-self-view"
+
+    def sees(self, agent, state, var):
+        if state.sig.is_agent(var):
+            return True
+        g, x = state.get("g"), state.get("x")
+        if var == "g":
+            return not (g == 1 and x != 0)
+        return not (g == 0 and x == 1)
+
+
+def mixed_samples():
+    """(signature, states) on which `MixedStateModel` passes every
+    per-state check."""
+    sig = Signature(["a"], {"g": (0, 1), "x": (0, 1)})
+    return sig, [sig.global_state({"g": g, "x": x}) for g, x in ((0, 0), (1, 1), (1, 0))]
+

@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py on fixed numbers; no benchmark runs."""
+"""The summary of tools/bench_pairs.py on fixed numbers, and its stop on a
+failed run; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,25 @@ def test_no_clear_gain_when_a_run_fails_its_correctness_check():
     pairs[3]["correct"] = False
     solve = bench.summarise(pairs, DECLARED)["solve_s"]
     assert solve["wins"] == 10 and not solve["clear"]
+
+
+def test_failed_run_stops_with_one_line_naming_it(tmp_path, capsys):
+    """A run that exits non-zero stops the script with exit status 1 and a
+    line naming the workload, seed, pair, side and exit code, then the tail
+    of the run's stderr; no summary is written."""
+    bench = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "toy"}],
+        "end_to_end": DECLARED}), encoding="utf-8")
+    (tmp_path / "epibench").mkdir()
+    (tmp_path / "epibench" / "run.py").write_text(
+        "import sys\nprint('first line', file=sys.stderr)\n"
+        "print('engine gave up', file=sys.stderr)\nsys.exit(3)\n", encoding="utf-8")
+    tag = "failed-run-test"
+    status = bench.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--tag", tag, "--seeds", "7", "--pairs", "2"])
+    assert status == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: toy seed 7 pair 1, parent run exited with code 3; stderr ends:"
+    assert err[1:] == ["first line", "engine gave up"]
+    assert not (bench.ROOT / f"BENCH_{tag}.json").exists()

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from helpers import n_projection, random_states
 from epiplan.cli import load_benchmark
 from epiplan.core import Signature, StateSequence, Ternary, ValidationError
 from epiplan.domains import BBLModel, NumberModel, _angle, _angle_between
+from epiplan.parser import parse_domain
 from epiplan.perspectives import check_observation_axioms, justified_perspective
 from epiplan.planner import SearchNode, apply_action
 from epiplan.semantics import Evaluator
@@ -19,6 +22,17 @@ def grapevine():
 @pytest.fixture(scope="module")
 def bbl():
     return load_benchmark("bbl", "bbl0")[0]
+
+
+@pytest.fixture(scope="module")
+def grapevine6():
+    """The benchmark's generated 6-agent grapevine domain, read from
+    epibench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "epibench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("epibench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_domain(workloads.grapevine_domain_text(6))
 
 
 class TestNumberModel:
@@ -40,6 +54,13 @@ class TestNumberModel:
         for state in random_states(rng, number_dom.signature, 100):
             seen = model.observe("a", state)
             assert model.observe("a", seen) == seen
+
+    def test_axioms_on_samples(self, number_dom):
+        rng = random.Random(4)
+        assert number_dom.model.gate_variables("a") == {"peeking_a"}
+        states = random_states(rng, number_dom.signature, 120)
+        check_observation_axioms(number_dom.model, number_dom.signature.agents,
+                                 states, rng=rng)
 
     def test_missing_flag_variable_rejected(self):
         with pytest.raises(ValidationError):
@@ -88,9 +109,18 @@ class TestGrapevineModel:
 
     def test_axioms_on_samples(self, grapevine):
         rng = random.Random(2)
+        assert grapevine.model.gate_variables("b") == {"loc_b", "told_a"}
         states = random_states(rng, grapevine.signature, 120)
         check_observation_axioms(grapevine.model, grapevine.signature.agents,
                                  states, rng=rng)
+
+    def test_axioms_on_generated_six_agents(self, grapevine6):
+        rng = random.Random(6)
+        sig = grapevine6.signature
+        assert len(sig.agents) == 6
+        assert grapevine6.model.gate_variables("e") == {"loc_e", "told_a", "told_b"}
+        states = random_states(rng, sig, 120)
+        check_observation_axioms(grapevine6.model, sig.agents, states, rng=rng)
 
     def test_lie_then_private_correction(self):
         # a lies to everyone, b leaves, a re-shares the truth: b keeps the
@@ -154,6 +184,7 @@ class TestBBLGeometry:
 
     def test_axioms_on_samples(self, bbl):
         rng = random.Random(3)
+        assert bbl.model.gate_variables("a") == {"dir_a"}
         states = random_states(rng, bbl.signature, 120)
         check_observation_axioms(bbl.model, bbl.signature.agents, states, rng=rng)
 

@@ -3,17 +3,23 @@ import random
 import pytest
 
 from helpers import (
+    FalselyGatedModel,
     FalselyTransparentModel,
     LeakingModel,
+    MixedStateModel,
     NonIdempotentModel,
     NonMonotoneModel,
+    mixed_samples,
     n_projection,
+    plan1_sequence,
     random_instance,
     random_states,
     retrieve_value,
     step_gated_instance,
 )
+from epiplan.cli import load_benchmark
 from epiplan.core import Signature, StateSequence, ValidationError
+from epiplan.parser import parse_problem
 from epiplan.perspectives import (
     AxiomViolation,
     FoldMemo,
@@ -87,6 +93,9 @@ class TestJustifiedPerspective:
         class Omniscient(ObservationModel):
             def sees(self, agent, state, var):
                 return True
+
+            def gate_variables(self, agent):
+                return frozenset()   # reads nothing: one mask for every state
 
         sig = Signature(["a"], {"x": range(3)})
         seq = StateSequence([sig.global_state({"x": i % 3}) for i in range(4)])
@@ -257,13 +266,23 @@ class TestAxioms:
             check_observation_axioms(model, sig.agents, list(seq), rng=rng)
 
     @pytest.mark.parametrize("broken", [LeakingModel(), NonMonotoneModel(),
-                                        NonIdempotentModel(), FalselyTransparentModel()])
+                                        NonIdempotentModel(), FalselyTransparentModel(),
+                                        FalselyGatedModel()])
     def test_broken_models_rejected(self, broken):
         rng = random.Random(13)
         sig = Signature(["a", "b"], {"flag": (True, False), "v1": range(3)})
         states = random_states(rng, sig, 40)
         with pytest.raises(AxiomViolation):
             check_observation_axioms(broken, sig.agents, states, rng=rng)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_view_that_is_not_its_own_view_rejected(self, seed):
+        # every per-state check passes on these samples; only the view of
+        # the samples as a sequence shows the fault
+        sig, states = mixed_samples()
+        with pytest.raises(AxiomViolation, match="not its own view of itself"):
+            check_observation_axioms(MixedStateModel(), sig.agents, states,
+                                     rng=random.Random(seed))
 
 
 class TestIdempotence:
@@ -282,3 +301,62 @@ class TestIdempotence:
             agent = rng.choice(sig.agents)
             view = justified_perspective(model, agent, seq)
             assert justified_perspective(model, agent, view) == view
+
+    def test_pooled_view_is_its_own_pooled_view(self, number_dom, plan1):
+        rng = random.Random(43)
+        cases = [(number_dom.model, ("a", "b"), plan1)]
+        for _ in range(150):
+            sig, model, seq = random_instance(rng)
+            group = tuple(agent for agent in sig.agents if rng.random() < 0.7) or sig.agents
+            cases.append((model, group, seq))
+        for model, group, seq in cases:
+            pooled = distributed_perspective(model, group, seq)
+            assert distributed_perspective(model, group, pooled) == pooled
+
+    def test_on_another_agents_view(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            sig, model, seq = random_instance(rng)
+            other = justified_perspective(model, rng.choice(sig.agents), seq)
+            for agent in sig.agents:
+                view = justified_perspective(model, agent, other)
+                assert justified_perspective(model, agent, view) == view
+            pooled = distributed_perspective(model, sig.agents, other)
+            assert distributed_perspective(model, sig.agents, pooled) == pooled
+
+    @pytest.mark.parametrize("name, first", [("number", "n0"), ("grapevine", "g0"),
+                                             ("bbl", "bbl0")])
+    def test_bundled_models_on_bundled_states(self, name, first):
+        """Each agent's view and the pooled view of the bundled problems'
+        initial states, one by one and in a row, and of plan1.trace, are
+        their own views of themselves."""
+        from importlib import resources
+
+        folder = resources.files("epiplan").joinpath("benchmarks").joinpath(name)
+        domain = load_benchmark(name, first)[0]
+        initials = [parse_problem(entry.read_text(encoding="utf-8"), domain).initial
+                    for entry in sorted(folder.iterdir(), key=lambda e: e.name)
+                    if entry.name.endswith(".prob")]
+        assert len(initials) == 7
+        sequences = [StateSequence([state]) for state in initials]
+        sequences.append(StateSequence(initials))
+        if name == "number":
+            sequences.append(plan1_sequence(domain))
+        model, agents = domain.model, domain.signature.agents
+        for seq in sequences:
+            for agent in agents:
+                view = justified_perspective(model, agent, seq)
+                assert justified_perspective(model, agent, view) == view
+            pooled = distributed_perspective(model, agents, seq)
+            assert distributed_perspective(model, agents, pooled) == pooled
+
+    def test_common_fixed_point_holds_each_view_as_its_own(self, number_dom, plan1):
+        memo = FoldMemo()
+        views, _ = common_perspectives(number_dom.model, ("a", "b"), plan1, memo)
+        built = {(agent, source): view for (agent, source), view in memo.views.items()
+                 if source is not view}
+        assert built
+        for (agent, _), view in built.items():
+            assert memo.views[(agent, view)] is view
+            assert justified_perspective(number_dom.model, agent, view) == view
+

@@ -665,6 +665,22 @@ def test_search_node_is_immutable(n1):
             each.extra = 1
 
 
+def test_deep_node_repr_and_equality_do_not_recurse(n1):
+    """A node 5,000 links deep, as a long replay builds, prints and compares
+    without following its links: a tuple's `repr`, `==` and `hash` would
+    recurse along them and raise RecursionError."""
+    _, problem = n1
+    history = StateSequence([problem.initial] * 5001)
+    deep = SearchNode(history, ("wait",) * 5000)
+    again = SearchNode(history, ("wait",) * 5000)
+    assert deep.depth == 5000
+    assert repr(deep) == f"SearchNode(action='wait', depth=5000, last={problem.initial!r})"
+    assert deep == deep and not deep != deep
+    assert deep != again and not deep == again
+    assert len({deep, again, deep}) == 2
+    assert again.sequence == deep.sequence and again.plan == deep.plan
+
+
 # --------------------------------------------------------------------------
 # A node holds no history: a child is one link to its parent, and the
 # history and plan are rebuilt along the links. On a node the evaluator

@@ -11,7 +11,9 @@ keyed by viewer group: views and observations match memo-free definitions,
 one agent's view is one path for B, EB and DB alike, the fold states the
 memo steps through and those search nodes carry match their definition,
 equal view states are one object, `sees` is asked once per state and viewer
-group (by beliefs, seeing and knowledge alike), a model used under two
+group (by beliefs, seeing and knowledge alike) and once per gate projection
+of a state, masks keyed by gate projection equal those of a model that
+declares no gates, a model used under two
 signatures never mixes them, and a dropped memo is freed without the cyclic
 collector.
 """
@@ -533,6 +535,70 @@ class _CountingModel(ObservationModel):
     def transparent_variables(self):
         self.splits += 1
         return self.inner.transparent_variables()
+
+    def gate_variables(self, agent):
+        return self.inner.gate_variables(agent)
+
+
+class _Ungated(ObservationModel):
+    """Another model with its gate declarations taken away: its masks are
+    keyed by whole states."""
+
+    def __init__(self, inner: ObservationModel):
+        self.inner = inner
+
+    def sees(self, agent, state, var):
+        return self.inner.sees(agent, state, var)
+
+    def transparent_variables(self):
+        return self.inner.transparent_variables()
+
+
+@SETTINGS
+@given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1),
+       partial=st.booleans())
+def test_gate_keyed_masks_match_ungated_ones(kind, seed, partial):
+    """Individual, pooled, nested and common views, and observations, are
+    the same whether masks are keyed by gate projection or by state."""
+    rng = random.Random(seed)
+    sig, model, seq = _instance(kind, rng, max_len=5, partial=partial)
+    assert model.gate_variables(sig.agents[0]) is not None
+    ungated = _Ungated(model)
+    group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
+    for sequence in (seq, justified_perspective(model, rng.choice(sig.agents), seq)):
+        for agent in sig.agents:
+            assert justified_perspective(model, agent, sequence) == \
+                justified_perspective(ungated, agent, sequence)
+        assert distributed_perspective(model, group, sequence) == \
+            distributed_perspective(ungated, group, sequence)
+        assert common_perspectives(model, group, sequence) == \
+            common_perspectives(ungated, group, sequence)
+        for state in sequence:
+            assert group_observation(model, group, state) == \
+                group_observation(ungated, group, state)
+            assert common_observation(model, group, state) == \
+                common_observation(ungated, group, state)
+
+
+@pytest.mark.parametrize("kind", tuple(BUNDLED))
+def test_sees_is_asked_once_per_gate_projection(kind):
+    """Over many states, one viewer's visibility table asks `sees` about
+    each gated variable once per distinct projection of a state onto the
+    viewer's gate variables, not once per state."""
+    rng = random.Random(17)
+    domain = BUNDLED[kind]
+    sig = domain.signature
+    agent = sig.agents[0]
+    gates = domain.model.gate_variables(agent)
+    states = random_states(rng, sig, 200)
+    counting = _CountingModel(domain.model)
+    memo = FoldMemo()
+    for state in states:
+        group_observation(counting, (agent,), state, memo)
+    projections = {tuple(state.get(var) for var in sorted(gates)) for state in states}
+    assert len(projections) < len(set(states))
+    gated = [var for var in sig.variables if var not in domain.model.transparent_variables()]
+    assert sum(counting.asked.values()) == len(projections) * len(gated)
 
 
 @SETTINGS

@@ -352,11 +352,29 @@ class TestPathBound:
         phi = parse_formula(_nested(atom, depth), number_dom.signature)
         evaluator = Evaluator(number_dom.model)
         verdict = evaluator.evaluate(plan1, phi)
-        # the five innermost beliefs reach 2 + 4 + ... + 32 paths, and those
-        # above them are judged on views; all twelve on paths reach 8,190
-        assert len(evaluator._paths.tables) == 62 <= semantics._MAX_BELIEF_PATHS
+        # the five innermost beliefs are counted as reaching 2 + 4 + ... + 32
+        # paths, and those above them are judged on views; all twelve on
+        # paths would count 8,190. An agent's view of its own view is that
+        # view, so a path never repeats a viewer twice in a row: each level
+        # adds 2 distinct paths, 10 in all
+        assert len(evaluator._paths.tables) == 10 <= semantics._MAX_BELIEF_PATHS
         bottom = parse_formula(atom, number_dom.signature)
         assert verdict is _on_views(number_dom.model, plan1, depth, bottom, {})
+
+    @pytest.mark.parametrize("outer, inner", [("(B a", "(B a"), ("(B b", "(EB (b)"),
+                                              ("(DB (a b)", "(DB (a b)")])
+    def test_a_view_of_itself_is_one_path(self, number_dom, plan1, outer, inner):
+        """A viewer group's belief about its own belief reads the one path
+        of its view, with the verdict of the inner belief alone."""
+        for text in ("(= n 1)", "(= n 2)", "(< n 3)"):
+            nested = parse_formula(f"{outer} {inner} {text}))", number_dom.signature)
+            alone = parse_formula(f"{inner} {text})", number_dom.signature)
+            evaluator = Evaluator(number_dom.model)
+            for t in range(len(plan1)):
+                seq = plan1.prefix(t)
+                assert evaluator.evaluate(seq, nested) is \
+                    Evaluator(number_dom.model).evaluate(seq, alone), (text, t)
+            assert len(evaluator._paths.tables) == 1
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_paths_and_views_agree(self, number_dom, plan1, depth):

@@ -19,7 +19,10 @@ check in every pair.
 
 The file goes to the root of the repository holding this script, with both
 commits (`git rev-parse HEAD` in each checkout), the Python version and a
-note on the machine. Only the standard library is used.
+note on the machine. A run that exits non-zero stops the script with one
+line naming the workload, seed, pair, side and exit code, followed by the
+tail of the run's stderr, and exit status 1; no file is written. Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -78,12 +81,25 @@ def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
     return summary
 
 
+STDERR_TAIL = 10   # lines of a failed run's stderr that are shown
+
+
+class RunFailed(Exception):
+    """A benchmark run exited non-zero; the message says which and why."""
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its JSON result line."""
+    """One untraced benchmark run; its JSON result line. A run that exits
+    non-zero raises RunFailed with its exit code and the tail of its
+    stderr."""
     done = subprocess.run(
         [sys.executable, str(checkout / "epibench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.rstrip().splitlines()[-STDERR_TAIL:])
+        raise RunFailed(f"exited with code {done.returncode}" + (f"; stderr ends:\n{tail}"
+                                                                if tail else ""))
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -115,8 +131,14 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for index in range(args.pairs):
                 order = SIDES if len(pairs) % 2 == 0 else SIDES[::-1]
-                results = {side: run_once(checkouts[side], workload, seed, seconds)
-                           for side in order}
+                results = {}
+                for side in order:
+                    try:
+                        results[side] = run_once(checkouts[side], workload, seed, seconds)
+                    except RunFailed as failed:
+                        print(f"error: {workload} seed {seed} pair {index + 1}, {side} "
+                              f"run {failed}", file=sys.stderr)
+                        return 1
                 pairs.append({"seed": seed, "first": order[0],
                               "correct": all(r["correct"] for r in results.values()),
                               **{side: {name: entry["value"] for name, entry
