@@ -135,8 +135,8 @@ class Evaluator:
     evaluator keeps for its whole lifetime one `FoldMemo`, one `FoldPaths`
     and a record of each formula it has met, made once per signature. The
     memo keeps what the folds have worked out: which variables each viewer
-    group sees in each state met so far, and every fold step taken, so a
-    step met again is read back. It also holds the views the common fixed
+    group sees, per projection of a state onto the group's gate variables,
+    and every fold step taken, so a step met again is read back. It also holds the views the common fixed
     point builds for one `evaluate` call: a call that judges a belief
     empties them first. The paths are those the formulas' beliefs reach;
     `(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` reach one path, and a belief
