@@ -1,9 +1,10 @@
 """Built-in observation models for the benchmark domains.
 
 All three follow the same pattern: a handful of bookkeeping variables
-(peeking flags, locations, camera directions) are transparent — visible to
-every agent all the time — while the payload variables are gated by the
-bookkeeping. Because gating only ever consults values present in the state,
+(peeking flags, locations, camera directions) are visible to every agent all
+the time, while the payload variables are gated by the bookkeeping. Each
+model's `sees` is the whole of that rule; the engine asks it about every
+variable. Because gating only ever consults values present in the state,
 the models are monotone and idempotent by construction. Each declares the
 bookkeeping variables an agent's gating reads (`gate_variables`): its own
 peeking flag, its own location and every broadcast channel, or its own
@@ -38,9 +39,6 @@ class NumberModel(ObservationModel):
         self._flag_of = flags
         self._gates = {agent: frozenset([flag]) for agent, flag in flags.items()}
         self._transparent = frozenset(sig.agents) | frozenset(flags.values())
-
-    def transparent_variables(self) -> FrozenSet[str]:
-        return self._transparent
 
     def gate_variables(self, agent: str) -> FrozenSet[str]:
         return self._gates[agent]
@@ -97,9 +95,6 @@ class GrapevineModel(ObservationModel):
         self._channels = frozenset(self._channel_of.values())
         self._transparent = frozenset(sig.agents) | frozenset(self._loc_of.values())
         self._gates = {agent: self._channels | {loc} for agent, loc in self._loc_of.items()}
-
-    def transparent_variables(self) -> FrozenSet[str]:
-        return self._transparent
 
     def gate_variables(self, agent: str) -> FrozenSet[str]:
         return self._gates[agent]
@@ -164,9 +159,6 @@ class BBLModel(ObservationModel):
                 ox, oy = positions[obj]
                 dx, dy = ox - ax, oy - ay
                 self._bearing[(agent, obj)] = None if dx == 0 and dy == 0 else _angle(dx, dy)
-
-    def transparent_variables(self) -> FrozenSet[str]:
-        return self._transparent
 
     def gate_variables(self, agent: str) -> FrozenSet[str]:
         return self._gates[agent]

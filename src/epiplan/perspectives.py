@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .core import (
     EngineError,
@@ -47,7 +48,9 @@ from .core import (
     ValidationError,
 )
 
-PerspectiveSet = FrozenSet[StateSequence]
+# A duplicate-free set of views in the order they were first met: the keys of
+# a dict, which compare equal to any set holding the same views
+PerspectiveSet = AbstractSet[StateSequence]
 
 
 class AxiomViolation(EngineError):
@@ -57,10 +60,13 @@ class AxiomViolation(EngineError):
 class ObservationModel:
     """Visibility relation: which variables an agent can observe in a state.
 
-    Subclasses implement ``sees``. The relation may consult only values
-    present in the state it is given, and must be monotone in the state
-    (extra assignments can only reveal more), so the derived projection
-    ``observe`` satisfies containment, idempotence and monotonicity.
+    Subclasses implement ``sees``, the one primitive of visibility, and may
+    declare ``gate_variables``. The engine asks ``sees`` about every
+    variable, even one that every agent always sees. The relation may
+    consult only values present in the state it is given, and must be
+    monotone in the state (extra assignments can only reveal more), so the
+    derived projection ``observe`` satisfies containment, idempotence and
+    monotonicity.
 
     ``sees`` is deliberately a relation on (possibly partial) states rather
     than a projection: a viewer can recognise *that* someone sees a variable
@@ -84,15 +90,6 @@ class ObservationModel:
             if vals[idx] is not None and not self.sees(agent, state, var):
                 vals[idx] = None
         return State(sig, tuple(vals))
-
-    def transparent_variables(self) -> FrozenSet[str]:
-        """Variables visible to every agent in every state (fast-path hint).
-
-        Must be sound: ``sees`` has to return True for these unconditionally,
-        since the engine never asks about them. `check_observation_axioms`
-        checks this on its samples.
-        """
-        return frozenset()
 
     def gate_variables(self, agent: str) -> Optional[FrozenSet[str]]:
         """The variables ``sees(agent, state, var)`` may read, for any `var`;
@@ -164,23 +161,19 @@ class _Visibility:
     union of `ObservationModel.gate_variables`; every variable if one of
     them declares none) to one flag per variable, so `sees` is asked once
     per distinct projection rather than once per state. A miss asks the
-    model only about the variables that are not transparent, and asks a
-    viewer only about those no earlier viewer sees. `steps` maps a fold
-    state to a table from an input state to the next fold state; one small
-    table per fold state costs less memory than a key tuple per step.
+    model about every variable, viewer by viewer, until one of them sees
+    it. `steps` maps a fold state to a table from an input state to the
+    next fold state; one small table per fold state costs less memory than
+    a key tuple per step.
     `folds` holds each distinct fold state met, so equal ones are one
     object. `start` is the fold state before any step.
     """
 
-    __slots__ = ("always", "gated", "masks", "steps", "folds", "start",
-                 "_viewers", "_sees", "_key")
+    __slots__ = ("masks", "steps", "folds", "start", "_viewers", "_variables", "_sees", "_key")
 
     def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
         self._viewers = _members(viewers)
-        transparent = model.transparent_variables()
-        self.always = [var in transparent for var in sig.variables]
-        self.gated = tuple([(idx, var) for idx, var in enumerate(sig.variables)
-                            if var not in transparent])
+        self._variables = sig.variables
         # the projection of a state's values that keys its mask: the values
         # of the viewers' gate variables, or all of them
         gates = [model.gate_variables(agent) for agent in self._viewers]
@@ -201,8 +194,8 @@ class _Visibility:
         found = self.masks.get(key)
         if found is None:
             sees, viewers = self._sees, self._viewers
-            mask = self.always.copy()
-            for idx, var in self.gated:
+            mask = [False] * len(self._variables)
+            for idx, var in enumerate(self._variables):
                 for agent in viewers:
                     if sees(agent, state, var):
                         mask[idx] = True
@@ -418,12 +411,12 @@ def distributed_perspective(model: ObservationModel, group: Iterable[str],
 def uniform_perspectives(model: ObservationModel, group: Iterable[str],
                          seq: StateSequence,
                          memo: Optional[FoldMemo] = None) -> PerspectiveSet:
-    """Everyone's individual perspectives, as a duplicate-free set, built
-    through `memo` (a fresh one if not given)."""
+    """Everyone's individual perspectives, as a duplicate-free set in the
+    members' order, built through `memo` (a fresh one if not given)."""
     members = _members(group)
     if memo is None:
         memo = FoldMemo()
-    return frozenset([justified_perspective(model, i, seq, memo) for i in members])
+    return dict.fromkeys([justified_perspective(model, i, seq, memo) for i in members]).keys()
 
 
 @dataclass(frozen=True)
@@ -449,14 +442,18 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
     `justified_perspective` looked up at call time (a wrapper installed on
     that name, as the benchmark's tracer does, sees every build). A
     member's view of its own view is that view, so it is held as soon as
-    the view is built, and not built: the wrapper does not see it. Whether
-    a view is first met as a member's own view or first built depends on
-    the order in which sets of views are walked, so the count of builds
-    may differ slightly from run to run; the views and the statistics do
-    not.
+    the view is built, and not built: the wrapper does not see it.
+
+    Each set of views is walked, and the fixed point returned, in the order
+    its views were first met, so the count of builds is the same from run
+    to run. Every view after the first iterate is some member's view, held
+    as that member's own, so each iterate from the second on contains the
+    one before it. One that does not (a wrong view held as a member's own
+    makes it happen) raises `EngineError`, as does passing the far bound
+    ``2 ** (variables * length)`` on the number of iterations.
     """
     members = _members(group)
-    views = frozenset([seq])
+    views = {seq: None}.keys()
     bound = 2 ** (len(seq.sig.variables) * len(seq))
     if memo is None:
         memo = FoldMemo()
@@ -464,21 +461,23 @@ def common_perspectives(model: ObservationModel, group: Iterable[str],
     iterations = 0
     while True:
         iterations += 1
-        grown = set()
+        grown = {}
         for w in views:
             for i in members:
                 found = held.get((i, w))
                 if found is None:
                     found = held[(i, w)] = justified_perspective(model, i, w, memo)
                     held[(i, found)] = found
-                grown.add(found)
-        frozen = frozenset(grown)
-        if frozen == views:
-            return frozen, FixedPointStats(iterations, len(frozen))
+                grown[found] = None
+        if grown.keys() == views:
+            return grown.keys(), FixedPointStats(iterations, len(grown))
+        if iterations > 1 and not views <= grown.keys():
+            raise EngineError("common perspectives lost a view from one iteration to the "
+                              "next; a view held as a member's own view is not its own view")
         if iterations > bound:
             raise EngineError("common perspectives exceeded the convergence bound; "
                               "the observation model likely violates its axioms")
-        views = frozen
+        views = grown.keys()
 
 
 def common_observation(model: ObservationModel, group: Iterable[str],
@@ -514,10 +513,10 @@ _SUBSTATES_PER_STATE = 2   # random sub-states `check_observation_axioms` probes
 def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
                              states: Iterable[State], rng=None) -> None:
     """Verify containment, idempotence and monotonicity on sampled states;
-    that every declared-transparent variable is seen there; that restricting
-    a sample to an agent's declared gate variables never changes what it
-    sees; and that each agent's view, and the agents' pooled view, of the
-    sampled states (one sequence, in order) is its own view of itself.
+    that restricting a sample to an agent's declared gate variables never
+    changes what it sees; and that each agent's view, and the agents'
+    pooled view, of the sampled states (one sequence, in order) is its own
+    view of itself.
 
     Raises AxiomViolation with the offending agent/state on the first failure.
     Monotonicity is probed against random sub-states of each sample (pass an
@@ -528,7 +527,6 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
     rng = rng or _random.Random(0)
     agents = tuple(agents)
     states = list(states)
-    transparent = model.transparent_variables()
     gates = {agent: model.gate_variables(agent) for agent in agents}
     for state in states:
         samples = [state]
@@ -539,16 +537,12 @@ def check_observation_axioms(model: ObservationModel, agents: Iterable[str],
         for sample in samples:
             for agent in agents:
                 gated = None if gates[agent] is None else sample.restrict(gates[agent])
-                for var in sample.sig.variables:
-                    if var in transparent and not model.sees(agent, sample, var):
-                        raise AxiomViolation(
-                            f"{var!r} is declared transparent but agent {agent!r} "
-                            f"does not see it in {sample!r}")
-                    if gated is not None and \
-                            model.sees(agent, gated, var) != model.sees(agent, sample, var):
-                        raise AxiomViolation(
-                            f"agent {agent!r} sees {var!r} differently in {sample!r} and in "
-                            f"{gated!r}, its restriction to the declared gate variables")
+                if gated is not None:
+                    for var in sample.sig.variables:
+                        if model.sees(agent, gated, var) != model.sees(agent, sample, var):
+                            raise AxiomViolation(
+                                f"agent {agent!r} sees {var!r} differently in {sample!r} and "
+                                f"in {gated!r}, its restriction to the declared gate variables")
                 seen = model.observe(agent, sample)
                 if model.observe(agent, sample) != seen:
                     raise AxiomViolation(

@@ -217,7 +217,7 @@ def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
     the node's fold states; the child carries none (a search steps them).
     """
     if action.precondition is not None:
-        if evaluator.evaluate(node, action.precondition, node.folds) is not _TRUE:
+        if evaluator.evaluate(node, action.precondition) is not _TRUE:
             return None
     last = node.last
     if successors is None:
@@ -271,7 +271,7 @@ def breadth_first_plan(model: ObservationModel,
 
     def satisfied(node: SearchNode) -> bool:
         for phi, target in goals:
-            if evaluator.evaluate(node, phi, node.folds) is not target:
+            if evaluator.evaluate(node, phi) is not target:
                 return False
         return True
 

@@ -167,13 +167,12 @@ class Evaluator:
         self._formulas: dict[tuple[int, int], _Record] = {}
         self._reached: Dict[int, int] = {}
 
-    def evaluate(self, seq: History, phi: Formula,
-                 folds: Sequence[FoldState] = ()) -> Ternary:
-        """The verdict of `phi` on `seq`, a history or a search node.
-        `folds` may give the folds over it along this evaluator's paths
-        0..len(folds)-1, as a search node carries them (`fold_states`,
-        `step_folds`); where it does not cover `phi`'s paths, they are
-        walked over the history."""
+    def evaluate(self, seq: History, phi: Formula) -> Ternary:
+        """The verdict of `phi` on `seq`, a history or a search node. A
+        node's folds are those over its history along this evaluator's
+        paths 0..len(folds)-1 (`fold_states`, `step_folds`); where they do
+        not cover `phi`'s paths, as on a history, the paths are walked over
+        the history."""
         last = seq[-1]
         record = self._formulas.get((id(phi), id(last.sig)))
         if record is None:
@@ -183,7 +182,7 @@ class Evaluator:
         try:
             if verdicts is None:
                 self._memo.views.clear()
-                result = _on_sequence(self, record, seq, folds)
+                result = _on_sequence(self, record, seq)
             else:
                 result = verdicts.get(last)
                 if result is None:
@@ -394,13 +393,13 @@ def _history(seq: History) -> StateSequence:
     return seq if isinstance(seq, StateSequence) else seq.sequence
 
 
-def _on_sequence(ev: Evaluator, record: _Record, seq: History,
-                 folds: Sequence[FoldState] = ()) -> Ternary:
+def _on_sequence(ev: Evaluator, record: _Record, seq: History) -> Ternary:
     """`record`'s verdict on the whole sequence `seq`, as `evaluate` gives
-    it but not counted as a call; `seq` and `folds` as `evaluate` takes them."""
+    it but not counted as a call; `seq` as `evaluate` takes it."""
     if record[4] is not None:
         return _on_state(ev, record, seq[-1])
     numbers = record[3]
+    folds = () if isinstance(seq, StateSequence) else seq.folds
     if numbers and len(folds) <= numbers[-1]:
         seq = _history(seq)
         folds = ev._paths.walk(seq, numbers)

@@ -85,9 +85,6 @@ class StepGated(ObservationModel):
             return False
         return var in self.rules[agent].get(step, ())
 
-    def transparent_variables(self):
-        return frozenset({"step"})
-
 
 def step_gated_instance() -> Tuple[Signature, StepGated, StateSequence]:
     sig = Signature(["a", "b", "c"],
@@ -122,9 +119,6 @@ class RuleVisibility(ObservationModel):
             return bool(rule)
         flag, wanted = rule
         return state.get(flag) == wanted
-
-    def transparent_variables(self):
-        return self.flags
 
     def gate_variables(self, agent: str):
         return self.flags
@@ -316,18 +310,6 @@ class LeakingModel(ObservationModel):
                 vals[idx] = state.sig.domain(state.sig.variables[idx])[0]
                 break
         return State(state.sig, tuple(vals))
-
-
-class FalselyTransparentModel(ObservationModel):
-    """Declares the flag transparent but never sees it."""
-
-    name = "broken-transparency"
-
-    def sees(self, agent, state, var):
-        return state.sig.is_agent(var) or var == "v1"
-
-    def transparent_variables(self):
-        return frozenset({"flag"})
 
 
 class NonMonotoneModel(ObservationModel):

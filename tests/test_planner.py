@@ -548,10 +548,10 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         effected.append((effects, state))
         return apply_effects(sig, state, effects)
 
-    def counting_evaluate(self, node, phi, folds=()):
+    def counting_evaluate(self, node, phi):
         evaluated.append(phi)
         expected_atoms[(id(phi), node.last)] = reference(node.last, phi)[1]
-        return evaluate(self, node, phi, folds)
+        return evaluate(self, node, phi)
 
     def counting_interpret(state, atom):
         atoms.append(atom)
@@ -602,11 +602,11 @@ def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
         built.append(args)
         return believed(*args, **kwargs)
 
-    def counting_evaluate(self, node, phi, folds=()):
+    def counting_evaluate(self, node, phi):
         if phi is goal:
             tested.append(node)
-        assert isinstance(node, SearchNode) and folds is node.folds and len(folds) == 4
-        return evaluate(self, node, phi, folds)
+        assert isinstance(node, SearchNode) and len(node.folds) == 4
+        return evaluate(self, node, phi)
 
     monkeypatch.setattr(perspectives.FoldPaths, "advance", counting_advance)
     monkeypatch.setattr(perspectives, "_believed_sequence", counting_build)
@@ -756,7 +756,7 @@ def test_linked_nodes_rebuild_and_judge_as_their_history(kind, seed):
     fresh = Evaluator(model)
     for phi in formulas:
         verdict = fresh.evaluate(folded.sequence, phi)
-        assert evaluator.evaluate(folded, phi, folded.folds) is verdict, phi
+        assert evaluator.evaluate(folded, phi) is verdict, phi
         assert evaluator.evaluate(plain, phi) is verdict, phi
 
 
@@ -780,10 +780,10 @@ def test_a_search_copies_no_history(monkeypatch):
         rebuilt.append(node)
         return sequence(node)
 
-    def counting_evaluate(self, node, phi, folds=()):
+    def counting_evaluate(self, node, phi):
         if any(phi is goal for goal, _ in goals):
             goal_tested.append(node)
-        return evaluate(self, node, phi, folds)
+        return evaluate(self, node, phi)
 
     monkeypatch.setattr(StateSequence, "extend", counting_extend)
     monkeypatch.setattr(SearchNode, "sequence", property(counting_sequence))

@@ -520,21 +520,15 @@ def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
 
 class _CountingModel(ObservationModel):
     """Delegates to another model and counts each (agent, state, variable)
-    it is asked about, and how often it is asked for its transparent
-    variables."""
+    it is asked about."""
 
     def __init__(self, inner: ObservationModel):
         self.inner = inner
         self.asked = Counter()
-        self.splits = 0
 
     def sees(self, agent, state, var):
         self.asked[(agent, state.vals, var)] += 1
         return self.inner.sees(agent, state, var)
-
-    def transparent_variables(self):
-        self.splits += 1
-        return self.inner.transparent_variables()
 
     def gate_variables(self, agent):
         return self.inner.gate_variables(agent)
@@ -549,9 +543,6 @@ class _Ungated(ObservationModel):
 
     def sees(self, agent, state, var):
         return self.inner.sees(agent, state, var)
-
-    def transparent_variables(self):
-        return self.inner.transparent_variables()
 
 
 @SETTINGS
@@ -583,7 +574,7 @@ def test_gate_keyed_masks_match_ungated_ones(kind, seed, partial):
 @pytest.mark.parametrize("kind", tuple(BUNDLED))
 def test_sees_is_asked_once_per_gate_projection(kind):
     """Over many states, one viewer's visibility table asks `sees` about
-    each gated variable once per distinct projection of a state onto the
+    each variable once per distinct projection of a state onto the
     viewer's gate variables, not once per state."""
     rng = random.Random(17)
     domain = BUNDLED[kind]
@@ -597,8 +588,7 @@ def test_sees_is_asked_once_per_gate_projection(kind):
         group_observation(counting, (agent,), state, memo)
     projections = {tuple(state.get(var) for var in sorted(gates)) for state in states}
     assert len(projections) < len(set(states))
-    gated = [var for var in sig.variables if var not in domain.model.transparent_variables()]
-    assert sum(counting.asked.values()) == len(projections) * len(gated)
+    assert sum(counting.asked.values()) == len(projections) * len(sig.variables)
 
 
 @SETTINGS
@@ -660,9 +650,10 @@ def _stepping_action(rng, sig, name):
 @SETTINGS
 @given(kind=st.sampled_from(MODELS), seed=st.integers(0, 2 ** 32 - 1))
 def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
-    """Every node of a search hands the evaluator, with each precondition
-    and goal test, its fold state on every viewer path those formulas read
-    from the node; each was stepped once from its parent's. Each equals
+    """Every node of a search that the evaluator is handed with a
+    precondition or goal test carries its fold state on every viewer path
+    those formulas read from the node; each was stepped once from its
+    parent's. Each equals
     the fold of the node's whole history along that path: the last row of
     the view by the retrieval rule, what its viewers have seen but its
     input never assigned, and the input's last values. Paths numbered
@@ -675,11 +666,12 @@ def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
     handed = {}
     evaluate = Evaluator.evaluate
 
-    def recording(self, node, phi, folds=()):
+    def recording(self, node, phi):
+        folds = node.folds
         if folds:
             history = node.sequence
             assert handed.setdefault(history, (self, folds)) == (self, folds)
-        return evaluate(self, node, phi, folds)
+        return evaluate(self, node, phi)
 
     Evaluator.evaluate = recording
     try:
@@ -720,19 +712,6 @@ def test_fold_over_trace_state_lines_that_drop_a_variable(number_dom):
     assert view.last.get("n") == 2 and seq[1].get("n") is None
     fold = _fold_after(model, ("a",), seq.prefix(1), memo)
     assert fold.last.get("n") == 2 and fold.last.get("peeking_a") is True
-
-
-def test_memo_splits_once_per_viewer_group(number_dom, plan1):
-    """The transparent/gated split is worked out once per viewer group and
-    memo, however many states, views and formulas ask about that group."""
-    counting = _CountingModel(number_dom.model)
-    evaluator = Evaluator(counting)
-    phi = parse_formula("(and (CB (a b) (< n 3)) (and (DB (a b) (= n 1)) (B a (S b n))))",
-                        number_dom.signature)
-    for seq in (plan1.prefix(len(plan1) - 2), plan1):
-        evaluator.evaluate(seq, phi)
-    assert len(evaluator._memo.visibility) >= 3
-    assert counting.splits == len(evaluator._memo.visibility)
 
 
 def _pooled_by_definition(model, group, state):
