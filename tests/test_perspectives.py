@@ -223,8 +223,8 @@ class TestCommonPerspectives:
 
     def test_wrong_own_view_raises(self, number_dom, plan1):
         # a's view of its own view held as the sequence it was built from:
-        # the iterates would cycle {view}, {plan1}, {view}, ... far below
-        # the 2 ** (variables * length) bound
+        # the iterates cycle {view}, {plan1}, {view}, ..., and the
+        # 2 ** (variables * length) bound is 2 ** 25 iterations away
         model = number_dom.model
         memo = FoldMemo()
         view = justified_perspective(model, "a", plan1)
