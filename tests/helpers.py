@@ -351,6 +351,21 @@ class FalselyGatedModel(ObservationModel):
         return frozenset({"flag"})
 
 
+class NonDeterministicModel(ObservationModel):
+    """Breaks determinism: answers yes and no in turn about v1."""
+
+    name = "broken-deterministic"
+
+    def __init__(self):
+        self._asked = 0
+
+    def sees(self, agent, state, var):
+        if var != "v1":
+            return True
+        self._asked += 1
+        return self._asked % 2 == 1
+
+
 class MixedStateModel(ObservationModel):
     """Sound on every state that pairs g with x as `mixed_samples` do, but
     not monotone on a view row that keeps an old g beside a new x.

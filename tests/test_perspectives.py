@@ -6,6 +6,7 @@ from helpers import (
     FalselyGatedModel,
     LeakingModel,
     MixedStateModel,
+    NonDeterministicModel,
     NonIdempotentModel,
     NonMonotoneModel,
     mixed_samples,
@@ -280,7 +281,8 @@ class TestAxioms:
             check_observation_axioms(model, sig.agents, list(seq), rng=rng)
 
     @pytest.mark.parametrize("broken", [LeakingModel(), NonMonotoneModel(),
-                                        NonIdempotentModel(), FalselyGatedModel()])
+                                        NonIdempotentModel(), FalselyGatedModel(),
+                                        NonDeterministicModel()])
     def test_broken_models_rejected(self, broken):
         rng = random.Random(13)
         sig = Signature(["a", "b"], {"flag": (True, False), "v1": range(3)})
