@@ -284,14 +284,14 @@ def breadth_first_plan(model: ObservationModel,
     generated = 1
     if satisfied(root):
         return finish(SOLVED, (), expanded, generated)
-    frontier = deque([root])
+    # a node at the depth limit is goal-tested when generated and never
+    # queued: it has no work left, and queued it would keep its parents alive
+    frontier = deque([root] if max_depth > 0 else ())
     tables = [(action, {}) for action in actions]
     while frontier:
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
         node = frontier.popleft()
-        if node.depth >= max_depth:
-            continue
         expanded += 1
         folds = node.folds
         queued = set()
@@ -313,5 +313,6 @@ def breadth_first_plan(model: ObservationModel,
                                                    evaluator.step_folds(folds, last), last))
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
-            frontier.append(child)
+            if child.depth < max_depth:
+                frontier.append(child)
     return finish(UNSOLVABLE, None, expanded, generated)

@@ -161,10 +161,15 @@ class Evaluator:
         self.stats = EvalStats()
         self._memo = FoldMemo()
         self._paths = FoldPaths()
-        # the record of each formula met, by (formula id, signature id), and
-        # `_paths_reached` of each belief's child in them, by the child's id
-        # (the records keep the formulas, so the ids stay theirs)
+        # the record of each formula met, by (formula id, signature id), the
+        # record `evaluate` met last for each formula, by the formula's id,
+        # and `_paths_reached` of each belief's child in them, by the child's
+        # id (the records keep the formulas, so the ids stay theirs)
         self._formulas: dict[tuple[int, int], _Record] = {}
+        self._latest: Dict[int, _Record] = {}
+        # the verdicts `_on_views` found for a record on a view during one
+        # `evaluate` call, by (record id, view); emptied with `_memo.views`
+        self._view_verdicts: Dict[Tuple[int, StateSequence], Ternary] = {}
         self._reached: Dict[int, int] = {}
 
     def evaluate(self, seq: History, phi: Formula) -> Ternary:
@@ -174,14 +179,15 @@ class Evaluator:
         not cover `phi`'s paths, as on a history, the paths are walked over
         the history."""
         last = seq[-1]
-        record = self._formulas.get((id(phi), id(last.sig)))
-        if record is None:
-            record = self._record(phi, last.sig)
+        record = self._latest.get(id(phi))
+        if record is None or record[1] is not last.sig:
+            record = self._latest[id(phi)] = self._record(phi, last.sig)
         verdicts = record[4]
         start = perf_counter()
         try:
             if verdicts is None:
                 self._memo.views.clear()
+                self._view_verdicts.clear()
                 result = _on_sequence(self, record, seq)
             else:
                 result = verdicts.get(last)
@@ -413,9 +419,16 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
     rebuilt for them. `below` is the child's `_paths_reached`. The record is
     made in the judge's first call, so the paths its beliefs reach are
     numbered only once a view needs them: they are walked over views, never
-    stepped at a search node."""
+    stepped at a search node.
+
+    A child with beliefs keeps its verdict on each view for the rest of the
+    `evaluate` call (`Evaluator._view_verdicts`), so a chain past the path
+    bound judges each distinct view once per level, not once per view above
+    it; a child that holds a common belief is judged afresh, as each fixed
+    point it runs is counted in `stats`."""
     group, mode, child = phi.group, phi.mode, phi.child
     inner: Optional[_Record] = None
+    keep = below > 0 and not _holds_common(child)
 
     def judge(ev, seq, last, folds):
         nonlocal inner
@@ -428,8 +441,27 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
             views, fp = common_perspectives(ev.model, group, seq, ev._memo)
             ev.stats.cf_iteration_counts.append(fp.iterations)
         inner = inner or ev._record(child, sig, below)
+        kept, key = ev._view_verdicts, id(inner)
         verdict = _TRUE
         for w in views:
-            verdict = min(verdict, _on_sequence(ev, inner, w))
+            if keep:
+                found = kept.get((key, w))
+                if found is None:
+                    found = kept[key, w] = _on_sequence(ev, inner, w)
+            else:
+                found = _on_sequence(ev, inner, w)
+            verdict = min(verdict, found)
         return verdict
     return judge
+
+
+def _holds_common(phi: Formula) -> bool:
+    """Whether `phi` holds a common belief (seeing and knowledge hold no
+    belief)."""
+    if isinstance(phi, GroupBelieves):
+        return phi.mode is _COMMON or _holds_common(phi.child)
+    if isinstance(phi, Not):
+        return _holds_common(phi.child)
+    if isinstance(phi, And):
+        return _holds_common(phi.left) or _holds_common(phi.right)
+    return False

@@ -73,18 +73,23 @@ def test_no_clear_gain_when_a_run_fails_its_correctness_check():
     assert solve["wins"] == 10 and not solve["clear"]
 
 
+def _checkout(path, run_py):
+    """A fake checkout at `path`: a BENCHMARK.json with one workload, `toy`,
+    and an `epibench/run.py` holding `run_py`."""
+    (path / "epibench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "toy"}],
+        "end_to_end": DECLARED}), encoding="utf-8")
+    (path / "epibench" / "run.py").write_text(run_py, encoding="utf-8")
+
+
 def test_failed_run_stops_with_one_line_naming_it(tmp_path, capsys):
     """A run that exits non-zero stops the script with exit status 1 and a
     line naming the workload, seed, pair, side and exit code, then the tail
     of the run's stderr; no summary is written."""
     bench = _bench_pairs()
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 1, "workloads": [{"name": "toy"}],
-        "end_to_end": DECLARED}), encoding="utf-8")
-    (tmp_path / "epibench").mkdir()
-    (tmp_path / "epibench" / "run.py").write_text(
-        "import sys\nprint('first line', file=sys.stderr)\n"
-        "print('engine gave up', file=sys.stderr)\nsys.exit(3)\n", encoding="utf-8")
+    _checkout(tmp_path, "import sys\nprint('first line', file=sys.stderr)\n"
+                        "print('engine gave up', file=sys.stderr)\nsys.exit(3)\n")
     tag = "failed-run-test"
     status = bench.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                          "--tag", tag, "--seeds", "7", "--pairs", "2"])
@@ -93,3 +98,27 @@ def test_failed_run_stops_with_one_line_naming_it(tmp_path, capsys):
     assert err[0] == "error: toy seed 7 pair 1, parent run exited with code 3; stderr ends:"
     assert err[1:] == ["first line", "engine gave up"]
     assert not (bench.ROOT / f"BENCH_{tag}.json").exists()
+
+
+def test_finished_workload_prints_its_summary(tmp_path, monkeypatch, capsys):
+    """Once a workload's pairs are done, its summary goes to stderr, one line
+    per end-to-end metric, and the file is written."""
+    bench = _bench_pairs()
+    result = ("import json, pathlib\n"
+              "slow = pathlib.Path(__file__).resolve().parents[1].name == 'parent'\n"
+              "solve = 2.0 if slow else 1.5\n"
+              "print(json.dumps({'correct': True, 'metrics': {\n"
+              "    'solve_s': {'value': solve}, 'nodes_per_s': {'value': 3.0 / solve}}}))\n")
+    for side in bench.SIDES:
+        _checkout(tmp_path / side, result)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    status = bench.main(["--parent", str(tmp_path / "parent"),
+                         "--change", str(tmp_path / "change"),
+                         "--tag", "toy", "--seeds", "7", "--pairs", "2"])
+    assert status == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[2:4] == [
+        "toy solve_s: parent 2, change 1.5 (-25.0%), change won 2/2, clear gain",
+        "toy nodes_per_s: parent 1.5, change 2 (+33.3%), change won 2/2, clear gain"]
+    report = json.loads((tmp_path / "BENCH_toy.json").read_text(encoding="utf-8"))
+    assert report["workloads"]["toy"]["summary"]["solve_s"]["wins"] == 2

@@ -163,6 +163,64 @@ class TestSearch:
         assert result.status == SOLVED and len(result.plan) == 3
         assert result.generated == 170
 
+    def test_deep_e_belief_goal_judges_each_view_once_per_call(self, monkeypatch):
+        # the chain's levels past the path bound keep their verdict on each
+        # view for one `evaluate` call, so a view met again below another
+        # view is not judged again: 17,983 `_on_sequence` calls before
+        from epiplan import semantics
+
+        domain, problem = load_benchmark("grapevine", "g2")
+        text = "(= sct_a t)"
+        for _ in range(7):
+            text = f"(EB (a b c d) {text})"
+        goals = ((parse_formula(text, domain.signature), Ternary.TRUE),)
+        calls = []
+        on_sequence = semantics._on_sequence
+        monkeypatch.setattr(semantics, "_on_sequence",
+                            lambda *args: calls.append(1) or on_sequence(*args))
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    goals, max_depth=3)
+        assert result.plan == ("move_a_room2", "move_b_room2", "share_a_t")
+        assert (result.expanded, result.generated, result.external_calls) == (23, 170, 671)
+        assert len(calls) == 4901
+
+    @pytest.mark.parametrize("name, depth, status, plan, counts", [
+        ("n1", 0, UNSOLVABLE, None, (0, 1, 1)),
+        ("n1", 1, UNSOLVABLE, None, (1, 4, 8)),
+        ("n1", 2, SOLVED, ("peek_a", "subtract"), (2, 6, 14)),
+        ("n1", 3, SOLVED, ("peek_a", "subtract"), (2, 6, 14)),
+        ("n1", 4, SOLVED, ("peek_a", "subtract"), (2, 6, 14)),
+        ("g2", 6, SOLVED, ("share_a_t", "move_a_room2", "move_c_room1", "move_d_room1",
+                           "share_b_t"), (399, 3298, 12286)),
+    ])
+    def test_frontier_holds_no_node_at_the_depth_limit(self, monkeypatch, name, depth,
+                                                        status, plan, counts):
+        # a node at the depth limit is goal-tested when generated and never
+        # queued; plans and counts are those of a search that queued it
+        import epiplan.planner as planner
+
+        queued = []
+
+        class Frontier(deque):
+            def __init__(self, nodes=()):
+                nodes = list(nodes)
+                queued.extend(nodes)
+                super().__init__(nodes)
+
+            def append(self, node):
+                queued.append(node)
+                super().append(node)
+
+        monkeypatch.setattr(planner, "deque", Frontier)
+        domain, problem = load_benchmark("number" if name == "n1" else "grapevine", name)
+        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
+                                    problem.goals, max_depth=depth)
+        assert (result.status, result.plan) == (status, plan)
+        assert (result.expanded, result.generated, result.external_calls) == counts
+        assert all(node.depth < depth for node in queued)
+        # every node queued is expanded, unless the goal is met first
+        assert len(queued) == result.expanded or status == SOLVED
+
     @pytest.mark.parametrize("text", ["(CB (a b) (B a (= n 1)))",
                                       "(EB (a b) " * 6 + "(= n 1)" + ")" * 6])
     def test_view_judged_children_stay_off_the_node(self, n1, text):

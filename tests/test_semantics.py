@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,6 +438,43 @@ class TestErrors:
         monkeypatch.setattr(Evaluator, "_record",
                             lambda self, *args: fetched.append(args) or record(self, *args))
         assert ev.evaluate(plan1, phi) is first and fetched == []
+
+    def test_each_signature_keeps_its_own_records(self):
+        """Two signatures parsed from one domain text are distinct, as are
+        their states: one evaluator keeps a record, and a verdict table, per
+        signature, and gives each sequence the verdict a fresh evaluator
+        gives, whichever signature it met last."""
+        (first, start), (second, other) = [load_benchmark("number", "n1")
+                                           for _ in range(2)]
+        assert first.signature is not second.signature
+        seqs = [StateSequence([start.initial]), StateSequence([other.initial])]
+        formulas = [parse_formula(text, first.signature)
+                    for text in ("(= n 2)", "(B a (= n 2))", "(CB (a b) (= n 2))")]
+        ev = Evaluator(first.model)
+        for seq in seqs + seqs:
+            for phi in formulas:
+                assert ev.evaluate(seq, phi) is Evaluator(first.model).evaluate(seq, phi)
+        for phi in formulas:
+            records = [ev._formulas[id(phi), id(seq[-1].sig)] for seq in seqs]
+            assert records[0] is not records[1]
+            assert [record[1] for record in records] == [first.signature, second.signature]
+        tables = [ev._formulas[id(formulas[0]), id(seq[-1].sig)][4] for seq in seqs]
+        assert [list(table) for table in tables] == [[seqs[0][-1]], [seqs[1][-1]]]
+
+    def test_evaluator_keeps_the_formulas_it_met(self, number_dom, plan1):
+        """`evaluate` finds a record by the formula's id alone, which is safe
+        because the record holds the formula: no other formula can take its
+        id while the evaluator lives."""
+        ev = Evaluator(number_dom.model)
+        phi = parse_formula("(B a (= n 1))", number_dom.signature)
+        ev.evaluate(plan1, phi)
+        held = weakref.ref(phi)
+        del phi
+        gc.collect()
+        assert held() is not None
+        del ev
+        gc.collect()
+        assert held() is None
 
     @pytest.mark.parametrize("text", ["(= n 1)", "(B a (= n 1))"])
     def test_formula_is_validated_under_each_signature(self, number_dom, plan1, text):

@@ -15,7 +15,8 @@ per metric how many pairs the change won. A gain is `clear` when the change won
 at least nine tenths of the pairs (ties count for neither side), the
 medians differ, in the better direction, by more than the distance between
 the parent's quartiles, and both sides passed the benchmark's correctness
-check in every pair.
+check in every pair. When a workload's pairs are done, its summary goes to
+stderr, one line per metric.
 
 The file goes to the root of the repository holding this script, with both
 commits (`git rev-parse HEAD` in each checkout), the Python version and a
@@ -79,6 +80,16 @@ def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
                      and gain > parent["q3"] - parent["q1"],
         }
     return summary
+
+
+def summary_lines(workload: str, summary: Dict[str, dict]) -> List[str]:
+    """One line per end-to-end metric of a finished workload: both medians,
+    the change's wins and whether its gain is clear."""
+    return [f"{workload} {name}: parent {entry['parent']['median']:.4g}, "
+            f"change {entry['change']['median']:.4g} ({entry['relative_change']:+.1%}), "
+            f"change won {entry['wins']}/{entry['pairs']}, "
+            + ("clear gain" if entry["clear"] else "no clear gain")
+            for name, entry in summary.items()]
 
 
 STDERR_TAIL = 10   # lines of a failed run's stderr that are shown
@@ -148,6 +159,8 @@ def main(argv=None) -> int:
                     f"{side} solve_s {pairs[-1][side]['solve_s']:.4g}" for side in SIDES),
                     file=sys.stderr)
         workloads[workload] = {"summary": summarise(pairs, declared), "pairs": pairs}
+        for line in summary_lines(workload, workloads[workload]["summary"]):
+            print(line, file=sys.stderr)
     report = {
         "commits": {side: commit_of(path) for side, path in checkouts.items()},
         "python": platform.python_version(),
