@@ -18,7 +18,9 @@ declaration order, calls `apply_action` once: it evaluates the precondition
 on the node (one `Evaluator.evaluate` call) and, if that is strictly true
 and every effect stays in its domain, returns the child. A child is dropped
 as a duplicate or goal-tested (one `evaluate` per goal, stopping at the
-first goal missed) and queued. Each atom a formula reads is one
+first goal missed) and queued, unless it is at the depth limit: its goal
+test was its last work (Russell & Norvig §3.4.1), so it is never queued,
+and it keeps no parent alive once tested. Each atom a formula reads is one
 `semantics.interpret_atom` call. These three are looked up by name on every
 call, never bound in advance, so the benchmark's tracer can wrap them.
 
@@ -241,10 +243,14 @@ def breadth_first_plan(model: ObservationModel,
     """Shortest plan reaching all goal targets, FIFO order, duplicates pruned.
 
     Only siblings can be duplicates (module docstring), so no set of
-    histories is kept. Exhausting all plans of length <= max_depth yields
-    "unsolvable"; running past the time budget, or reaching `node_budget`
+    histories is kept, and the frontier holds only nodes below `max_depth`.
+    Exhausting all plans of length <= max_depth yields "unsolvable", even
+    when the clock passed the time budget during the last expansion, as the
+    frontier is then empty and the search complete. Finding the clock past
+    the time budget before an expansion, or reaching `node_budget`
     generated nodes (the root counts) with actions left to try, yields
-    "aborted" (nothing is proven). Actions go in declaration order, so results are deterministic.
+    "aborted" (nothing is proven). Actions go in declaration order, so
+    results are deterministic.
     """
     sig = initial.sig
     missing = [v for v in sig.variables if v not in initial]

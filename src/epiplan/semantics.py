@@ -129,21 +129,25 @@ class EvalStats:
 class Evaluator:
     """Evaluates formulas against state sequences under one observation model.
 
-    Evaluation is a pure function of (sequence, formula): repeated calls give
-    identical truth values and identical fixed-point iteration counts, in any
-    order. Besides its `stats`, which can be merged across instances, the
-    evaluator keeps for its whole lifetime one `FoldMemo`, one `FoldPaths`
-    and a record of each formula it has met, made once per signature. The
-    memo keeps what the folds have worked out: which variables each viewer
-    group sees, per projection of a state onto the group's gate variables,
-    and every fold step taken, so a step met again is read back. It also holds the views the common fixed
-    point builds for one `evaluate` call: a call that judges a belief
-    empties them first. The paths are those the formulas' beliefs reach;
-    `(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` reach one path, and a belief
-    chain is judged on paths only while it reaches at most
-    `_MAX_BELIEF_PATHS`. The memo grows with the distinct states and fold
-    states met; the view states themselves are kept by their signature, one
-    object per distinct state.
+    Evaluation is a pure function of (sequence, formula): repeated calls
+    give identical truth values and identical fixed-point iteration counts,
+    in any order. Besides its `stats`, which can be merged across instances,
+    the evaluator keeps for its whole lifetime one `FoldMemo`, one
+    `FoldPaths` and a record of each formula it has met, made once per
+    signature; `evaluate` finds the record with one lookup by the formula's
+    id, which no other formula can take while the record holds the formula,
+    and a formula met on a second signature takes a slower path. The memo
+    keeps what the folds have worked out: which variables each viewer group
+    sees, per projection of a state onto the group's gate variables, and
+    every fold step taken, so a step met again is read back. It also holds
+    the views the common fixed point builds for one `evaluate` call, as the
+    evaluator holds the verdicts a belief's child gets on views for that
+    call (`_on_views`): a call that judges a belief empties both first. The
+    paths are those the formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and
+    `(DB (a) φ)` reach one path, and a belief chain is judged on paths only
+    while it reaches at most `_MAX_BELIEF_PATHS`. The memo grows with the
+    distinct states and fold states met; the view states themselves are kept
+    by their signature, one object per distinct state.
 
     A belief-free formula reads only the last state of a sequence, so its
     record keeps its verdict per last state: one table, shared by every

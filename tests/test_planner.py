@@ -149,24 +149,13 @@ class TestSearch:
         assert (result.expanded, result.generated, result.external_calls) == (17, 164, 521)
         assert (result.common_max, result.common_avg) == (3, 75 / 34)
 
-    def test_deep_e_belief_goal_keeps_its_plan(self):
+    def test_deep_e_belief_goal_keeps_its_plan(self, monkeypatch):
         # seven nested EB over four agents would reach 21,844 viewer paths,
         # each stepped at every node; its top is judged on views instead,
-        # and the plan and node counts stay those of the search on paths
-        domain, problem = load_benchmark("grapevine", "g2")
-        text = "(= sct_a t)"
-        for _ in range(7):
-            text = f"(EB (a b c d) {text})"
-        goals = ((parse_formula(text, domain.signature), Ternary.TRUE),)
-        result = breadth_first_plan(domain.model, domain.actions, problem.initial,
-                                    goals, max_depth=3)
-        assert result.status == SOLVED and len(result.plan) == 3
-        assert result.generated == 170
-
-    def test_deep_e_belief_goal_judges_each_view_once_per_call(self, monkeypatch):
-        # the chain's levels past the path bound keep their verdict on each
-        # view for one `evaluate` call, so a view met again below another
-        # view is not judged again: 17,983 `_on_sequence` calls before
+        # and the plan and node counts stay those of the search on paths.
+        # The levels past the bound keep their verdict on each view for one
+        # `evaluate` call, so a view met again below another view is not
+        # judged again (17,983 `_on_sequence` calls without that)
         from epiplan import semantics
 
         domain, problem = load_benchmark("grapevine", "g2")
@@ -180,8 +169,9 @@ class TestSearch:
                             lambda *args: calls.append(1) or on_sequence(*args))
         result = breadth_first_plan(domain.model, domain.actions, problem.initial,
                                     goals, max_depth=3)
+        assert result.status == SOLVED
         assert result.plan == ("move_a_room2", "move_b_room2", "share_a_t")
-        assert (result.expanded, result.generated, result.external_calls) == (23, 170, 671)
+        assert result.generated == 170
         assert len(calls) == 4901
 
     @pytest.mark.parametrize("name, depth, status, plan, counts", [
