@@ -457,7 +457,7 @@ class TestErrors:
         for phi in formulas:
             records = [ev._formulas[id(phi), id(seq[-1].sig)] for seq in seqs]
             assert records[0] is not records[1]
-            assert [record[1] for record in records] == [first.signature, second.signature]
+            assert records[0][1] is first.signature and records[1][1] is second.signature
         tables = [ev._formulas[id(formulas[0]), id(seq[-1].sig)][4] for seq in seqs]
         assert [list(table) for table in tables] == [[seqs[0][-1]], [seqs[1][-1]]]
 
