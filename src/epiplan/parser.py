@@ -204,9 +204,9 @@ def _parse_formula(stream: _TokenStream, sig: Signature,
             agent_tok = stream.next("an agent name")
             if agent_tok.text in "()":
                 raise ParseError("expected an agent name", agent_tok.line, agent_tok.col)
-            mode, group = GroupMode.UNIFORM, (agent_tok.text,)
+            mode, group = GroupMode.UNIFORM, (_agent(agent_tok, sig),)
         else:
-            group = _parse_group(stream)
+            group = _parse_group(stream, sig)
         arg = stream.peek()
         if node is GroupSees and arg is not None and arg.text != "(":
             var = _parse_variable(stream, sig)
@@ -242,7 +242,14 @@ def _parse_atom(stream: _TokenStream, sig: Signature, rel: str, head: Token) -> 
     return Atom(rel, lhs, rhs)
 
 
-def _parse_group(stream: _TokenStream) -> Tuple[str, ...]:
+def _agent(tok: Token, sig: Signature) -> str:
+    """A declared agent's name, checked where it stands."""
+    if not sig.is_agent(tok.text):
+        raise ParseError(f"unknown agent {tok.text!r}", tok.line, tok.col)
+    return tok.text
+
+
+def _parse_group(stream: _TokenStream, sig: Signature) -> Tuple[str, ...]:
     opener = stream.next("a group")
     if opener.text != "(":
         raise ParseError("expected '(' to start a group", opener.line, opener.col)
@@ -253,7 +260,7 @@ def _parse_group(stream: _TokenStream) -> Tuple[str, ...]:
             break
         if tok.text == "(":
             raise ParseError("groups contain agent names only", tok.line, tok.col)
-        names.append(tok.text)
+        names.append(_agent(tok, sig))
     if not names:
         raise ParseError("a group must contain at least one agent", opener.line, opener.col)
     return make_group(names)

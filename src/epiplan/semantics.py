@@ -13,10 +13,14 @@ no history, so `evaluate` takes the node itself and reads its last state and
 fold states; a judge that reads whole sequences rebuilds the history along
 the node's parent links (`_history`).
 
-A belief is judged on whole view sequences instead when it is common (the
-common fixed point iterates over sequences, and its statistics count them)
-or when its chain reaches too many paths; one count, `_paths_reached`,
-decides which (`Evaluator._compile_belief`).
+A belief is judged on whole view sequences instead when its chain reaches
+too many paths, as a common belief always does (the common fixed point
+iterates over sequences, and its statistics count them); the belief's own
+count, kept by `_paths_reached`, decides which (`Evaluator._compile_belief`).
+
+Each fact the evaluator keeps lives in one table: a record per formula,
+a count per belief, a verdict per state for a belief-free formula, and, for
+one `evaluate` call, a verdict per view for a child with beliefs.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ _NEGATED = (_TRUE, _UNKNOWN, _FALSE)   # a verdict's negation, indexed by the ve
 # stepped at every search node, and k nested E beliefs over a group of g
 # reach g + g² + ... + g^k. A chain past it is judged on views (`_on_views`),
 # and its child decides afresh. `_paths_reached` saturates one above it, and
-# counts a common belief, which is always judged on views, as that much.
+# counts a common belief as that much, so it is always judged on views.
 _MAX_BELIEF_PATHS = 64
 _OVER_BOUND = _MAX_BELIEF_PATHS + 1
 
@@ -84,11 +88,11 @@ History = Union[StateSequence, "SearchNode"]
 Judge = Callable[["Evaluator", Optional[History], State, Sequence[FoldState]], Ternary]
 
 
-# A formula's record on one signature: the formula and the signature (which
-# pin the ids that key it), its judge on whole sequences, the paths its folds
+# A formula's record on one signature: the formula (which pins the id that
+# keys it), the signature, its judge on whole sequences, the paths its folds
 # are walked along (ascending, parents included) and, when it holds no
-# belief, its verdicts by last state (else None). A plain tuple, which
-# unpacks faster than a named one.
+# belief, its verdicts by state (else None). A plain tuple, which unpacks
+# faster than a named one.
 _Record = Tuple[Formula, Signature, Judge, Tuple[int, ...], Optional[Dict[State, Ternary]]]
 
 
@@ -133,31 +137,32 @@ class Evaluator:
     give identical truth values and identical fixed-point iteration counts,
     in any order. Besides its `stats`, which can be merged across instances,
     the evaluator keeps for its whole lifetime one `FoldMemo`, one
-    `FoldPaths` and a record of each formula it has met, made once per
-    signature; `evaluate` finds the record with one lookup by the formula's
-    id, which no other formula can take while the record holds the formula,
-    and a formula met on a second signature takes a slower path. The memo
-    keeps what the folds have worked out: which variables each viewer group
-    sees, per projection of a state onto the group's gate variables, and
-    every fold step taken, so a step met again is read back. It also holds
-    the views the common fixed point builds for one `evaluate` call, as the
-    evaluator holds the verdicts a belief's child gets on views for that
-    call (`_on_views`): a call that judges a belief empties both first. The
-    paths are those the formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and
-    `(DB (a) φ)` reach one path, and a belief chain is judged on paths only
-    while it reaches at most `_MAX_BELIEF_PATHS`. The memo grows with the
+    `FoldPaths` and one record of each formula it has met, on the signature
+    it met the formula on last; `evaluate` finds the record with one lookup
+    by the formula's id, which no other formula can take while the record
+    holds the formula, and a formula met on another signature gets a fresh
+    record in place of the old. The memo keeps what the folds have worked
+    out: which variables each viewer group sees, per projection of a state
+    onto the group's gate variables, and every fold step taken, so a step
+    met again is read back. It also holds the views the common fixed point
+    builds for one `evaluate` call, as the evaluator holds the verdicts each
+    child with beliefs gets on views for that call (`_on_views`): a call
+    that judges a belief empties both first. The paths are those the
+    formulas' beliefs reach; `(B a φ)`, `(EB (a) φ)` and `(DB (a) φ)` reach
+    one path, and a belief chain is judged on paths only while it reaches
+    at most `_MAX_BELIEF_PATHS`. The memo grows with the
     distinct states and fold states met; the view states themselves are kept
     by their signature, one object per distinct state.
 
     A belief-free formula reads only the last state of a sequence, so its
-    record keeps its verdict per last state: one table, shared by every
-    reader of the formula, be it `evaluate`, a belief over it (on view rows
-    or views) or seeing and knowledge over it (on the state they are judged
-    on; observations are judged afresh). Such a formula is judged once per
-    distinct state and read back after. These tables grow with the
-    distinct states times the belief-free formulas met. A verdict read back
-    is still a call: `stats` counts and times it like any other. The memos
-    make an evaluator unsafe to share between threads; use one per thread.
+    record keeps its verdict per state: one table, shared by every reader
+    of the formula, be it `evaluate`, a belief over it (on view rows or
+    views) or seeing and knowledge over it (on the state they are judged on
+    and on its observations). Such a formula is judged once per distinct
+    state and read back after. These tables grow with the distinct states
+    times the belief-free formulas met. A verdict read back is still a
+    call: `stats` counts and times it like any other. The memos make an
+    evaluator unsafe to share between threads; use one per thread.
     """
 
     def __init__(self, model: ObservationModel):
@@ -165,16 +170,15 @@ class Evaluator:
         self.stats = EvalStats()
         self._memo = FoldMemo()
         self._paths = FoldPaths()
-        # the record of each formula met, by (formula id, signature id), the
-        # record `evaluate` met last for each formula, by the formula's id,
-        # and `_paths_reached` of each belief's child in them, by the child's
-        # id (the records keep the formulas, so the ids stay theirs)
-        self._formulas: dict[tuple[int, int], _Record] = {}
-        self._latest: Dict[int, _Record] = {}
+        # the record of each formula met, on the signature it was met on
+        # last, and `_paths_reached` of each belief in them and of its child,
+        # both by the formula's id (the records keep the formulas, so the
+        # ids stay theirs)
+        self._formulas: Dict[int, _Record] = {}
+        self._reached: Dict[int, Tuple[int, int]] = {}
         # the verdicts `_on_views` found for a record on a view during one
         # `evaluate` call, by (record id, view); emptied with `_memo.views`
         self._view_verdicts: Dict[Tuple[int, StateSequence], Ternary] = {}
-        self._reached: Dict[int, int] = {}
 
     def evaluate(self, seq: History, phi: Formula) -> Ternary:
         """The verdict of `phi` on `seq`, a history or a search node. A
@@ -183,9 +187,9 @@ class Evaluator:
         not cover `phi`'s paths, as on a history, the paths are walked over
         the history."""
         last = seq[-1]
-        record = self._latest.get(id(phi))
+        record = self._formulas.get(id(phi))
         if record is None or record[1] is not last.sig:
-            record = self._latest[id(phi)] = self._record(phi, last.sig)
+            record = self._record(phi, last.sig)
         verdicts = record[4]
         start = perf_counter()
         try:
@@ -221,28 +225,28 @@ class Evaluator:
     # -- dispatch -----------------------------------------------------------
     #
     # The one dispatch on formula types: each node becomes a judge once per
-    # (formula, signature), and a formula judged on whole sequences or
+    # record it is part of, and a formula judged on whole sequences or
     # states, rather than on a path's rows, has one record. Judges hold no
     # reference to the evaluator, which holds them, so no reference cycle
     # forms; they are handed it per call.
 
     def _record(self, phi: Formula, sig: Signature, reached: Optional[int] = None) -> _Record:
-        """The record of `phi` on `sig`; on first use `phi` is validated,
-        counted (`_paths_reached`, which keeps the count of each belief's
-        child in it), compiled to be judged on whole sequences and stored.
-        `reached`, `phi`'s count, is passed where `phi` is part of a formula
-        validated and counted on `sig` already: each formula is walked once
-        by each."""
-        key = (id(phi), id(sig))
-        record = self._formulas.get(key)
-        if record is None:
+        """The record of `phi` on `sig`. A formula has one record: met first,
+        or met on another signature than its record's, `phi` is validated,
+        counted (`_paths_reached`, which keeps the counts of each belief in
+        it), compiled to be judged on whole sequences and stored, replacing
+        the record it had. `reached`, `phi`'s count, is passed where `phi` is
+        part of a formula validated and counted on `sig` already: each
+        formula is walked once by each."""
+        record = self._formulas.get(id(phi))
+        if record is None or record[1] is not sig:
             if reached is None:
                 validate_formula(sig, phi)
                 reached = _paths_reached(phi, self._reached)
             numbers: Set[int] = set()
             judge = self._compile(phi, sig, -1, numbers)
-            record = self._formulas[key] = (phi, sig, judge, tuple(sorted(numbers)),
-                                            None if reached else {})
+            record = self._formulas[id(phi)] = (phi, sig, judge, tuple(sorted(numbers)),
+                                                None if reached else {})
         return record
 
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
@@ -289,7 +293,7 @@ class Evaluator:
                     inner: Optional[_Record]) -> Ternary:
         """Whether `phi.group` sees `phi.var` or settles `phi.child` (and, to
         know it, the child holds); `inner` is `phi.child`'s record, whose
-        table keeps the child's verdict on `last` but not on observations."""
+        table keeps the child's verdict on `last` and on each observation."""
         group = phi.group
         if inner is None:
             if phi.var not in last:
@@ -313,7 +317,7 @@ class Evaluator:
             elif inner is None:
                 seen = _VERDICT[phi.var in observed]
             else:
-                seen = _VERDICT[inner[2](self, None, observed, ()) is not _UNKNOWN]
+                seen = _VERDICT[_on_state(self, inner, observed) is not _UNKNOWN]
             verdict = min(verdict, seen)
         return verdict
 
@@ -322,17 +326,16 @@ class Evaluator:
     def _compile_belief(self, phi: GroupBelieves, sig: Signature, at: int,
                         numbers: Set[int]) -> Judge:
         """A belief reads the last rows of its viewers' paths while the
-        paths it reaches (each viewer's, and below each those its child's
-        beliefs reach) number at most `_MAX_BELIEF_PATHS`; a common belief
-        in the child counts past that. A common belief, and one past the
-        bound, is judged on whole view sequences. A belief below an
-        in-bound one reaches fewer paths, so only a chain's top is judged on
-        views. A child with beliefs read on rows gets no record: compiled on
-        the sequence, it would add paths that every search node steps."""
-        viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
-        below = self._reached[id(phi.child)]   # 0: the child is belief-free
-        if phi.mode is _COMMON or len(viewers) * (1 + below) > _MAX_BELIEF_PATHS:
+        paths it reaches (`_paths_reached`) number at most
+        `_MAX_BELIEF_PATHS`, and is judged on whole view sequences past it,
+        as a common belief always is. A belief below an in-bound one reaches
+        fewer paths, so only a chain's top is judged on views. A child with
+        beliefs read on rows gets no record: compiled on the sequence, it
+        would add paths that every search node steps."""
+        reached, below = self._reached[id(phi)]   # below 0: the child is belief-free
+        if reached > _MAX_BELIEF_PATHS:
             return _on_views(phi, sig, below)
+        viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
                  for members in viewers]
         numbers.update(paths)
@@ -368,19 +371,21 @@ class Evaluator:
         return judge
 
 
-def _paths_reached(phi: Formula, table: Dict[int, int]) -> int:
+def _paths_reached(phi: Formula, table: Dict[int, Tuple[int, int]]) -> int:
     """How many viewer paths the beliefs in `phi` reach, up to
     `_OVER_BOUND`; a common belief counts as that. A path is counted once
     per belief that reaches it, and a group's view of its own view, which
     `FoldPaths.number` folds into the view's path, counts as a path of its
     own, so the count is never below the number of distinct paths. 0
     means `phi` holds no belief and reads only the last state of a
-    sequence. The count of each belief's child in `phi` goes to `table`,
-    by the child's id, so one walk counts every belief."""
+    sequence. Each belief's count in `phi` goes to `table`, by the
+    belief's id, next to its child's, so one walk counts every belief."""
     if isinstance(phi, GroupBelieves):
         groups = len(phi.group) if phi.mode is _UNIFORM else 1
-        below = table[id(phi.child)] = _paths_reached(phi.child, table)
-        return _OVER_BOUND if phi.mode is _COMMON else min(groups * (1 + below), _OVER_BOUND)
+        below = _paths_reached(phi.child, table)
+        reached = _OVER_BOUND if phi.mode is _COMMON else min(groups * (1 + below), _OVER_BOUND)
+        table[id(phi)] = (reached, below)
+        return reached
     if isinstance(phi, Not):
         return _paths_reached(phi.child, table)
     if isinstance(phi, And):
@@ -426,13 +431,13 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
     stepped at a search node.
 
     A child with beliefs keeps its verdict on each view for the rest of the
-    `evaluate` call (`Evaluator._view_verdicts`), so a chain past the path
-    bound judges each distinct view once per level, not once per view above
-    it; a child that holds a common belief is judged afresh, as each fixed
-    point it runs is counted in `stats`."""
+    `evaluate` call (`Evaluator._view_verdicts`), as a belief-free one keeps
+    it in its record's table, so a chain past the path bound judges each
+    distinct view once per level, not once per view above it, and a child
+    that holds a common belief runs its fixed point once per distinct view."""
     group, mode, child = phi.group, phi.mode, phi.child
     inner: Optional[_Record] = None
-    keep = below > 0 and not _holds_common(child)
+    keep = below > 0
 
     def judge(ev, seq, last, folds):
         nonlocal inner
@@ -457,15 +462,3 @@ def _on_views(phi: GroupBelieves, sig: Signature, below: int) -> Judge:
             verdict = min(verdict, found)
         return verdict
     return judge
-
-
-def _holds_common(phi: Formula) -> bool:
-    """Whether `phi` holds a common belief (seeing and knowledge hold no
-    belief)."""
-    if isinstance(phi, GroupBelieves):
-        return phi.mode is _COMMON or _holds_common(phi.child)
-    if isinstance(phi, Not):
-        return _holds_common(phi.child)
-    if isinstance(phi, And):
-        return _holds_common(phi.left) or _holds_common(phi.right)
-    return False

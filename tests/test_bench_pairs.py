@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-DECLARED = [{"name": "solve_s", "better": "lower"},
-            {"name": "nodes_per_s", "better": "higher"}]
+DECLARED = [{"name": "solve_s", "better": "lower", "bound": 0.25},
+            {"name": "nodes_per_s", "better": "higher", "bound": 0.25}]
 
 
 def _bench_pairs():
@@ -71,6 +71,27 @@ def test_no_clear_gain_when_a_run_fails_its_correctness_check():
     pairs[3]["correct"] = False
     solve = bench.summarise(pairs, DECLARED)["solve_s"]
     assert solve["wins"] == 10 and not solve["clear"]
+
+
+def test_past_bound_when_the_median_is_worse_by_more_than_its_bound():
+    """A metric is past its bound when the change's median is worse than the
+    parent's by more than `bound` as a share of the parent's median; the
+    summary line says so for that metric alone."""
+    bench = _bench_pairs()
+    # solve_s 20% worse, within its 25% bound; nodes_per_s 30% worse, past it
+    pairs = [{"correct": True,
+              "parent": {"solve_s": 2.0, "nodes_per_s": 1.0},
+              "change": {"solve_s": 2.4, "nodes_per_s": 0.7}}] * 10
+    summary = bench.summarise(pairs, DECLARED)
+    assert not summary["solve_s"]["past_bound"]
+    assert summary["nodes_per_s"]["past_bound"]
+    assert bench.summary_lines("toy", summary) == [
+        "toy solve_s: parent 2, change 2.4 (+20.0%), change won 0/10, no clear gain",
+        "toy nodes_per_s: parent 1, change 0.7 (-30.0%), change won 0/10, no clear gain, "
+        "past its bound"]
+    # a gain of any size is never past the bound
+    gains = [{**pair, "change": {"solve_s": 1.0, "nodes_per_s": 2.0}} for pair in pairs]
+    assert not any(entry["past_bound"] for entry in bench.summarise(gains, DECLARED).values())
 
 
 def _checkout(path, run_py):

@@ -118,6 +118,18 @@ class TestFormulas:
         assert (err.value.line, err.value.col) == (line, col)
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("(B zz (= n 1))", 1, 4),
+        ("(EB (a zz) (= n 1))", 1, 8),
+        ("(and (= n 1)\n  (CK (zz b) (= n 1)))", 2, 8),
+    ])
+    def test_agent_errors_name_their_token(self, sig, text, line, col):
+        # an agent is checked where it stands, in a group or alone
+        with pytest.raises(ParseError) as err:
+            parse_formula(text, sig)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert "unknown agent 'zz'" in str(err.value)
+
     def test_trailing_garbage_rejected(self, sig):
         with pytest.raises(ParseError):
             parse_formula("(= n 1) leftover", sig)

@@ -683,8 +683,8 @@ def test_search_node_folds_equal_whole_sequence_folds(kind, seed):
     for history, (evaluator, folds) in handed.items():
         paths = evaluator._paths
         for phi in formulas:
-            assert all(number < len(folds)
-                       for number in evaluator._formulas[(id(phi), id(sig))][3])
+            record = evaluator._formulas[id(phi)]
+            assert record[1] is sig and all(number < len(folds) for number in record[3])
         for number, fold in enumerate(folds):
             chain = _chain(paths, number)
             source = history

@@ -236,17 +236,21 @@ class TestStats:
 
     @pytest.mark.parametrize("text, calls", [
         ("(= n 1)", 1),
-        ("(S b (= n 1))", 2),
-        ("(K b (= n 1))", 2),
+        ("(S b (= n 1))", 1),
+        ("(K b (= n 1))", 1),
         ("(K a (= n 1))", 2),
-        ("(DK (a b) (= n 1))", 2),
+        ("(DK (a b) (= n 1))", 1),
         ("(CK (a b) (= n 1))", 2),
-        ("(EK (a b) (= n 1))", 3),
+        ("(EK (a b) (= n 1))", 2),
     ])
     def test_knowledge_evaluates_its_child_once(self, number_dom, plan1, monkeypatch,
                                                 text, calls):
         """Knowing is holding plus seeing; the child's verdict on the sequence
-        serves both, and each member's observation decides it once more."""
+        serves both, and each distinct observation decides it once more. An
+        observation already judged is read back from the child's table: on
+        plan1's last state b, who peeks, observes that state itself, as the
+        pooled a-and-b view does, so only a's observation and the common one
+        cost a call."""
         from epiplan import semantics
 
         counted = []
@@ -390,6 +394,29 @@ class TestPathBound:
                     _on_views(number_dom.model, seq, depth, atom, {}), (text, t)
 
 
+    def test_common_belief_below_a_chain_runs_once_per_view(self, number_dom, plan1,
+                                                             monkeypatch):
+        """A chain past the path bound keeps its child's verdict per view
+        for the call, a child that holds a common belief included: here the
+        C belief meets one of its three distinct views twice and runs one
+        fixed point per distinct view. A long-lived evaluator counts the
+        fixed points that fresh ones count."""
+        met = []
+        common = semantics.common_perspectives
+        monkeypatch.setattr(semantics, "common_perspectives",
+                            lambda model, group, seq, memo: met.append(seq)
+                            or common(model, group, seq, memo))
+        phi = parse_formula(_nested("(CB (a b) (= n 1))", 3), number_dom.signature)
+        assert Evaluator(number_dom.model).evaluate(plan1, phi) is Ternary.FALSE
+        assert len(met) == len(set(met)) == 3
+        ev, fresh_counts = Evaluator(number_dom.model), []
+        for t in (*range(len(plan1)), *reversed(range(len(plan1)))):
+            seq = plan1.prefix(t)
+            fresh = Evaluator(number_dom.model)
+            assert ev.evaluate(seq, phi) is fresh.evaluate(seq, phi)
+            fresh_counts += fresh.stats.cf_iteration_counts
+        assert ev.stats.cf_iteration_counts == fresh_counts
+
     def test_chain_beside_a_common_belief_counts_in_bound(self, number_dom, plan1):
         # the path count saturates: 99 EB levels beside a CB make no
         # overflowing count, and each conjunct is judged as alone
@@ -439,27 +466,28 @@ class TestErrors:
                             lambda self, *args: fetched.append(args) or record(self, *args))
         assert ev.evaluate(plan1, phi) is first and fetched == []
 
-    def test_each_signature_keeps_its_own_records(self):
+    def test_one_record_per_formula_across_signatures(self):
         """Two signatures parsed from one domain text are distinct, as are
-        their states: one evaluator keeps a record, and a verdict table, per
-        signature, and gives each sequence the verdict a fresh evaluator
-        gives, whichever signature it met last."""
+        their states. One evaluator handed sequences of either in turn (A,
+        B, A) gives each the verdict a fresh evaluator gives, and holds one
+        record per formula: the one on the signature it met last, whose
+        verdict table holds that signature's states alone."""
         (first, start), (second, other) = [load_benchmark("number", "n1")
                                            for _ in range(2)]
         assert first.signature is not second.signature
         seqs = [StateSequence([start.initial]), StateSequence([other.initial])]
         formulas = [parse_formula(text, first.signature)
                     for text in ("(= n 2)", "(B a (= n 2))", "(CB (a b) (= n 2))")]
+        # each belief's belief-free child has a record of its own
+        recorded = formulas + [phi.child for phi in formulas[1:]]
         ev = Evaluator(first.model)
-        for seq in seqs + seqs:
+        for seq in (seqs[0], seqs[1], seqs[0]):
             for phi in formulas:
                 assert ev.evaluate(seq, phi) is Evaluator(first.model).evaluate(seq, phi)
-        for phi in formulas:
-            records = [ev._formulas[id(phi), id(seq[-1].sig)] for seq in seqs]
-            assert records[0] is not records[1]
-            assert records[0][1] is first.signature and records[1][1] is second.signature
-        tables = [ev._formulas[id(formulas[0]), id(seq[-1].sig)][4] for seq in seqs]
-        assert [list(table) for table in tables] == [[seqs[0][-1]], [seqs[1][-1]]]
+            assert sorted(ev._formulas) == sorted(id(phi) for phi in recorded)
+            for phi in recorded:
+                assert ev._formulas[id(phi)][:2] == (phi, seq[-1].sig)
+        assert list(ev._formulas[id(formulas[0])][4]) == [seqs[0][-1]]
 
     def test_evaluator_keeps_the_formulas_it_met(self, number_dom, plan1):
         """`evaluate` finds a record by the formula's id alone, which is safe

@@ -15,8 +15,10 @@ per metric how many pairs the change won. A gain is `clear` when the change won
 at least nine tenths of the pairs (ties count for neither side), the
 medians differ, in the better direction, by more than the distance between
 the parent's quartiles, and both sides passed the benchmark's correctness
-check in every pair. When a workload's pairs are done, its summary goes to
-stderr, one line per metric.
+check in every pair. A metric is `past_bound` when the change's median is
+worse than the parent's by more than the metric's `bound` in
+`BENCHMARK.json`, as a share of the parent's median. When a workload's
+pairs are done, its summary goes to stderr, one line per metric.
 
 The file goes to the root of the repository holding this script, with both
 commits (`git rev-parse HEAD` in each checkout), the Python version and a
@@ -53,12 +55,13 @@ def quartiles(values: Sequence[float]) -> Dict[str, float]:
 
 
 def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
-    """Per end-to-end metric: each side's quartiles, the change's wins and
-    whether its gain is clear.
+    """Per end-to-end metric: each side's quartiles, the change's wins,
+    whether its gain is clear and whether it is past its bound.
 
     `pairs` holds one {"correct": bool, "parent": {metric: value},
     "change": {...}} per pair, `correct` meaning both runs passed;
-    `declared` is BENCHMARK.json's `end_to_end` list (name and `better`).
+    `declared` is BENCHMARK.json's `end_to_end` list (name, `better` and
+    `bound`).
     """
     all_correct = all(pair["correct"] for pair in pairs)
     summary = {}
@@ -78,17 +81,20 @@ def summarise(pairs: List[dict], declared: List[dict]) -> Dict[str, dict]:
             "pairs": len(pairs),
             "clear": all_correct and wins >= CLEAR_SHARE * len(pairs)
                      and gain > parent["q3"] - parent["q1"],
+            "past_bound": -gain > metric["bound"] * abs(parent["median"]),
         }
     return summary
 
 
 def summary_lines(workload: str, summary: Dict[str, dict]) -> List[str]:
     """One line per end-to-end metric of a finished workload: both medians,
-    the change's wins and whether its gain is clear."""
+    the change's wins, whether its gain is clear and, when it is, that the
+    metric is past its bound."""
     return [f"{workload} {name}: parent {entry['parent']['median']:.4g}, "
             f"change {entry['change']['median']:.4g} ({entry['relative_change']:+.1%}), "
             f"change won {entry['wins']}/{entry['pairs']}, "
             + ("clear gain" if entry["clear"] else "no clear gain")
+            + (", past its bound" if entry["past_bound"] else "")
             for name, entry in summary.items()]
 
 
