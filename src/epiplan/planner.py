@@ -14,13 +14,13 @@ the goal is met, and the history only for a judge that reads whole
 sequences (`semantics`), so a child costs the same at every depth.
 
 One expansion pops the oldest node of the frontier and, for each action in
-declaration order, calls `apply_action` once: it evaluates the precondition
-on the node (one `Evaluator.evaluate` call) and, if that is strictly true
-and every effect stays in its domain, returns the child. A child is dropped
-as a duplicate or goal-tested (one `evaluate` per goal, stopping at the
-first goal missed) and queued, unless it is at the depth limit: its goal
-test was its last work (Russell & Norvig §3.4.1), so it is never queued,
-and it keeps no parent alive once tested. Each atom a formula reads is one
+declaration order, calls `apply_action` once: it tests the precondition on
+the node (one `Evaluator.evaluate` call) and, if that is strictly true and
+every effect stays in its domain, returns the child. A child is dropped as
+a duplicate or goal-tested (one test per goal, stopping at the first goal
+missed) and queued, unless it is at the depth limit: its goal test was its
+last work (Russell & Norvig §3.4.1), so it is never queued, and it keeps no
+parent alive once tested. Each atom a formula reads is one
 `semantics.interpret_atom` call. These three are looked up by name on every
 call, never bound in advance, so the benchmark's tracer can wrap them.
 
@@ -29,8 +29,8 @@ action, a table from last state to successor state (None where an effect
 leaves its domain), and applies the effects once per distinct last state
 on which the precondition holds. Its evaluator likewise judges a
 belief-free formula once per distinct last state (`Evaluator`), though
-every test is still one `evaluate` call. Both tables live as long as the
-one search.
+each such test is still one `evaluate` call. Both tables live as long as
+the one search.
 
 A belief reads views of the whole history, but only through their fold
 states (`semantics`). The viewer paths the preconditions and goals reach
@@ -39,6 +39,23 @@ state on each of them: the root's walked from the empty fold state, a
 child's one fold step per path from its parent's, taken once the child is
 kept (not a duplicate). So no view is built for a belief without a common
 belief in it; a search with no such belief carries no fold states at all.
+
+When no precondition or goal holds a belief judged on whole view sequences
+(a common belief, or a chain past the path bound: `semantics`), a formula
+is judged on a node's last state and fold states alone, and so is all of
+an expansion: which actions apply, the successors, the sibling duplicates,
+the children's fold states and their goal tests. Such a search expands
+each distinct (last state, fold states) once and keeps the expansion for
+as long as the search: the kept children as (action, last state, fold
+states), how many children it generated and how many tests it made. A
+later node with that key replays it: it links the same children to
+itself, and adds the counts to `generated` and to the evaluator's
+`external_calls`, calling neither `apply_action` nor `evaluate`. Nodes are
+not merged (Bolander & Andersen's state key, JANCL 21(1), 2011, used to
+skip work only), so every count is the one a fresh expansion would give.
+An expansion whose children could reach the node budget is done afresh,
+so an abort falls at the action it would; an expansion that meets the goal
+ends the search and is never kept.
 """
 
 from __future__ import annotations
@@ -167,7 +184,10 @@ class PlanResult:
     `expanded` counts nodes whose successors were generated; `generated`
     counts every node created, the root included, before duplicate pruning.
     A goal node is recognised when generated, so a goal that already holds
-    in the initial state reports expanded = 0.
+    in the initial state reports expanded = 0. `external_calls` counts every
+    precondition and goal test the search asked for, replayed ones included
+    (module docstring); `avg_call_ms` is the evaluation time over those
+    tests, and a replayed test takes none.
     """
 
     status: str
@@ -294,13 +314,35 @@ def breadth_first_plan(model: ObservationModel,
     # queued: it has no work left, and queued it would keep its parents alive
     frontier = deque([root] if max_depth > 0 else ())
     tables = [(action, {}) for action in actions]
+    stats = evaluator.stats
+    # each finished expansion by its node's (last, folds), where those are
+    # all its formulas read (module docstring): (kept children as (action
+    # name, last, folds), children generated, evaluate calls)
+    expansions: Optional[Dict[Tuple[State, Tuple[FoldState, ...]], tuple]] = \
+        {} if evaluator._on_folds(formulas, sig) else None
     while frontier:
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
         node = frontier.popleft()
         expanded += 1
         folds = node.folds
-        queued = set()
+        if expansions is not None:
+            key = (node.last, folds)
+            entry = expansions.get(key)
+            # replayed unless its children could reach the node budget: then
+            # it is done afresh, so it aborts at the action it would
+            if entry is not None and (node_budget is None or generated + entry[1] < node_budget):
+                kept, made, calls = entry
+                generated += made
+                stats.external_calls += calls
+                depth = node.depth + 1
+                if depth < max_depth:
+                    for name, last, stepped in kept:
+                        frontier.append(tuple.__new__(SearchNode,
+                                                      (node, name, depth, stepped, last)))
+                continue
+        generated_before, calls_before = generated, stats.external_calls
+        queued: Dict[State, tuple] = {}
         for action, successors in tables:
             # before every action, so no expansion generates past the budget
             if node_budget is not None and generated >= node_budget:
@@ -312,13 +354,16 @@ def breadth_first_plan(model: ObservationModel,
             last = child.last
             if last in queued:
                 continue
-            queued.add(last)
             if folds:
                 # kept, so its fold states are needed: one step per path
                 child = tuple.__new__(SearchNode, (node, child.action, child.depth,
                                                    evaluator.step_folds(folds, last), last))
+            queued[last] = (child.action, last, child.folds)
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
             if child.depth < max_depth:
                 frontier.append(child)
+        if expansions is not None:
+            expansions[key] = (tuple(queued.values()), generated - generated_before,
+                               stats.external_calls - calls_before)
     return finish(UNSOLVABLE, None, expanded, generated)

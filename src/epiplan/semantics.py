@@ -17,6 +17,9 @@ A belief is judged on whole view sequences instead when its chain reaches
 too many paths, as a common belief always does (the common fixed point
 iterates over sequences, and its statistics count them); the belief's own
 count, kept by `_paths_reached`, decides which (`Evaluator._compile_belief`).
+A formula with no belief judged on views is thus judged on a search node's
+last state and fold states alone (`Evaluator._on_folds`), so a search may
+expand each distinct (last state, fold states) once (`planner`).
 
 Each fact the evaluator keeps lives in one table: a record per formula,
 a count per belief, a verdict per state for a belief-free formula, and, for
@@ -100,8 +103,11 @@ _Record = Tuple[Formula, Signature, Judge, Tuple[int, ...], Optional[Dict[State,
 class EvalStats:
     """Accumulated evaluation statistics.
 
-    `external_calls` counts top-level evaluations; the fixed-point counts
-    record, for every common-belief evaluation, how many iterations the
+    `external_calls` counts top-level evaluations: each `evaluate` call,
+    and each test a search replays without one (`planner`). `eval_time` is
+    the time spent in `evaluate`, so `avg_call_ms` is it over all those
+    tests, and a replayed test adds none. The fixed-point counts record, for
+    every common-belief evaluation, how many iterations the
     common-perspective computation took.
     """
 
@@ -249,6 +255,13 @@ class Evaluator:
                                                 None if reached else {})
         return record
 
+    def _on_folds(self, formulas: Sequence[Formula], sig: Signature) -> bool:
+        """Whether every one of `formulas`, recorded on `sig`, is judged on a
+        history's last state and its folds alone (`_no_views`)."""
+        for phi in formulas:
+            self._record(phi, sig)
+        return all(_no_views(phi, self._reached) for phi in formulas)
+
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
         """The judge of `phi` on the view along path `at` (-1: the sequence
         itself); the paths its beliefs read are added to `numbers`."""
@@ -333,7 +346,7 @@ class Evaluator:
         beliefs read on rows gets no record: compiled on the sequence, it
         would add paths that every search node steps."""
         reached, below = self._reached[id(phi)]   # below 0: the child is belief-free
-        if reached > _MAX_BELIEF_PATHS:
+        if not _on_paths(reached):
             return _on_views(phi, sig, below)
         viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
@@ -371,6 +384,12 @@ class Evaluator:
         return judge
 
 
+def _on_paths(reached: int) -> bool:
+    """Whether a belief whose chain reaches `reached` paths
+    (`_paths_reached`) is judged on its paths' rows, not on views."""
+    return reached <= _MAX_BELIEF_PATHS
+
+
 def _paths_reached(phi: Formula, table: Dict[int, Tuple[int, int]]) -> int:
     """How many viewer paths the beliefs in `phi` reach, up to
     `_OVER_BOUND`; a common belief counts as that. A path is counted once
@@ -391,6 +410,19 @@ def _paths_reached(phi: Formula, table: Dict[int, Tuple[int, int]]) -> int:
     if isinstance(phi, And):
         return min(_paths_reached(phi.left, table) + _paths_reached(phi.right, table), _OVER_BOUND)
     return 0
+
+
+def _no_views(phi: Formula, table: Dict[int, Tuple[int, int]]) -> bool:
+    """Whether no belief in `phi` is judged on views, by the counts
+    `_paths_reached` kept in `table`; a belief's count bounds those of the
+    beliefs below it, and seeing and knowledge hold none."""
+    if isinstance(phi, GroupBelieves):
+        return _on_paths(table[id(phi)][0])
+    if isinstance(phi, Not):
+        return _no_views(phi.child, table)
+    if isinstance(phi, And):
+        return _no_views(phi.left, table) and _no_views(phi.right, table)
+    return True
 
 
 def _on_state(ev: Evaluator, record: _Record, state: State) -> Ternary:

@@ -378,10 +378,16 @@ def test_plan_length_matches_exhaustive_enumeration(instance):
 # above and on random rule-table models with belief goals.
 # --------------------------------------------------------------------------
 
-def _reference_plan(model, actions, initial, goals, max_depth):
-    """(status, plan, expanded, generated, dropped) of a breadth-first search
-    that drops a child whose full history any earlier node already had."""
+def _reference_plan(model, actions, initial, goals, max_depth, node_budget=None):
+    """(status, plan, expanded, generated, external_calls, dropped) of a
+    breadth-first search that drops a child whose full history any earlier
+    node already had, evaluates every test on the history and stops with
+    ABORTED, as the planner does, when `generated` has reached `node_budget`
+    before an action is tried."""
     evaluator = Evaluator(model)
+
+    def outcome(status, plan):
+        return status, plan, expanded, generated, evaluator.stats.external_calls, dropped
 
     def satisfied(node):
         return all(evaluator.evaluate(node.sequence, phi) is target
@@ -390,7 +396,7 @@ def _reference_plan(model, actions, initial, goals, max_depth):
     root = SearchNode(StateSequence([initial]), ())
     expanded, generated, dropped = 0, 1, 0
     if satisfied(root):
-        return SOLVED, (), expanded, generated, dropped
+        return outcome(SOLVED, ())
     frontier, seen = deque([root]), {root.sequence}
     while frontier:
         node = frontier.popleft()
@@ -398,6 +404,8 @@ def _reference_plan(model, actions, initial, goals, max_depth):
             continue
         expanded += 1
         for action in actions:
+            if node_budget is not None and generated >= node_budget:
+                return outcome(ABORTED, None)
             child = apply_action(evaluator, action, node)
             if child is None:
                 continue
@@ -407,19 +415,20 @@ def _reference_plan(model, actions, initial, goals, max_depth):
                 continue
             seen.add(child.sequence)
             if satisfied(child):
-                return SOLVED, child.plan, expanded, generated, dropped
+                return outcome(SOLVED, child.plan)
             frontier.append(child)
-    return UNSOLVABLE, None, expanded, generated, dropped
+    return outcome(UNSOLVABLE, None)
 
 
-def _same_search(model, actions, initial, goals, max_depth):
-    """Assert that `breadth_first_plan` matches the reference; return its
-    result and how many duplicates the reference dropped."""
-    result = breadth_first_plan(model, actions, initial, goals, max_depth=max_depth)
-    status, plan, expanded, generated, dropped = _reference_plan(
-        model, actions, initial, goals, max_depth)
-    assert (result.status, result.plan, result.expanded, result.generated) == (
-        status, plan, expanded, generated)
+def _same_search(model, actions, initial, goals, max_depth, node_budget=None):
+    """Assert that `breadth_first_plan` matches the reference, evaluate
+    calls included; return its result and how many duplicates the
+    reference dropped."""
+    result = breadth_first_plan(model, actions, initial, goals, max_depth=max_depth,
+                                node_budget=node_budget)
+    *want, dropped = _reference_plan(model, actions, initial, goals, max_depth, node_budget)
+    assert (result.status, result.plan, result.expanded, result.generated,
+            result.external_calls) == tuple(want)
     return result, dropped
 
 
@@ -472,6 +481,53 @@ def test_sibling_pruning_matches_full_history_set_with_belief_goals():
         dropped += _same_search(model, actions, seq[0], goals, rng.randint(3, 6))[1]
     # the instances do make siblings reach one state
     assert dropped > 0
+
+
+def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
+    """Each budget from 0 to the unbudgeted search's `generated` gives the
+    reference's status, plan and counts, on random rule-table instances
+    with belief-free, B and C goals and B preconditions; a replayed
+    expansion (module docstring of `planner`) that the budget could stop
+    part way is expanded afresh, so it aborts at the same action."""
+    from epiplan import planner
+
+    applied = []
+    apply_action_ = planner.apply_action
+
+    def counting_apply(evaluator, action, node, successors=None):
+        applied.append(node)
+        return apply_action_(evaluator, action, node, successors)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    rng = random.Random(41)
+    aborted = replayed = refreshed = 0
+    for case in range(120):
+        sig, model, seq = random_instance(rng, max_vars=3, max_len=1)
+        actions = tuple(_random_action(rng, sig, f"act{k}") for k in range(rng.randint(2, 4)))
+        inner = random_belief_free_formula(rng, sig, 1)
+        kind = case % 3
+        if kind == 0:
+            goal = inner
+        elif kind == 1:
+            goal = Believes(rng.choice(sig.agents), inner)
+        else:
+            goal = GroupBelieves(GroupMode.COMMON, sig.agents, inner)
+        goals = [(goal, rng.choice(list(Ternary)))]
+        max_depth = rng.randint(2, 4)
+        unbudgeted = breadth_first_plan(model, actions, seq[0], goals, max_depth=max_depth)
+        for budget in range(unbudgeted.generated + 1):
+            del applied[:]
+            result, _ = _same_search(model, actions, seq[0], goals, max_depth, budget)
+            aborted += result.status == ABORTED
+            replayed += len(applied) < result.expanded * len(actions)
+            # a key expanded at two nodes: the budget stopped a replay
+            nodes = {}
+            for node in applied:
+                nodes.setdefault((node.last, node.folds), set()).add(node)
+            refreshed += any(len(found) > 1 for found in nodes.values())
+    # the sweep reaches aborts, replayed expansions, and budgets at which a
+    # replay gives way to a fresh expansion
+    assert aborted > 400 and replayed > 400 and refreshed > 150, (aborted, replayed, refreshed)
 
 
 def _belief_over_atom(rng, sig):
@@ -544,11 +600,15 @@ def test_every_plan_replays_under_the_oracle():
 
 
 # --------------------------------------------------------------------------
-# The search layers stay attributable: one apply_action per (node, action)
-# and one evaluate per precondition or goal test; atoms and effects read only
-# the last state, so one interpret_atom per atom read per distinct (formula,
-# last state) and one _apply_effects per distinct (action, last state) whose
-# precondition holds.
+# The search layers stay attributable. A search whose formulas are judged on
+# a node's last state and fold states alone expands each distinct (last,
+# folds) once, with one apply_action per action, and replays the expansion
+# at every other node with that key; every evaluate call is made by such a
+# first expansion (or the root's goal test), and `external_calls` still
+# counts each replayed test. Atoms and effects read only the last state, so
+# one interpret_atom per atom read per distinct (formula, last state) and
+# one _apply_effects per distinct (action, last state) whose precondition
+# holds.
 # --------------------------------------------------------------------------
 
 def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
@@ -563,8 +623,10 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     actions = (up, down, raise_flag, wait)
     # x never exceeds 3, so the goal is unreachable and every node is expanded
     goals = ((Atom(">", "x", 3), Ternary.TRUE),)
+    initial = sig.global_state({"x": 0, "flag": False})
+    reference_calls = _reference_plan(BLIND, actions, initial, goals, 3)[4]
 
-    applied, evaluated, atoms, effected = [], [], [], []
+    applied, keys, evaluated, atoms, effected = [], [], [], [], []
     expected_atoms, expected_effects = {}, set()
     apply_action_ = planner.apply_action
     apply_effects = planner._apply_effects
@@ -584,8 +646,24 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
         right, more = reference(state, phi.right)
         return min(left, right), read + more
 
+    def expansion_calls(state):
+        # the tests one expansion of a node whose last state is `state`
+        # asks for: each precondition, and the goal on each child kept
+        calls, kept = 0, set()
+        for action in actions:
+            if action.precondition is not None:
+                calls += 1
+                if reference(state, action.precondition)[0] is not Ternary.TRUE:
+                    continue
+            after = apply_effects(sig, state, action.effects)
+            if after is not None and after not in kept:
+                kept.add(after)
+                calls += len(goals)
+        return calls
+
     def counting_apply(evaluator, action, node, successors=None):
         applied.append(action.name)
+        keys.append((node.last, node.folds))
         last = node.last
         if action.precondition is None or \
                 reference(last, action.precondition)[0] is Ternary.TRUE:
@@ -609,16 +687,65 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     monkeypatch.setattr(planner, "_apply_effects", counting_effects)
     monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
     monkeypatch.setattr(semantics, "interpret_atom", counting_interpret)
-    result = breadth_first_plan(BLIND, actions, sig.global_state({"x": 0, "flag": False}),
-                                goals, max_depth=3)
+    result = breadth_first_plan(BLIND, actions, initial, goals, max_depth=3)
     assert result.status == UNSOLVABLE and result.expanded > 0
-    assert len(applied) == result.expanded * len(actions)
-    assert len(evaluated) == result.external_calls
+    # one apply_action per action per distinct key, fewer than one per node
+    expanded_keys = Counter(keys)
+    assert set(expanded_keys.values()) == {len(actions)}
+    assert len(applied) == len(expanded_keys) * len(actions)
+    assert len(expanded_keys) < result.expanded
+    # every evaluate call is a miss: the root's goal test, or a test in the
+    # one expansion of a key; the replayed tests are counted all the same
+    assert all(folds == () for _, folds in expanded_keys)
+    assert len(evaluated) == len(goals) + sum(expansion_calls(last) for last, _ in expanded_keys)
+    assert len(evaluated) < result.external_calls
+    assert result.external_calls == reference_calls
     assert len(atoms) == sum(expected_atoms.values())
     assert len(effected) == len(expected_effects)
     assert set(effected) == expected_effects
-    # the tables save work here: last states repeat across the search
-    assert len(atoms) < len(evaluated) and len(effected) < len(applied)
+
+
+@pytest.mark.parametrize("goal", ["(CB (a b) (> x 3))", "(B a (> x 3))"])
+def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal):
+    """A common belief is judged on whole view sequences, so a search with
+    one in its goal expands every node afresh: one apply_action per node
+    and action, and one evaluate per test. A search whose beliefs are
+    judged on fold states expands each distinct (last, folds) once."""
+    from epiplan import planner, semantics
+
+    sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
+    model = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
+    actions = (Action("up", parse_formula("(B b (< x 3))", sig), (Effect("x", "add", 1),)),
+               Action("down", None, (Effect("x", "add", -1),)),
+               Action("toggle", None, (Effect("flag", "set", True),)))
+    # unreachable, so every node is expanded
+    goals = ((parse_formula(goal, sig), Ternary.TRUE),)
+    initial = sig.global_state({"x": 0, "flag": False})
+    reference_calls = _reference_plan(model, actions, initial, goals, 4)[4]
+
+    applied, evaluated = [], []
+    apply_action_ = planner.apply_action
+    evaluate = semantics.Evaluator.evaluate
+
+    def counting_apply(evaluator, action, node, successors=None):
+        applied.append((node.last, node.folds))
+        return apply_action_(evaluator, action, node, successors)
+
+    def counting_evaluate(self, node, phi):
+        evaluated.append(phi)
+        return evaluate(self, node, phi)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
+    result = breadth_first_plan(model, actions, initial, goals, max_depth=4)
+    assert result.status == UNSOLVABLE
+    assert result.external_calls == reference_calls
+    if goal.startswith("(CB"):
+        assert len(applied) == result.expanded * len(actions)
+        assert len(evaluated) == result.external_calls
+    else:
+        assert len(applied) == len(set(applied)) * len(actions) < result.expanded * len(actions)
+        assert len(evaluated) < result.external_calls
 
 
 def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
