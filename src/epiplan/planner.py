@@ -319,7 +319,7 @@ def breadth_first_plan(model: ObservationModel,
     # all its formulas read (module docstring): (kept children as (action
     # name, last, folds), children generated, evaluate calls)
     expansions: Optional[Dict[Tuple[State, Tuple[FoldState, ...]], tuple]] = \
-        {} if evaluator._on_folds(formulas, sig) else None
+        {} if evaluator._on_folds(formulas) else None
     while frontier:
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)

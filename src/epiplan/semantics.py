@@ -255,11 +255,10 @@ class Evaluator:
                                                 None if reached else {})
         return record
 
-    def _on_folds(self, formulas: Sequence[Formula], sig: Signature) -> bool:
-        """Whether every one of `formulas`, recorded on `sig`, is judged on a
-        history's last state and its folds alone (`_no_views`)."""
-        for phi in formulas:
-            self._record(phi, sig)
+    def _on_folds(self, formulas: Sequence[Formula]) -> bool:
+        """Whether every one of `formulas`, recorded already (as by
+        `fold_states`), is judged on a history's last state and its folds
+        alone (`_no_views`)."""
         return all(_no_views(phi, self._reached) for phi in formulas)
 
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
