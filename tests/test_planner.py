@@ -500,7 +500,8 @@ def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     rng = random.Random(41)
-    aborted = replayed = refreshed = 0
+    # runs with a replay, unbudgeted-alike and aborted; runs with a refused one
+    aborted, replayed, refreshed = 0, {False: 0, True: 0}, 0
     for case in range(120):
         sig, model, seq = random_instance(rng, max_vars=3, max_len=1)
         actions = tuple(_random_action(rng, sig, f"act{k}") for k in range(rng.randint(2, 4)))
@@ -518,16 +519,25 @@ def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
         for budget in range(unbudgeted.generated + 1):
             del applied[:]
             result, _ = _same_search(model, actions, seq[0], goals, max_depth, budget)
-            aborted += result.status == ABORTED
-            replayed += len(applied) < result.expanded * len(actions)
-            # a key expanded at two nodes: the budget stopped a replay
-            nodes = {}
-            for node in applied:
-                nodes.setdefault((node.last, node.folds), set()).add(node)
-            refreshed += any(len(found) > 1 for found in nodes.values())
-    # the sweep reaches aborts, replayed expansions, and budgets at which a
-    # replay gives way to a fresh expansion
-    assert aborted > 400 and replayed > 400 and refreshed > 150, (aborted, replayed, refreshed)
+            stopped = result.status == ABORTED
+            aborted += stopped
+            # every node expanded afresh applies an action, bar one an abort
+            # stops before its first; the other nodes expanded were replayed
+            fresh = {id(node): node for node in applied}.values()
+            replays = result.expanded - len(fresh) - stopped
+            if kind == 2:
+                # a common belief is judged on views: nothing is replayed
+                assert replays <= 0
+                continue
+            replayed[stopped] += replays > 0
+            # a key expanded afresh at two nodes: its replay was refused, as
+            # the budget could stop it part way
+            keys = Counter((node.last, node.folds) for node in fresh)
+            refreshed += any(count > 1 for count in keys.values())
+    # the sweep reaches aborts, replays in searches that finish and in
+    # searches the budget stops, and replays refused at the budget
+    assert aborted > 400 and replayed[False] > 10 and replayed[True] > 80 and refreshed > 150, \
+        (aborted, replayed, refreshed)
 
 
 def _belief_over_atom(rng, sig):
@@ -608,7 +618,8 @@ def test_every_plan_replays_under_the_oracle():
 # counts each replayed test. Atoms and effects read only the last state, so
 # one interpret_atom per atom read per distinct (formula, last state) and
 # one _apply_effects per distinct (action, last state) whose precondition
-# holds.
+# holds; a search with a common belief, which expands every node afresh,
+# shows that successor table saving work.
 # --------------------------------------------------------------------------
 
 def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
@@ -703,6 +714,8 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     assert len(atoms) == sum(expected_atoms.values())
     assert len(effected) == len(expected_effects)
     assert set(effected) == expected_effects
+    # the evaluator's table saves work: goal tests repeat a last state
+    assert len(atoms) < len(evaluated)
 
 
 @pytest.mark.parametrize("goal", ["(CB (a b) (> x 3))", "(B a (> x 3))"])
@@ -710,7 +723,9 @@ def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal
     """A common belief is judged on whole view sequences, so a search with
     one in its goal expands every node afresh: one apply_action per node
     and action, and one evaluate per test. A search whose beliefs are
-    judged on fold states expands each distinct (last, folds) once."""
+    judged on fold states expands each distinct (last, folds) once. Either
+    way the successor tables apply an action's effects once per distinct
+    last state on which its precondition holds."""
     from epiplan import planner, semantics
 
     sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
@@ -723,26 +738,39 @@ def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal
     initial = sig.global_state({"x": 0, "flag": False})
     reference_calls = _reference_plan(model, actions, initial, goals, 4)[4]
 
-    applied, evaluated = [], []
+    applied, evaluated, effected, passed = [], [], [], []
     apply_action_ = planner.apply_action
+    apply_effects = planner._apply_effects
     evaluate = semantics.Evaluator.evaluate
 
     def counting_apply(evaluator, action, node, successors=None):
         applied.append((node.last, node.folds))
-        return apply_action_(evaluator, action, node, successors)
+        child = apply_action_(evaluator, action, node, successors)
+        # the successor table holds the last state once the precondition held
+        if node.last in successors:
+            passed.append((action.effects, node.last))
+        return child
+
+    def counting_effects(sig, state, effects):
+        effected.append((effects, state))
+        return apply_effects(sig, state, effects)
 
     def counting_evaluate(self, node, phi):
         evaluated.append(phi)
         return evaluate(self, node, phi)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
+    monkeypatch.setattr(planner, "_apply_effects", counting_effects)
     monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
     result = breadth_first_plan(model, actions, initial, goals, max_depth=4)
     assert result.status == UNSOLVABLE
     assert result.external_calls == reference_calls
+    assert len(effected) == len(set(passed)) and set(effected) == set(passed)
     if goal.startswith("(CB"):
         assert len(applied) == result.expanded * len(actions)
         assert len(evaluated) == result.external_calls
+        # the successor tables save work: last states repeat across nodes
+        assert len(effected) < len(passed)
     else:
         assert len(applied) == len(set(applied)) * len(actions) < result.expanded * len(actions)
         assert len(evaluated) < result.external_calls
