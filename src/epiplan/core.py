@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 Value = Union[bool, int, str]
@@ -78,7 +79,7 @@ class Signature:
     """
 
     __slots__ = ("agents", "variables", "domains", "index", "_agent_set", "_members",
-                 "_states")
+                 "_states", "_powers")
 
     def __init__(self, agents: Iterable[str], domains: Mapping[str, Iterable[Value]]):
         self.agents: Tuple[str, ...] = tuple(dict.fromkeys(agents))
@@ -109,6 +110,8 @@ class Signature:
         # signature's lifetime; each state refers back to the signature, so
         # a dropped signature is freed by the cyclic collector
         self._states: dict[tuple, State] = {}
+        # bit i of a state's `bits` is 2 ** i, for the variable at index i
+        self._powers = tuple(1 << i for i in range(len(self.variables)))
 
     def is_agent(self, name: str) -> bool:
         return name in self._agent_set
@@ -175,10 +178,12 @@ class State:
     its values lie in their variables' domains: `State` trusts its caller,
     and `Signature.make_state` is the checked way in. A domain holds one
     kind of value, so equal value tuples agree position by position under
-    `same_value`: True and 1 never meet at one position.
+    `same_value`: True and 1 never meet at one position. `bits` has bit i
+    set where `vals[i]` is assigned, worked out once, when the state is
+    made.
     """
 
-    __slots__ = ("sig", "vals")
+    __slots__ = ("sig", "vals", "bits")
 
     def __new__(cls, sig: Signature, vals: Tuple[Optional[Value], ...]) -> "State":
         table = sig._states
@@ -187,6 +192,7 @@ class State:
             made = object.__new__(cls)
             made.sig = sig
             made.vals = vals
+            made.bits = sum(compress(sig._powers, map(operator.is_not, vals, repeat(None))))
             # setdefault keeps one state per values when threads race here
             found = table.setdefault(vals, made)
         return found
@@ -407,7 +413,8 @@ def _validate_atom(sig: Signature, atom: Atom) -> None:
             )
     if lhs_kind != rhs_kind:
         raise ValidationError(
-            f"relation {atom.rel!r} compares {atom.lhs!r} ({lhs_kind}) with a {rhs_kind} operand"
+            f"relation {atom.rel!r} compares {atom.lhs!r} ({lhs_kind}) with "
+            f"{'an' if rhs_kind == 'int' else 'a'} {rhs_kind} operand"
         )
     if atom.rel in _ORDERED and lhs_kind != "int":
         raise ValidationError(f"relation {atom.rel!r} requires integer operands")

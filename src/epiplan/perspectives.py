@@ -9,12 +9,15 @@ view).
 
 Every view of s_0..s_t is built by one left-to-right fold over the whole
 sequence, from the empty fold state. One step of it needs only a small fold
-state (the view's last row, the variables seen but never assigned, and the
-input's last values) and the next input state. A `FoldMemo` carries what has
-been worked out across builds and observations: which variables a group of
-viewers sees, by the values of the variables their visibility reads (the
-model's gate variables), and each step taken, so a step met again is read
-back rather than redone; equal fold states are one object.
+state (the view's last row, the bitmask of the variables seen but never
+assigned, and the input's last values) and the next input state, and is one
+merge of two rows: a row picker for a bitmask of variables takes those from
+the input and the rest from the view's last row, with no loop over
+variables. A `FoldMemo` carries what has been worked out across builds and
+observations: which variables a group of viewers sees, as a bitmask and its
+picker, by the values of the variables their visibility reads (the model's
+gate variables), and each step taken, so a step met again is read back
+rather than redone; equal fold states are one object.
 The memo also holds the views the common fixed point builds, so fixed
 points over the same sequences share them until the memo's owner empties
 its `views`.
@@ -36,7 +39,8 @@ point from {seq}, with its statistics). A group holds at least one agent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -126,9 +130,6 @@ def make_model(name: str, sig: Signature, config: Optional[list] = None) -> Obse
 # Individual and pooled perspectives
 # --------------------------------------------------------------------------
 
-_NO_INDICES: FrozenSet[int] = frozenset()
-
-
 def _members(group: Iterable[str]) -> Tuple[str, ...]:
     """`group` as a tuple of viewers, of which there must be at least one."""
     members = tuple(group)
@@ -140,16 +141,43 @@ def _members(group: Iterable[str]) -> Tuple[str, ...]:
 class FoldState(NamedTuple):
     """All one step of a view's fold needs besides the next input state.
 
-    `row` is the view's last state. `unresolved` holds the indices of the
-    variables the viewers have seen but the input has never assigned. `last`
-    is the input's last-assigned row: each variable at its most recent value
-    so far. When the input never drops a variable it has assigned, as global
+    `row` is the view's last state. `unresolved` is a bitmask over the
+    signature's variables, as `State.bits` is: bit i is set when the viewers
+    have seen variable i but the input has never assigned it. `last` is the
+    input's last-assigned row: each variable at its most recent value so
+    far. When the input never drops a variable it has assigned, as global
     states and views never do, that is the input's last state itself.
     """
 
     row: State
-    unresolved: FrozenSet[int]
+    unresolved: int
     last: State
+
+
+class _Pickers(dict):
+    """Row pickers by bitmask, for one signature of `size` variables.
+
+    ``pickers[bits]``, applied to ``a + b``, two value tuples of the
+    signature joined, is the value tuple that takes position i from `a`
+    where bit i of `bits` is set and from `b` otherwise; each is made on
+    first use. `absent` is the tuple of no values, the `b` that leaves
+    unassigned what a picker does not take from `a`.
+    """
+
+    __slots__ = ("size", "absent")
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self.absent = (None,) * size
+
+    def __missing__(self, bits: int) -> Callable[[tuple], tuple]:
+        size = self.size
+        picks = [i if bits >> i & 1 else size + i for i in range(size)]
+        # `itemgetter` of one index returns the item, of a slice a tuple
+        found = self[bits] = itemgetter(*picks) if size > 1 else \
+            itemgetter(slice(picks[0], picks[0] + 1))
+        return found
 
 
 class _Visibility:
@@ -159,19 +187,22 @@ class _Visibility:
 
     `masks` maps a state's projection onto the viewers' gate variables (the
     union of `ObservationModel.gate_variables`; every variable if one of
-    them declares none) to one flag per variable, so `sees` is asked once
-    per distinct projection rather than once per state. A miss asks the
-    model about every variable, viewer by viewer, until one of them sees
-    it. `steps` maps a fold state to a table from an input state to the
-    next fold state; one small table per fold state costs less memory than
-    a key tuple per step.
+    them declares none) to the mask of the variables they see, a bitmask as
+    `State.bits` is, and its picker from `pickers`, the signature's
+    `_Pickers` in the memo. So `sees` is asked once per distinct projection
+    rather than once per state. A miss asks the model about every variable,
+    viewer by viewer, until one of them sees it. `steps` maps a fold state
+    to a table from an input state to the next fold state; one small table
+    per fold state costs less memory than a key tuple per step.
     `folds` holds each distinct fold state met, so equal ones are one
     object. `start` is the fold state before any step.
     """
 
-    __slots__ = ("masks", "steps", "folds", "start", "_viewers", "_variables", "_sees", "_key")
+    __slots__ = ("masks", "steps", "folds", "start", "pickers", "_viewers", "_variables",
+                 "_sees", "_key")
 
-    def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
+    def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
+                 pickers: _Pickers):
         self._viewers = _members(viewers)
         self._variables = sig.variables
         # the projection of a state's values that keys its mask: the values
@@ -181,31 +212,34 @@ class _Visibility:
         read = range(len(index)) if None in gates else \
             [index[var] for var in frozenset().union(*gates) if var in index]
         self._key = itemgetter(*read) if read else lambda vals: ()
-        self.masks: Dict[object, Tuple[bool, ...]] = {}
+        self.masks: Dict[object, Tuple[int, Callable[[tuple], tuple]]] = {}
         self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
-        nothing = State(sig, (None,) * len(sig.variables))
-        self.start = FoldState(nothing, _NO_INDICES, nothing)
+        self.pickers = pickers
+        nothing = State(sig, pickers.absent)
+        self.start = FoldState(nothing, 0, nothing)
         self.folds: Dict[FoldState, FoldState] = {self.start: self.start}
         self._sees = model.sees
 
-    def mask(self, state: State) -> Tuple[bool, ...]:
-        """The mask of `state`: read back, or worked out and stored."""
+    def mask(self, state: State) -> Tuple[int, Callable[[tuple], tuple]]:
+        """The mask of `state` and its picker: read back, or worked out and
+        stored."""
         key = self._key(state.vals)
         found = self.masks.get(key)
         if found is None:
             sees, viewers = self._sees, self._viewers
-            mask = [False] * len(self._variables)
+            mask = 0
             for idx, var in enumerate(self._variables):
                 for agent in viewers:
                     if sees(agent, state, var):
-                        mask[idx] = True
+                        mask |= 1 << idx
                         break
-            found = self.masks[key] = tuple(mask)
+            found = self.masks[key] = (mask, self.pickers[mask])
         return found
 
 
-def _masked(state: State, mask: Iterable[bool]) -> State:
-    return State(state.sig, tuple([val if seen else None for val, seen in zip(state.vals, mask)]))
+def _masked(state: State, pick: Callable[[tuple], tuple], pickers: _Pickers) -> State:
+    """`state` with only the values `pick` takes from its first operand."""
+    return State(state.sig, pick(state.vals + pickers.absent))
 
 
 class FoldMemo:
@@ -214,8 +248,10 @@ class FoldMemo:
 
     `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
     is asked once per (viewers, gate projection of a state) and a fold step
-    is taken once per (viewers, fold state, input state). The memo grows
-    with the distinct states and fold states it meets.
+    is taken once per (viewers, fold state, input state). `pickers` maps a
+    signature to its `_Pickers`, which every viewer group's table shares,
+    so each (signature, bitmask) picker is made once. The memo grows with
+    the distinct states, fold states and masks it meets.
 
     `views` holds the one-agent views the common fixed point builds, keyed
     by (agent, input), where an input is the sequence a fixed point starts
@@ -223,11 +259,12 @@ class FoldMemo:
     table, as an `Evaluator` does at the start of each `evaluate` call.
     """
 
-    __slots__ = ("visibility", "views")
+    __slots__ = ("visibility", "views", "pickers")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
         self.views: Dict[Tuple[str, StateSequence], StateSequence] = {}
+        self.pickers: Dict[Signature, _Pickers] = {}
 
 
 def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
@@ -237,7 +274,10 @@ def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...
         memo = FoldMemo()
     found = memo.visibility.get((sig, viewers))
     if found is None:
-        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
+        pickers = memo.pickers.get(sig)
+        if pickers is None:
+            pickers = memo.pickers[sig] = _Pickers(len(sig.variables))
+        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers, pickers)
     return found
 
 
@@ -283,45 +323,25 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
     input's first later value. A variable never seen stays absent: with no
     sighting there is nothing to justify a value, and filling one in from
     later states would fabricate evidence.
+
+    So the step is one merge of two rows, with no loop over variables: the
+    new row takes the input's value (as the step reads it, below) for each
+    variable seen at t or unresolved and now assigned, and the previous
+    row's for every other; a variable seen at t that the input never
+    assigned becomes unresolved, and one it assigns stops being so.
     """
-    vals = state.vals
-    mask = table.mask(state)
-    prior, last = fold.row.vals, fold.last.vals
-    unresolved = set(fold.unresolved)
-    dropped = False   # whether the input left out a variable it assigned before
-    row = []
-    for idx, seen in enumerate(mask):
-        value = vals[idx]
-        if value is None:
-            old = last[idx]
-            if old is not None:
-                dropped = True
-            if not seen:
-                value = prior[idx]
-            elif old is None:
-                unresolved.add(idx)
-            else:
-                value = old
-        elif seen:
-            if unresolved:
-                unresolved.discard(idx)
-        elif prior[idx] is not None:
-            value = prior[idx]
-        elif idx in unresolved:
-            unresolved.discard(idx)
-        else:
-            value = None
-        row.append(value)
-    sig = state.sig
-    if dropped:
-        last = tuple([old if given is None else given for given, old in zip(vals, last)])
-    # an unchanged set stays the predecessor's object, so the steps of one
-    # fold share it rather than each holding a copy
-    if unresolved == fold.unresolved:
-        unresolved = fold.unresolved
-    else:
-        unresolved = frozenset(unresolved) if unresolved else _NO_INDICES
-    found = FoldState(State(sig, tuple(row)), unresolved, State(sig, last) if dropped else state)
+    # the input as the step reads it: `state`, or, where `state` drops a
+    # variable it assigned before, `state` over the input's last values
+    mask, pick = table.mask(state)
+    pickers, given, last = table.pickers, state, fold.last
+    if last.bits & ~state.bits:
+        given = State(state.sig, pickers[state.bits](state.vals + last.vals))
+    assigned, unresolved = given.bits, fold.unresolved
+    resolved = unresolved & assigned
+    if resolved:
+        pick = pickers[mask | resolved]
+    found = FoldState(State(state.sig, pick(given.vals + fold.row.vals)),
+                      (unresolved | mask) & ~assigned, given)
     found = table.folds.setdefault(found, found)
     after = table.steps.get(fold)
     if after is None:
@@ -489,9 +509,11 @@ def common_observation(model: ObservationModel, group: Iterable[str],
     from `memo` when one is given.
     """
     tables = [_visibility(model, state.sig, (i,), memo) for i in _members(group)]
+    pickers = tables[0].pickers
     current = state
     while True:
-        nxt = _masked(current, map(all, zip(*(t.mask(current) for t in tables))))
+        shared = reduce(and_, [table.mask(current)[0] for table in tables])
+        nxt = _masked(current, pickers[shared], pickers)
         if nxt is current:
             return current
         current = nxt
@@ -500,7 +522,8 @@ def common_observation(model: ObservationModel, group: Iterable[str],
 def group_observation(model: ObservationModel, group: Iterable[str],
                       state: State, memo: Optional[FoldMemo] = None) -> State:
     """Union of the members' observations of one state (`memo` as for `common_observation`)."""
-    return _masked(state, _visibility(model, state.sig, tuple(group), memo).mask(state))
+    table = _visibility(model, state.sig, tuple(group), memo)
+    return _masked(state, table.mask(state)[1], table.pickers)
 
 
 # --------------------------------------------------------------------------

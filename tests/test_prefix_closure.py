@@ -455,11 +455,12 @@ def test_memoised_views_match_memo_free_builds(kind, seed):
 
 def _fold_by_definition(model, viewers, seq):
     """The parts of the fold state after the last state of `seq`, read off
-    the whole sequence: the indices of the variables some viewer has seen
-    that `seq` never assigns, and each variable's most recent value."""
+    the whole sequence: the bitmask of the variables some viewer has seen
+    that `seq` never assigns (bit i for the variable at index i), and each
+    variable's most recent value."""
     sig = seq.sig
-    unresolved = frozenset(
-        idx for idx, var in enumerate(sig.variables)
+    unresolved = sum(
+        1 << idx for idx, var in enumerate(sig.variables)
         if any(model.sees(i, state, var) for state in seq for i in viewers)
         and all(state.vals[idx] is None for state in seq))
     last = tuple(next((state.vals[idx] for state in reversed(seq)
