@@ -75,11 +75,13 @@ class Signature:
 
     Every agent identifier doubles as a variable: each agent gets an implicit
     single-valued marker variable (always ``True``) so states can record which
-    agents are present and formulas can test agent presence.
+    agents are present and formulas can test agent presence. `pickers`
+    merges two value tuples of the signature by a bitmask of its variables
+    (`_Pickers`).
     """
 
-    __slots__ = ("agents", "variables", "domains", "index", "_agent_set", "_members",
-                 "_states", "_powers")
+    __slots__ = ("agents", "variables", "domains", "index", "pickers", "_agent_set",
+                 "_members", "_states", "_powers")
 
     def __init__(self, agents: Iterable[str], domains: Mapping[str, Iterable[Value]]):
         self.agents: Tuple[str, ...] = tuple(dict.fromkeys(agents))
@@ -112,6 +114,7 @@ class Signature:
         self._states: dict[tuple, State] = {}
         # bit i of a state's `bits` is 2 ** i, for the variable at index i
         self._powers = tuple(1 << i for i in range(len(self.variables)))
+        self.pickers = _Pickers(len(self.variables))
 
     def is_agent(self, name: str) -> bool:
         return name in self._agent_set
@@ -157,6 +160,33 @@ class Signature:
         if missing:
             raise ValidationError(f"global state misses variables: {', '.join(missing)}")
         return state
+
+
+class _Pickers(dict):
+    """A signature's row pickers by bitmask, over its variables as
+    `State.bits` is.
+
+    ``pickers[bits]``, applied to ``a + b``, two value tuples of the
+    signature joined, is the value tuple that takes position i from `a`
+    where bit i of `bits` is set and from `b` otherwise; each is made on
+    first use and kept for the signature's lifetime. `absent` is the tuple
+    of no values: as `b`, it leaves unassigned what the picker does not
+    take from `a`.
+    """
+
+    __slots__ = ("absent",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.absent = (None,) * size
+
+    def __missing__(self, bits: int) -> "operator.itemgetter":
+        size = len(self.absent)
+        picks = [i if bits >> i & 1 else size + i for i in range(size)]
+        # `itemgetter` of one index returns the item, of a slice a tuple
+        found = self[bits] = operator.itemgetter(*picks) if size > 1 else \
+            operator.itemgetter(slice(picks[0], picks[0] + 1))
+        return found
 
 
 def _member_set(vals: Tuple[Value, ...]) -> Union[range, frozenset]:

@@ -154,32 +154,6 @@ class FoldState(NamedTuple):
     last: State
 
 
-class _Pickers(dict):
-    """Row pickers by bitmask, for one signature of `size` variables.
-
-    ``pickers[bits]``, applied to ``a + b``, two value tuples of the
-    signature joined, is the value tuple that takes position i from `a`
-    where bit i of `bits` is set and from `b` otherwise; each is made on
-    first use. `absent` is the tuple of no values, the `b` that leaves
-    unassigned what a picker does not take from `a`.
-    """
-
-    __slots__ = ("size", "absent")
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-        self.absent = (None,) * size
-
-    def __missing__(self, bits: int) -> Callable[[tuple], tuple]:
-        size = self.size
-        picks = [i if bits >> i & 1 else size + i for i in range(size)]
-        # `itemgetter` of one index returns the item, of a slice a tuple
-        found = self[bits] = itemgetter(*picks) if size > 1 else \
-            itemgetter(slice(picks[0], picks[0] + 1))
-        return found
-
-
 class _Visibility:
     """What a memo knows about one group of viewers under one signature:
     which variables they see, by the gate projection of a state, and the
@@ -188,8 +162,8 @@ class _Visibility:
     `masks` maps a state's projection onto the viewers' gate variables (the
     union of `ObservationModel.gate_variables`; every variable if one of
     them declares none) to the mask of the variables they see, a bitmask as
-    `State.bits` is, and its picker from `pickers`, the signature's
-    `_Pickers` in the memo. So `sees` is asked once per distinct projection
+    `State.bits` is, and its picker from `Signature.pickers`. So `sees` is
+    asked once per distinct projection
     rather than once per state. A miss asks the model about every variable,
     viewer by viewer, until one of them sees it. `steps` maps a fold state
     to a table from an input state to the next fold state; one small table
@@ -198,11 +172,9 @@ class _Visibility:
     object. `start` is the fold state before any step.
     """
 
-    __slots__ = ("masks", "steps", "folds", "start", "pickers", "_viewers", "_variables",
-                 "_sees", "_key")
+    __slots__ = ("masks", "steps", "folds", "start", "_viewers", "_variables", "_sees", "_key")
 
-    def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
-                 pickers: _Pickers):
+    def __init__(self, model: ObservationModel, sig: Signature, viewers: Tuple[str, ...]):
         self._viewers = _members(viewers)
         self._variables = sig.variables
         # the projection of a state's values that keys its mask: the values
@@ -214,8 +186,7 @@ class _Visibility:
         self._key = itemgetter(*read) if read else lambda vals: ()
         self.masks: Dict[object, Tuple[int, Callable[[tuple], tuple]]] = {}
         self.steps: Dict[FoldState, Dict[State, FoldState]] = {}
-        self.pickers = pickers
-        nothing = State(sig, pickers.absent)
+        nothing = State(sig, sig.pickers.absent)
         self.start = FoldState(nothing, 0, nothing)
         self.folds: Dict[FoldState, FoldState] = {self.start: self.start}
         self._sees = model.sees
@@ -233,13 +204,14 @@ class _Visibility:
                     if sees(agent, state, var):
                         mask |= 1 << idx
                         break
-            found = self.masks[key] = (mask, self.pickers[mask])
+            found = self.masks[key] = (mask, state.sig.pickers[mask])
         return found
 
 
-def _masked(state: State, pick: Callable[[tuple], tuple], pickers: _Pickers) -> State:
+def _masked(state: State, pick: Callable[[tuple], tuple]) -> State:
     """`state` with only the values `pick` takes from its first operand."""
-    return State(state.sig, pick(state.vals + pickers.absent))
+    sig = state.sig
+    return State(sig, pick(state.vals + sig.pickers.absent))
 
 
 class FoldMemo:
@@ -248,10 +220,8 @@ class FoldMemo:
 
     `visibility` maps (signature, viewers) to their `_Visibility`, so `sees`
     is asked once per (viewers, gate projection of a state) and a fold step
-    is taken once per (viewers, fold state, input state). `pickers` maps a
-    signature to its `_Pickers`, which every viewer group's table shares,
-    so each (signature, bitmask) picker is made once. The memo grows with
-    the distinct states, fold states and masks it meets.
+    is taken once per (viewers, fold state, input state). The memo grows
+    with the distinct states and fold states it meets.
 
     `views` holds the one-agent views the common fixed point builds, keyed
     by (agent, input), where an input is the sequence a fixed point starts
@@ -259,12 +229,11 @@ class FoldMemo:
     table, as an `Evaluator` does at the start of each `evaluate` call.
     """
 
-    __slots__ = ("visibility", "views", "pickers")
+    __slots__ = ("visibility", "views")
 
     def __init__(self):
         self.visibility: Dict[Tuple[Signature, Tuple[str, ...]], _Visibility] = {}
         self.views: Dict[Tuple[str, StateSequence], StateSequence] = {}
-        self.pickers: Dict[Signature, _Pickers] = {}
 
 
 def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...],
@@ -274,10 +243,7 @@ def _visibility(model: ObservationModel, sig: Signature, viewers: Tuple[str, ...
         memo = FoldMemo()
     found = memo.visibility.get((sig, viewers))
     if found is None:
-        pickers = memo.pickers.get(sig)
-        if pickers is None:
-            pickers = memo.pickers[sig] = _Pickers(len(sig.variables))
-        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers, pickers)
+        found = memo.visibility[(sig, viewers)] = _Visibility(model, sig, viewers)
     return found
 
 
@@ -330,17 +296,17 @@ def _fold_step(table: _Visibility, fold: FoldState, state: State) -> FoldState:
     row's for every other; a variable seen at t that the input never
     assigned becomes unresolved, and one it assigns stops being so.
     """
+    mask, pick = table.mask(state)
     # the input as the step reads it: `state`, or, where `state` drops a
     # variable it assigned before, `state` over the input's last values
-    mask, pick = table.mask(state)
-    pickers, given, last = table.pickers, state, fold.last
+    sig, given, last = state.sig, state, fold.last
     if last.bits & ~state.bits:
-        given = State(state.sig, pickers[state.bits](state.vals + last.vals))
+        given = State(sig, sig.pickers[state.bits](state.vals + last.vals))
     assigned, unresolved = given.bits, fold.unresolved
     resolved = unresolved & assigned
     if resolved:
-        pick = pickers[mask | resolved]
-    found = FoldState(State(state.sig, pick(given.vals + fold.row.vals)),
+        pick = sig.pickers[mask | resolved]
+    found = FoldState(State(sig, pick(given.vals + fold.row.vals)),
                       (unresolved | mask) & ~assigned, given)
     found = table.folds.setdefault(found, found)
     after = table.steps.get(fold)
@@ -509,11 +475,11 @@ def common_observation(model: ObservationModel, group: Iterable[str],
     from `memo` when one is given.
     """
     tables = [_visibility(model, state.sig, (i,), memo) for i in _members(group)]
-    pickers = tables[0].pickers
+    pickers = state.sig.pickers
     current = state
     while True:
         shared = reduce(and_, [table.mask(current)[0] for table in tables])
-        nxt = _masked(current, pickers[shared], pickers)
+        nxt = _masked(current, pickers[shared])
         if nxt is current:
             return current
         current = nxt
@@ -522,8 +488,7 @@ def common_observation(model: ObservationModel, group: Iterable[str],
 def group_observation(model: ObservationModel, group: Iterable[str],
                       state: State, memo: Optional[FoldMemo] = None) -> State:
     """Union of the members' observations of one state (`memo` as for `common_observation`)."""
-    table = _visibility(model, state.sig, tuple(group), memo)
-    return _masked(state, table.mask(state)[1], table.pickers)
+    return _masked(state, _visibility(model, state.sig, tuple(group), memo).mask(state)[1])
 
 
 # --------------------------------------------------------------------------
