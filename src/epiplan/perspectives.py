@@ -163,11 +163,11 @@ class _Visibility:
     union of `ObservationModel.gate_variables`; every variable if one of
     them declares none) to the mask of the variables they see, a bitmask as
     `State.bits` is, and its picker from `Signature.pickers`. So `sees` is
-    asked once per distinct projection
-    rather than once per state. A miss asks the model about every variable,
-    viewer by viewer, until one of them sees it. `steps` maps a fold state
-    to a table from an input state to the next fold state; one small table
-    per fold state costs less memory than a key tuple per step.
+    asked once per distinct projection rather than once per state. A miss
+    asks the model about every variable, viewer by viewer, until one of
+    them sees it. `steps` maps a fold state to a table from an input state
+    to the next fold state; one small table per fold state costs less
+    memory than a key tuple per step.
     `folds` holds each distinct fold state met, so equal ones are one
     object. `start` is the fold state before any step.
     """

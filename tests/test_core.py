@@ -1,10 +1,11 @@
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import LITERAL
+from helpers import LITERAL, random_states
 from epiplan.core import (
     RELATIONS,
     And,
@@ -28,6 +29,8 @@ from epiplan.core import (
     same_value,
     validate_formula,
 )
+from epiplan.cli import load_benchmark
+from epiplan.parser import ParseError, parse_formula
 from epiplan.perspectives import ObservationModel, justified_perspective
 from epiplan.planner import Effect, _apply_effects
 
@@ -232,6 +235,28 @@ def test_equal_sequences_hash_equal_however_built(drawn, cut):
     assert longer != whole
 
 
+# one signature per bundled domain
+_BUNDLED_SIGNATURES = {name: load_benchmark(name, problem)[0].signature
+                       for name, problem in (("number", "n0"), ("grapevine", "g0"),
+                                             ("bbl", "bbl0"))}
+
+
+@pytest.mark.parametrize("name", tuple(_BUNDLED_SIGNATURES))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_assigned_bits_are_the_assigned_positions(name, seed):
+    """On random global and partial states of each bundled signature, a
+    state's `bits` has bit i set exactly where `vals[i]` is assigned, and
+    `State(sig, vals)` is still the one state of its values."""
+    rng = random.Random(seed)
+    sig = _BUNDLED_SIGNATURES[name]
+    for state in random_states(rng, sig, 4):
+        for made in (state, state.restrict([var for var in state.assigned()
+                                            if rng.random() < 0.5])):
+            assert made.bits == sum(1 << i for i, val in enumerate(made.vals)
+                                    if val is not None)
+            assert State(sig, tuple(list(made.vals))) is made
+
+
 class TestInterpretAtom:
     def test_true_comparison(self, sig):
         assert interpret_atom(sig.make_state({"n": 1}), Atom("<", "n", 3)) is Ternary.TRUE
@@ -297,6 +322,18 @@ class TestValidation:
     def test_kind_mismatch(self, sig):
         with pytest.raises(ValidationError):
             validate_formula(sig, Atom("=", "n", "red"))
+
+    def test_kind_mismatch_names_the_operand_kind(self, sig):
+        """The message names the operand's kind with its article."""
+        for lhs, rhs, kind in (("colour", 3, "an int"), ("n", True, "a bool"),
+                               ("n", Var("colour"), "a symbol")):
+            with pytest.raises(ValidationError, match=f"\\) with {kind} operand$"):
+                validate_formula(sig, Atom("=", lhs, rhs))
+
+    def test_kind_mismatch_message_from_a_parsed_formula(self):
+        grapevine = load_benchmark("grapevine", "g0")[0]
+        with pytest.raises(ParseError, match="compares 'sct_a' \\(symbol\\) with an int operand"):
+            parse_formula("(= sct_a 99999)", grapevine.signature)
 
     def test_unknown_symbol_constant(self, sig):
         with pytest.raises(ValidationError):

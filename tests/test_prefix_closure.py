@@ -9,7 +9,9 @@ three bundled observation models. The last tests cover the fold's memo, the
 one cache an evaluator keeps for its lifetime, with the views of its target
 keyed by viewer group: views and observations match memo-free definitions,
 one agent's view is one path for B, EB and DB alike, the fold states the
-memo steps through and those search nodes carry match their definition,
+memo steps through and those search nodes carry match their definition
+(also on a one-variable signature, past 64 variables, on inputs that drop
+a seen variable and on a seen variable resolved while unseen),
 equal view states are one object, `sees` is asked once per state and viewer
 group (by beliefs, seeing and knowledge alike) and once per gate projection
 of a state, masks keyed by gate projection equal those of a model that
@@ -713,6 +715,113 @@ def test_fold_over_trace_state_lines_that_drop_a_variable(number_dom):
     assert view.last.get("n") == 2 and seq[1].get("n") is None
     fold = _fold_after(model, ("a",), seq.prefix(1), memo)
     assert fold.last.get("n") == 2 and fold.last.get("peeking_a") is True
+
+
+class _Fixed(ObservationModel):
+    """Each agent sees the variables listed for it, in every state, and no
+    other."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def sees(self, agent, state, var):
+        return var in self.seen.get(agent, ())
+
+
+def _check_folds(model, viewers, seq):
+    """Each prefix of `seq` folds, through one memo, to the view and the
+    fold state the definitions give; returns the fold states in order."""
+    memo = FoldMemo()
+    folds = []
+    for t in range(len(seq)):
+        prefix = seq.prefix(t)
+        view = _believed_sequence(model, viewers, prefix, memo=memo)
+        assert view == _by_definition(model, viewers, prefix)
+        fold = _fold_after(model, viewers, prefix, memo)
+        assert fold.row is view.last
+        assert (fold.unresolved, fold.last.vals) == _fold_by_definition(model, viewers, prefix)
+        folds.append(fold)
+    return folds
+
+
+def test_fold_of_a_one_variable_signature():
+    """One agent and no declared variables: the signature's one variable is
+    the agent's marker, and a picker of one position still gives a tuple.
+    Every partial sequence of up to three states folds by definition, for a
+    viewer that sees the marker and one that sees nothing, and the
+    observations keep or drop the marker."""
+    sig = Signature(["a"], {})
+    states = [State(sig, (None,)), State(sig, (True,))]
+    sighted, blind = _Fixed({"a": ("a",)}), _Fixed({})
+    for length in (1, 2, 3):
+        for picked in itertools.product(states, repeat=length):
+            seq = StateSequence(picked)
+            for model in (sighted, blind):
+                _check_folds(model, ("a",), seq)
+    for state in states:
+        assert group_observation(sighted, ("a",), state) is state
+        assert common_observation(sighted, ("a",), state) is state
+        assert group_observation(blind, ("a",), state) is states[0]
+    folds = _check_folds(sighted, ("a",), StateSequence([states[0], states[1], states[0]]))
+    assert [fold.unresolved for fold in folds] == [1, 0, 0]
+    assert [fold.row.vals for fold in folds] == [(None,), (True,), (True,)]
+
+
+def test_fold_past_one_machine_word_of_variables():
+    """A signature of 72 variables keeps unresolved bits past bit 63. The
+    last declared variable, at index 70, is seen by a and absent at first,
+    so it stays unresolved until the input assigns it; random visibility
+    rules and partial states fold by definition for each agent, the pair
+    and b's view of a's view."""
+    names = [f"v{i}" for i in range(70)]
+    sig = Signature(["a", "b"], {"flag": (True, False), **{name: (0, 1, 2) for name in names}})
+    assert len(sig.variables) == 73 and sig.index["v69"] == 70
+    for seed in range(6):
+        rng = random.Random(seed)
+        rules = {(agent, name): rng.choice((True, False, ("flag", True), ("flag", False)))
+                 for agent in sig.agents for name in names}
+        rules["a", "v69"] = True
+        model = RuleVisibility(rules, frozenset({"flag"}))
+        states = _partial(rng, sig, random_states(rng, sig, 5))
+        states[0] = states[0].restrict([var for var in states[0].assigned() if var != "v69"])
+        seq = StateSequence(states)
+        folds = _check_folds(model, ("a",), seq)
+        assert folds[0].unresolved >> 70 & 1
+        _check_folds(model, ("b",), seq)
+        _check_folds(model, ("a", "b"), seq)
+        _check_folds(model, ("b",), justified_perspective(model, "a", seq))
+
+
+def test_fold_carries_a_dropped_variable_the_viewer_sees():
+    """The input assigns x, then drops it while a sees x: a's view takes x's
+    last value, and the fold state's last-assigned row keeps it; when x
+    comes back, the view follows it."""
+    sig = Signature(["a"], {"x": (1, 2, 3), "y": (1, 2, 3)})
+    model = _Fixed({"a": ("x",)})
+    seq = StateSequence([sig.make_state({"a": True, "x": 1, "y": 1}),
+                         sig.make_state({"a": True, "y": 2}),
+                         sig.make_state({"y": 3}),
+                         sig.make_state({"x": 3})])
+    folds = _check_folds(model, ("a",), seq)
+    assert [fold.row.get("x") for fold in folds] == [1, 1, 1, 3]
+    assert [fold.row.get("y") for fold in folds] == [None] * 4
+    assert folds[1].last.vals == (1, 2, True) and folds[2].last.vals == (1, 3, True)
+    assert all(fold.unresolved == 0 for fold in folds)
+
+
+def test_fold_resolves_a_seen_variable_while_unseen():
+    """a sees x while the flag is up, before the input ever assigns x, so x
+    is unresolved; the input's first value for x fills it in although a no
+    longer sees x then, and later values a does not see leave it be."""
+    sig = Signature(["a"], {"flag": (True, False), "x": (1, 2, 3)})
+    model = RuleVisibility({("a", "x"): ("flag", True)}, frozenset({"flag"}))
+    seq = StateSequence([sig.global_state({"flag": True, "x": 1}).restrict(["flag", "a"]),
+                         sig.global_state({"flag": False, "x": 2}),
+                         sig.global_state({"flag": False, "x": 3})])
+    folds = _check_folds(model, ("a",), seq)
+    x = 1 << sig.index["x"]
+    assert [fold.unresolved for fold in folds] == [x, 0, 0]
+    assert [fold.row.get("x") for fold in folds] == [None, 2, 2]
 
 
 def _pooled_by_definition(model, group, state):
