@@ -477,7 +477,7 @@ def _fold_after(model, viewers, seq, memo):
     table = perspectives._visibility(model, seq.sig, viewers, memo)
     fold = table.start
     for state in seq:
-        fold = table.steps[fold][state]
+        fold = table.steps[fold, state]
     return fold
 
 
@@ -489,8 +489,8 @@ def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
     one-step prefixes in random order, over global or partial inputs and
     over views, equal the retrieval rule applied literally. The fold state
     each view ends in holds its last row, what it has seen but never had
-    assigned and the input's last values, and fold states with equal parts
-    are equal."""
+    assigned and the input's last values, and fold states of one viewer
+    group with equal parts are one object."""
     rng = random.Random(seed)
     sig, model, child = _instance(kind, rng, max_len=5, partial=partial)
     group = make_group(rng.sample(sig.agents, rng.randint(1, len(sig.agents))))
@@ -517,8 +517,8 @@ def test_step_memo_matches_memo_free_builds_in_any_order(kind, seed, partial):
             assert fold.row is result.last
             assert (fold.unresolved, fold.last.vals) == \
                 _fold_by_definition(model, members, watched)
-            key = (fold.row.vals, fold.unresolved, fold.last.vals)
-            assert folds.setdefault(key, fold) == fold
+            key = (members, fold.row.vals, fold.unresolved, fold.last.vals)
+            assert folds.setdefault(key, fold) is fold
 
 
 class _CountingModel(ObservationModel):
@@ -772,7 +772,8 @@ def test_fold_past_one_machine_word_of_variables():
     last declared variable, at index 70, is seen by a and absent at first,
     so it stays unresolved until the input assigns it; random visibility
     rules and partial states fold by definition for each agent, the pair
-    and b's view of a's view."""
+    and b's view of a's view, and pooled and common observations of the
+    partial states, through one memo, match their definitions."""
     names = [f"v{i}" for i in range(70)]
     sig = Signature(["a", "b"], {"flag": (True, False), **{name: (0, 1, 2) for name in names}})
     assert len(sig.variables) == 73 and sig.index["v69"] == 70
@@ -790,6 +791,13 @@ def test_fold_past_one_machine_word_of_variables():
         _check_folds(model, ("b",), seq)
         _check_folds(model, ("a", "b"), seq)
         _check_folds(model, ("b",), justified_perspective(model, "a", seq))
+        memo = FoldMemo()
+        for state in states:
+            for group in (("a",), ("b",), ("a", "b")):
+                assert group_observation(model, group, state, memo) == \
+                    _pooled_by_definition(model, group, state)
+                assert common_observation(model, group, state, memo) == \
+                    _common_by_definition(model, group, state)
 
 
 def test_fold_carries_a_dropped_variable_the_viewer_sees():
