@@ -40,22 +40,28 @@ child's one fold step per path from its parent's, taken once the child is
 kept (not a duplicate). So no view is built for a belief without a common
 belief in it; a search with no such belief carries no fold states at all.
 
-When no precondition or goal holds a belief judged on whole view sequences
-(a common belief, or a chain past the path bound: `semantics`), a formula
-is judged on a node's last state and fold states alone, and so is all of
-an expansion: which actions apply, the successors, the sibling duplicates,
-the children's fold states and their goal tests. Such a search expands
+When no precondition holds a belief judged on whole view sequences (a
+common belief, or a chain past the path bound: `semantics`), a
+precondition is judged on a node's last state and fold states alone, and
+so is most of an expansion: which actions apply, the successors, the
+sibling duplicates and the children's fold states. Such a search expands
 each distinct (last state, fold states) once and keeps the expansion for
 as long as the search: the kept children as (action, last state, fold
-states), how many children it generated and how many tests it made. A
-later node with that key replays it: it links the same children to
-itself, and adds the counts to `generated` and to the evaluator's
-`external_calls`, calling neither `apply_action` nor `evaluate`. Nodes are
-not merged (Bolander & Andersen's state key, JANCL 21(1), 2011, used to
-skip work only), so every count is the one a fresh expansion would give.
-An expansion whose children could reach the node budget is done afresh,
-so an abort falls at the action it would; an expansion that meets the goal
-ends the search and is never kept.
+states, and the children generated and precondition tests made up to it),
+and how many children it generated and how many tests it made that a
+replay does not make again. A later node with that key replays it: it
+links the same children to itself and adds the counts to `generated` and
+to the evaluator's `external_calls`, calling no `apply_action`. Where the
+goals too are judged on fold states, so is a child's goal test, and a
+replay calls no `evaluate` either. Where a goal is judged on views, it
+reads the child's whole history, so a replay goal-tests each kept child
+afresh in action order and, at the first that meets the goal, ends the
+search with the counts taken up to that child. Nodes are not merged
+(Bolander & Andersen's state key, JANCL 21(1), 2011, used to skip work
+only), so every count is the one a fresh expansion would give. An
+expansion whose children could reach the node budget is done afresh, so an
+abort falls at the action it would; an expansion that meets the goal ends
+the search and is never kept.
 """
 
 from __future__ import annotations
@@ -187,7 +193,10 @@ class PlanResult:
     in the initial state reports expanded = 0. `external_calls` counts every
     precondition and goal test the search asked for, replayed ones included
     (module docstring); `avg_call_ms` is the evaluation time over those
-    tests, and a replayed test takes none.
+    tests, and a replayed test takes none. So wherever a search replays,
+    the paper's "average call time" is not the time one `evaluate` call
+    takes: with common-belief goals it averages the goal tests, all made
+    afresh, with the replayed precondition tests.
     """
 
     status: str
@@ -302,9 +311,9 @@ def breadth_first_plan(model: ObservationModel,
         return True
 
     history = StateSequence([initial])
-    formulas = [action.precondition for action in actions if action.precondition is not None]
-    formulas += [phi for phi, _ in goals]
-    folds = evaluator.fold_states(history, formulas)
+    preconditions = [action.precondition for action in actions
+                     if action.precondition is not None]
+    folds = evaluator.fold_states(history, preconditions + [phi for phi, _ in goals])
     root = SearchNode(history, (), folds)
     expanded = 0
     generated = 1
@@ -316,10 +325,13 @@ def breadth_first_plan(model: ObservationModel,
     tables = [(action, {}) for action in actions]
     stats = evaluator.stats
     # each finished expansion by its node's (last, folds), where those are
-    # all its formulas read (module docstring): (kept children as (action
-    # name, last, folds), children generated, evaluate calls)
+    # all its preconditions read (module docstring): (kept children as
+    # (action name, last, folds, children generated and precondition tests
+    # made up to it), children generated, tests a replay does not make)
     expansions: Optional[Dict[Tuple[State, Tuple[FoldState, ...]], tuple]] = \
-        {} if evaluator._on_folds(formulas) else None
+        {} if evaluator._on_folds(preconditions) else None
+    # goals judged on views are tested afresh on every child a replay links
+    retest = not evaluator._on_folds([phi for phi, _ in goals])
     while frontier:
         if time_budget is not None and time.perf_counter() - start > time_budget:
             return finish(ABORTED, None, expanded, generated)
@@ -333,15 +345,25 @@ def breadth_first_plan(model: ObservationModel,
             # it is done afresh, so it aborts at the action it would
             if entry is not None and (node_budget is None or generated + entry[1] < node_budget):
                 kept, made, calls = entry
-                generated += made
-                stats.external_calls += calls
                 depth = node.depth + 1
-                if depth < max_depth:
-                    for name, last, stepped in kept:
+                if retest:
+                    for name, last, stepped, made_by, calls_by in kept:
+                        child = tuple.__new__(SearchNode, (node, name, depth, stepped, last))
+                        if satisfied(child):
+                            stats.external_calls += calls_by
+                            return finish(SOLVED, child.plan, expanded, generated + made_by)
+                        if depth < max_depth:
+                            frontier.append(child)
+                elif depth < max_depth:
+                    for name, last, stepped, _, _ in kept:
                         frontier.append(tuple.__new__(SearchNode,
                                                       (node, name, depth, stepped, last)))
+                generated += made
+                stats.external_calls += calls
                 continue
         generated_before, calls_before = generated, stats.external_calls
+        # goal tests made so far in this expansion
+        goal_calls = 0
         queued: Dict[State, tuple] = {}
         for action, successors in tables:
             # before every action, so no expansion generates past the budget
@@ -358,12 +380,16 @@ def breadth_first_plan(model: ObservationModel,
                 # kept, so its fold states are needed: one step per path
                 child = tuple.__new__(SearchNode, (node, child.action, child.depth,
                                                    evaluator.step_folds(folds, last), last))
-            queued[last] = (child.action, last, child.folds)
+            tested = stats.external_calls
+            queued[last] = (child.action, last, child.folds, generated - generated_before,
+                            tested - calls_before - goal_calls)
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
+            goal_calls += stats.external_calls - tested
             if child.depth < max_depth:
                 frontier.append(child)
         if expansions is not None:
+            calls = stats.external_calls - calls_before
             expansions[key] = (tuple(queued.values()), generated - generated_before,
-                               stats.external_calls - calls_before)
+                               calls - goal_calls if retest else calls)
     return finish(UNSOLVABLE, None, expanded, generated)

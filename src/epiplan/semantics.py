@@ -106,8 +106,9 @@ class EvalStats:
     `external_calls` counts top-level evaluations: each `evaluate` call,
     and each test a search replays without one (`planner`). `eval_time` is
     the time spent in `evaluate`, so `avg_call_ms` is it over all those
-    tests, and a replayed test adds none. The fixed-point counts record, for
-    every common-belief evaluation, how many iterations the
+    tests, and a replayed test adds none: in a search with common-belief
+    goals, the replayed precondition tests lower it. The fixed-point counts
+    record, for every common-belief evaluation, how many iterations the
     common-perspective computation took.
     """
 

@@ -242,3 +242,45 @@ def test_bundled_rows_match_expected(bench_runs):
         assert json.dumps(row, sort_keys=True) == \
             json.dumps(expected[instance_id], sort_keys=True), instance_id
     _ok(f"bundled gate ({len(expected)} rows match {EXPECTED_ROWS.parent.name}/expected.json)")
+
+
+# per bundled instance: the tests the search asked for (`external_calls`,
+# replayed ones included) and, over its common-belief evaluations, the
+# fixed-point iterations and the number of fixed points, whose quotient is
+# `common_avg`; recorded before searches whose goals read views replayed
+# expansions, and unchanged by it
+BUNDLED_CALLS = {
+    "N0": (109, 0, 0),
+    "N1": (14, 0, 0),
+    "N2": (109, 94, 46),
+    "N3": (754, 361, 176),
+    "N4": (6041, 2903, 1355),
+    "N5": (131, 106, 52),
+    "N6": (101, 112, 75),
+    "G0": (3, 6, 2),
+    "G1": (274, 3, 1),
+    "G2": (12286, 191, 63),
+    "G3": (521, 300, 136),
+    "G4": (2612, 4886, 2374),
+    "G5": (274, 3, 1),
+    "G6": (313, 0, 0),
+    "BBL0": (4, 8, 4),
+    "BBL1": (256, 176, 88),
+    "BBL2": (593, 1186, 593),
+    "BBL3": (593, 1186, 593),
+    "BBL4": (593, 0, 0),
+    "BBL5": (593, 0, 0),
+    "BBL6": (1, 0, 0),
+}
+
+
+def test_bundled_call_accounting_is_pinned(bench_runs):
+    """`expected.json` holds no `external_calls` column and rounds
+    `common_avg`, so the test count and the exact fixed-point mean of
+    every bundled instance are pinned here."""
+    assert sorted(BUNDLED_CALLS) == sorted(bench_runs)
+    for instance_id, (_, _, _, result, _) in bench_runs.items():
+        calls, iterations, points = BUNDLED_CALLS[instance_id]
+        assert result.external_calls == calls, instance_id
+        assert result.common_avg == (iterations / points if points else 0.0), instance_id
+    _ok(f"bundled call accounting ({len(BUNDLED_CALLS)} instances)")

@@ -155,7 +155,11 @@ class TestSearch:
         # and the plan and node counts stay those of the search on paths.
         # The levels past the bound keep their verdict on each view for one
         # `evaluate` call, so a view met again below another view is not
-        # judged again (17,983 `_on_sequence` calls without that)
+        # judged again (17,983 `_on_sequence` calls without that). g2's B
+        # preconditions are judged on fold states, so the search replays
+        # expansions and judges each of them once per distinct (last state,
+        # folds): 273 precondition calls, not the 353 of one per node
+        # expanded (4,901 in all), while the goal's 4,548 stay
         from epiplan import semantics
 
         domain, problem = load_benchmark("grapevine", "g2")
@@ -172,7 +176,7 @@ class TestSearch:
         assert result.status == SOLVED
         assert result.plan == ("move_a_room2", "move_b_room2", "share_a_t")
         assert result.generated == 170
-        assert len(calls) == 4901
+        assert len(calls) == 4821
 
     @pytest.mark.parametrize("name, depth, status, plan, counts", [
         ("n1", 0, UNSOLVABLE, None, (0, 1, 1)),
@@ -379,15 +383,18 @@ def test_plan_length_matches_exhaustive_enumeration(instance):
 # --------------------------------------------------------------------------
 
 def _reference_plan(model, actions, initial, goals, max_depth, node_budget=None):
-    """(status, plan, expanded, generated, external_calls, dropped) of a
-    breadth-first search that drops a child whose full history any earlier
-    node already had, evaluates every test on the history and stops with
+    """(status, plan, expanded, generated, external_calls, common_max,
+    common_avg, dropped) of a breadth-first search that drops a child whose
+    full history any earlier node already had, evaluates every test on the
+    history and stops with
     ABORTED, as the planner does, when `generated` has reached `node_budget`
     before an action is tried."""
     evaluator = Evaluator(model)
 
     def outcome(status, plan):
-        return status, plan, expanded, generated, evaluator.stats.external_calls, dropped
+        stats = evaluator.stats
+        return (status, plan, expanded, generated, stats.external_calls, stats.common_max,
+                stats.common_avg, dropped)
 
     def satisfied(node):
         return all(evaluator.evaluate(node.sequence, phi) is target
@@ -422,13 +429,13 @@ def _reference_plan(model, actions, initial, goals, max_depth, node_budget=None)
 
 def _same_search(model, actions, initial, goals, max_depth, node_budget=None):
     """Assert that `breadth_first_plan` matches the reference, evaluate
-    calls included; return its result and how many duplicates the
-    reference dropped."""
+    calls and fixed-point statistics included; return its result and how
+    many duplicates the reference dropped."""
     result = breadth_first_plan(model, actions, initial, goals, max_depth=max_depth,
                                 node_budget=node_budget)
     *want, dropped = _reference_plan(model, actions, initial, goals, max_depth, node_budget)
     assert (result.status, result.plan, result.expanded, result.generated,
-            result.external_calls) == tuple(want)
+            result.external_calls, result.common_max, result.common_avg) == tuple(want)
     return result, dropped
 
 
@@ -483,12 +490,75 @@ def test_sibling_pruning_matches_full_history_set_with_belief_goals():
     assert dropped > 0
 
 
+def test_searches_with_nested_common_belief_goals_match_the_reference(monkeypatch):
+    """Goals shaped as G3's, G4's and N6's, `(B a (CB g φ))` and `(CB g (CB h
+    φ))`, with B and DB preconditions: the goals are judged on views and the
+    preconditions on fold states, so expansions are replayed with each kept
+    child goal-tested afresh. Plans, node counts, evaluate calls and
+    fixed-point statistics are the reference's. Half the goals take their
+    target from the end of a random walk where the start misses it, so a
+    plan of a step or more exists; the others a random one, so many
+    searches expand all they can and replay often."""
+    from epiplan import planner
+
+    applied = []
+    apply_action_ = planner.apply_action
+
+    def counting_apply(evaluator, action, node, successors=None):
+        applied.append(node)
+        return apply_action_(evaluator, action, node, successors)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    rng = random.Random(53)
+
+    def group(sig):
+        return tuple(a for a in sig.agents if rng.random() < 0.6) or sig.agents[:1]
+
+    solved, replayed = 0, 0
+    for _ in range(150):
+        sig, model, seq = random_instance(rng, max_vars=3, max_len=1)
+        actions = []
+        for k in range(rng.randint(2, 4)):
+            roll, inner = rng.randrange(3), random_belief_free_formula(rng, sig, 0)
+            pre = None if roll == 0 else Believes(rng.choice(sig.agents), inner) if roll == 1 \
+                else GroupBelieves(GroupMode.DISTRIBUTED, group(sig), inner)
+            actions.append(Action(f"act{k}", pre, _random_effects(rng, sig)))
+        evaluator = Evaluator(model)
+        walk = SearchNode(seq, ())
+        for _ in range(rng.randint(2, 4)):
+            children = [child for child in (apply_action_(evaluator, action, walk)
+                                            for action in actions) if child is not None]
+            walk = rng.choice(children or [walk])
+        goals = []
+        for _ in range(3):
+            common = GroupBelieves(GroupMode.COMMON, group(sig),
+                                   random_belief_free_formula(rng, sig, 1))
+            phi = Believes(rng.choice(sig.agents), common) if rng.random() < 0.5 \
+                else GroupBelieves(GroupMode.COMMON, group(sig), common)
+            if rng.random() < 0.5:
+                goals.append((phi, rng.choice(list(Ternary))))
+            else:
+                target = evaluator.evaluate(walk.sequence, phi)
+                if evaluator.evaluate(seq, phi) is not target:
+                    goals.append((phi, target))
+        if not goals:
+            continue
+        del applied[:]
+        result, _ = _same_search(model, tuple(actions), seq[0], goals[:2], 4)
+        solved += result.status == SOLVED and len(result.plan) > 0
+        # a node expanded but never handed to apply_action was replayed
+        replayed += result.expanded > len({id(node) for node in applied})
+    assert solved > 10 and replayed > 40, (solved, replayed)
+
+
 def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
     """Each budget from 0 to the unbudgeted search's `generated` gives the
     reference's status, plan and counts, on random rule-table instances
     with belief-free, B and C goals and B preconditions; a replayed
     expansion (module docstring of `planner`) that the budget could stop
-    part way is expanded afresh, so it aborts at the same action."""
+    part way is expanded afresh, so it aborts at the same action. The
+    preconditions are judged on fold states, so searches with a C goal
+    replay too, goal-testing each child afresh."""
     from epiplan import planner
 
     applied = []
@@ -500,8 +570,11 @@ def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     rng = random.Random(41)
-    # runs with a replay, unbudgeted-alike and aborted; runs with a refused one
-    aborted, replayed, refreshed = 0, {False: 0, True: 0}, 0
+    # by whether the goal is a C belief: runs with a replay, unbudgeted-alike
+    # and aborted; runs with a refused one
+    aborted = 0
+    replayed = {(common, stopped): 0 for common in (False, True) for stopped in (False, True)}
+    refreshed = {False: 0, True: 0}
     for case in range(120):
         sig, model, seq = random_instance(rng, max_vars=3, max_len=1)
         actions = tuple(_random_action(rng, sig, f"act{k}") for k in range(rng.randint(2, 4)))
@@ -525,19 +598,18 @@ def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
             # stops before its first; the other nodes expanded were replayed
             fresh = {id(node): node for node in applied}.values()
             replays = result.expanded - len(fresh) - stopped
-            if kind == 2:
-                # a common belief is judged on views: nothing is replayed
-                assert replays <= 0
-                continue
-            replayed[stopped] += replays > 0
+            replayed[kind == 2, stopped] += replays > 0
             # a key expanded afresh at two nodes: its replay was refused, as
             # the budget could stop it part way
             keys = Counter((node.last, node.folds) for node in fresh)
-            refreshed += any(count > 1 for count in keys.values())
-    # the sweep reaches aborts, replays in searches that finish and in
-    # searches the budget stops, and replays refused at the budget
-    assert aborted > 400 and replayed[False] > 10 and replayed[True] > 80 and refreshed > 150, \
-        (aborted, replayed, refreshed)
+            refreshed[kind == 2] += any(count > 1 for count in keys.values())
+    # the sweep reaches aborts, and with goals of either kind it reaches
+    # replays in searches that finish and in searches the budget stops, and
+    # replays refused at the budget
+    assert aborted > 400, aborted
+    for common in (False, True):
+        assert replayed[common, False] > 10 and replayed[common, True] > 80 and \
+            refreshed[common] > 150, (replayed, refreshed)
 
 
 def _belief_over_atom(rng, sig):
@@ -718,25 +790,23 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
     assert len(atoms) < len(evaluated)
 
 
-@pytest.mark.parametrize("goal", ["(CB (a b) (> x 3))", "(B a (> x 3))"])
-def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal):
-    """A common belief is judged on whole view sequences, so a search with
-    one in its goal expands every node afresh: one apply_action per node
-    and action, and one evaluate per test. A search whose beliefs are
-    judged on fold states expands each distinct (last, folds) once. Either
-    way the successor tables apply an action's effects once per distinct
-    last state on which its precondition holds."""
+def _counted_search(monkeypatch, precondition, goal):
+    """The search of an unreachable goal on a small rule-table instance
+    whose action `up` has `precondition`, its reference, and the calls it
+    made: apply_action by (last, folds), evaluate by formula, _apply_effects
+    by (effects, last), and the (effects, last) of each apply_action past
+    its precondition (the successor table holds the last state then)."""
     from epiplan import planner, semantics
 
     sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
     model = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
-    actions = (Action("up", parse_formula("(B b (< x 3))", sig), (Effect("x", "add", 1),)),
+    actions = (Action("up", parse_formula(precondition, sig), (Effect("x", "add", 1),)),
                Action("down", None, (Effect("x", "add", -1),)),
                Action("toggle", None, (Effect("flag", "set", True),)))
     # unreachable, so every node is expanded
     goals = ((parse_formula(goal, sig), Ternary.TRUE),)
     initial = sig.global_state({"x": 0, "flag": False})
-    reference_calls = _reference_plan(model, actions, initial, goals, 4)[4]
+    reference = _reference_plan(model, actions, initial, goals, 4)
 
     applied, evaluated, effected, passed = [], [], [], []
     apply_action_ = planner.apply_action
@@ -746,7 +816,6 @@ def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal
     def counting_apply(evaluator, action, node, successors=None):
         applied.append((node.last, node.folds))
         child = apply_action_(evaluator, action, node, successors)
-        # the successor table holds the last state once the precondition held
         if node.last in successors:
             passed.append((action.effects, node.last))
         return child
@@ -764,16 +833,102 @@ def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal
     monkeypatch.setattr(semantics.Evaluator, "evaluate", counting_evaluate)
     result = breadth_first_plan(model, actions, initial, goals, max_depth=4)
     assert result.status == UNSOLVABLE
-    assert result.external_calls == reference_calls
+    assert result.external_calls == reference[4]
+    # the successor tables apply an action's effects once per distinct last
+    # state on which its precondition holds
     assert len(effected) == len(set(passed)) and set(effected) == set(passed)
+    return result, reference, actions, applied, evaluated, effected, passed
+
+
+@pytest.mark.parametrize("goal", ["(CB (a b) (> x 3))", "(B a (> x 3))"])
+def test_only_searches_judged_on_fold_states_replay_expansions(monkeypatch, goal):
+    """A search whose preconditions are judged on fold states expands each
+    distinct (last, folds) once, with one apply_action per action, and
+    replays the expansion at every other node with that key. Where the
+    goals are judged on fold states too, a replay makes no evaluate call;
+    a common belief is judged on whole view sequences, so a replay
+    goal-tests each kept child afresh with one evaluate call each."""
+    result, reference, actions, applied, evaluated, _, _ = \
+        _counted_search(monkeypatch, "(B b (< x 3))", goal)
+    # one apply_action per action per distinct key, fewer than one per node
+    keys = set(applied)
+    assert len(applied) == len(keys) * len(actions) < result.expanded * len(actions)
+    assert len(evaluated) < result.external_calls
     if goal.startswith("(CB"):
-        assert len(applied) == result.expanded * len(actions)
-        assert len(evaluated) == result.external_calls
-        # the successor tables save work: last states repeat across nodes
-        assert len(effected) < len(passed)
-    else:
-        assert len(applied) == len(set(applied)) * len(actions) < result.expanded * len(actions)
-        assert len(evaluated) < result.external_calls
+        # the root's goal test, the first expansions' precondition tests and
+        # one goal test per kept child (not a duplicate) of every node
+        # expanded, replayed or not: every node is expanded, so those are
+        # all the nodes generated but the root and the duplicates
+        tested = sum(action.precondition is not None for action in actions)
+        kept = result.generated - 1 - reference[-1]
+        assert len(evaluated) == 1 + len(keys) * tested + kept
+
+
+def test_a_replayed_expansion_meets_a_common_belief_goal_at_a_later_child(monkeypatch):
+    """a and b see v only while `peek` holds. The goal, that both commonly
+    believe v = 1 while v = 0 and w = 1, reads the whole history, so it is
+    judged on views, and the search replays expansions with each kept child
+    goal-tested afresh. The root's (v, w, peek) = (0, 0, false) is met again
+    after show, set_v1, hide, set_v0, where both last saw v = 1; that node
+    replays the root's expansion, whose kept children are stay, show and
+    set_w, after stay_too (a duplicate of stay) and hide (inapplicable), and
+    set_w's child meets the goal there, though it missed it at the root.
+    Status, plan and every count are those of a fresh expansion."""
+    from epiplan import planner
+
+    sig = Signature(["a", "b"], {"v": (0, 1), "w": (0, 1), "peek": (False, True)})
+    model = RuleVisibility({("a", "v"): ("peek", True), ("b", "v"): ("peek", True)},
+                           frozenset({"peek"}))
+    actions = (Action("stay", None, (Effect("peek", "copy", "peek"),)),
+               Action("stay_too", None, (Effect("peek", "copy", "peek"),)),
+               Action("hide", parse_formula("(= peek true)", sig), (Effect("peek", "set", False),)),
+               Action("show", None, (Effect("peek", "set", True),)),
+               Action("set_w", parse_formula("(and (= peek false) (= v 0))", sig),
+                      (Effect("w", "set", 1),)),
+               Action("set_v1", parse_formula("(= peek true)", sig), (Effect("v", "set", 1),)),
+               Action("set_v0", None, (Effect("v", "set", 0),)))
+    goals = tuple((parse_formula(text, sig), Ternary.TRUE)
+                  for text in ("(CB (a b) (= v 1))", "(= v 0)", "(= w 1)"))
+    initial = sig.global_state({"v": 0, "w": 0, "peek": False})
+
+    expanded_afresh = []
+    apply_action_ = planner.apply_action
+
+    def counting_apply(evaluator, action, node, successors=None):
+        expanded_afresh.append(node.plan)
+        return apply_action_(evaluator, action, node, successors)
+
+    monkeypatch.setattr(planner, "apply_action", counting_apply)
+    result, _ = _same_search(model, actions, initial, goals, 6)
+    assert result.status == SOLVED
+    assert result.plan == ("show", "set_v1", "hide", "set_v0", "set_w")
+    assert result.common_max > 0
+    # the goal's parent was replayed, not expanded afresh
+    assert () in expanded_afresh and result.plan[:-1] not in expanded_afresh
+    # at the parent's last state, the root's: stay_too repeats stay's child,
+    # hide does not apply, and set_w's child is the third one kept
+    evaluator = Evaluator(model)
+    root = SearchNode(StateSequence([initial]), ())
+    children = [apply_action_(evaluator, action, root) for action in actions]
+    assert children[1].last == children[0].last and children[2] is None
+    kept = {}
+    for action, child in zip(actions, children):
+        if child is not None:
+            kept.setdefault(child.last, action.name)
+    assert list(kept.values()) == ["stay", "show", "set_w"]
+    assert evaluator.evaluate(children[4].sequence, goals[0][0]) is not Ternary.TRUE
+
+
+def test_searches_with_preconditions_judged_on_views_expand_every_node(monkeypatch):
+    """A common belief in a precondition is judged on whole view sequences,
+    so the search expands every node afresh: one apply_action per node and
+    action, and one evaluate per test. The successor tables save work, as
+    last states repeat across nodes."""
+    result, _, actions, applied, evaluated, effected, passed = \
+        _counted_search(monkeypatch, "(CB (a b) (< x 3))", "(B a (> x 3))")
+    assert len(applied) == result.expanded * len(actions)
+    assert len(evaluated) == result.external_calls
+    assert len(effected) < len(passed)
 
 
 def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):
