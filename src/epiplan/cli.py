@@ -1,6 +1,7 @@
 """Command-line interface: solve problems, evaluate traces, run benchmarks.
 
-Exit codes: 0 success, 2 parse/input error, 3 unsolvable, 4 internal error.
+Exit codes: 0 success, 2 parse/input error, 3 unsolvable, 4 internal error
+or budget abort.
 """
 
 from __future__ import annotations

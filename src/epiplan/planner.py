@@ -24,13 +24,8 @@ parent alive once tested. Each atom a formula reads is one
 `semantics.interpret_atom` call. These three are looked up by name on every
 call, never bound in advance, so the benchmark's tracer can wrap them.
 
-An action's effects read only the last state, so one search keeps, per
-action, a table from last state to successor state (None where an effect
-leaves its domain), and applies the effects once per distinct last state
-on which the precondition holds. Its evaluator likewise judges a
-belief-free formula once per distinct last state (`Evaluator`), though
-each such test is still one `evaluate` call. Both tables live as long as
-the one search.
+A search's evaluator judges a belief-free formula once per distinct last
+state (`Evaluator`), though each such test is still one `evaluate` call.
 
 A belief reads views of the whole history, but only through their fold
 states (`semantics`). The viewer paths the preconditions and goals reach
@@ -69,6 +64,7 @@ from __future__ import annotations
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .core import (
@@ -90,9 +86,6 @@ ABORTED = "aborted"
 
 # search depth limit when neither the caller nor the problem file sets one
 DEFAULT_MAX_DEPTH = 12
-
-# marks a last state a successor table has not met; None means inapplicable
-_NOT_MET = object()
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,9 @@ Goal = Tuple[Formula, Ternary]
 class PlanResult:
     """Outcome of one search plus its bookkeeping.
 
-    `expanded` counts nodes whose successors were generated; `generated`
+    `expanded` counts nodes whose successors were generated, and a node
+    that the node budget stops before its first child: a budget of 1 stops
+    the root's expansion, if any, at expanded 1, generated 1. `generated`
     counts every node created, the root included, before duplicate pruning.
     A goal node is recognised when generated, so a goal that already holds
     in the initial state reports expanded = 0. `external_calls` counts every
@@ -236,26 +231,19 @@ def _apply_effects(sig: Signature, state: State,
     return State(sig, tuple(vals))
 
 
-def apply_action(evaluator: Evaluator, action: Action, node: SearchNode,
-                 successors: Optional[Dict[State, Optional[State]]] = None
-                 ) -> Optional[SearchNode]:
+def apply_action(evaluator: Evaluator, action: Action, node: SearchNode) -> Optional[SearchNode]:
     """The node's child by one action, or None if inapplicable.
 
     The precondition must evaluate to strictly true on the node's history;
-    merely-unknown preconditions do not license acting. `successors` is this
-    action's table of successor states by last state: read where it holds
-    the node's last state, filled where it does not. The precondition reads
-    the node's fold states; the child carries none (a search steps them).
+    merely-unknown preconditions do not license acting. The precondition
+    reads the node's fold states; the child carries none (a search steps
+    them).
     """
     if action.precondition is not None:
         if evaluator.evaluate(node, action.precondition) is not _TRUE:
             return None
     last = node.last
-    if successors is None:
-        successors = {}
-    successor = successors.get(last, _NOT_MET)
-    if successor is _NOT_MET:
-        successor = successors[last] = _apply_effects(last.sig, last, action.effects)
+    successor = _apply_effects(last.sig, last, action.effects)
     if successor is None:
         return None
     # one link to the node: no history or plan is copied
@@ -322,8 +310,11 @@ def breadth_first_plan(model: ObservationModel,
     # a node at the depth limit is goal-tested when generated and never
     # queued: it has no work left, and queued it would keep its parents alive
     frontier = deque([root] if max_depth > 0 else ())
-    tables = [(action, {}) for action in actions]
     stats = evaluator.stats
+    # each action, with the precondition tests an expansion makes up to and
+    # including it: one per action that has a precondition (`apply_action`)
+    ordered = tuple(zip(actions, accumulate(int(action.precondition is not None)
+                                            for action in actions)))
     # each finished expansion by its node's (last, folds), where those are
     # all its preconditions read (module docstring): (kept children as
     # (action name, last, folds, children generated and precondition tests
@@ -362,14 +353,12 @@ def breadth_first_plan(model: ObservationModel,
                 stats.external_calls += calls
                 continue
         generated_before, calls_before = generated, stats.external_calls
-        # goal tests made so far in this expansion
-        goal_calls = 0
         queued: Dict[State, tuple] = {}
-        for action, successors in tables:
+        for action, tests in ordered:
             # before every action, so no expansion generates past the budget
             if node_budget is not None and generated >= node_budget:
                 return finish(ABORTED, None, expanded, generated)
-            child = apply_action(evaluator, action, node, successors)
+            child = apply_action(evaluator, action, node)
             if child is None:
                 continue
             generated += 1
@@ -380,16 +369,13 @@ def breadth_first_plan(model: ObservationModel,
                 # kept, so its fold states are needed: one step per path
                 child = tuple.__new__(SearchNode, (node, child.action, child.depth,
                                                    evaluator.step_folds(folds, last), last))
-            tested = stats.external_calls
-            queued[last] = (child.action, last, child.folds, generated - generated_before,
-                            tested - calls_before - goal_calls)
+            queued[last] = (child.action, last, child.folds, generated - generated_before, tests)
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)
-            goal_calls += stats.external_calls - tested
             if child.depth < max_depth:
                 frontier.append(child)
         if expansions is not None:
-            calls = stats.external_calls - calls_before
             expansions[key] = (tuple(queued.values()), generated - generated_before,
-                               calls - goal_calls if retest else calls)
+                               len(preconditions) if retest
+                               else stats.external_calls - calls_before)
     return finish(UNSOLVABLE, None, expanded, generated)

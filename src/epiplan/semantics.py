@@ -16,9 +16,10 @@ the node's parent links (`_history`).
 A belief is judged on whole view sequences instead when its chain reaches
 too many paths, as a common belief always does (the common fixed point
 iterates over sequences, and its statistics count them); the belief's own
-count, kept by `_paths_reached`, decides which (`Evaluator._compile_belief`).
-A formula with no belief judged on views is thus judged on a search node's
-last state and fold states alone (`Evaluator._on_folds`), so a search may
+count, kept by `_paths_reached`, decides which (`Evaluator._compile_belief`),
+and a formula's record says whether a belief in it is judged on views. A
+formula with none is thus judged on a search node's last state and fold
+states alone, as its record tells `Evaluator._on_folds`, so a search may
 expand each distinct (last state, fold states) once (`planner`).
 
 Each fact the evaluator keeps lives in one table: a record per formula,
@@ -93,10 +94,11 @@ Judge = Callable[["Evaluator", Optional[History], State, Sequence[FoldState]], T
 
 # A formula's record on one signature: the formula (which pins the id that
 # keys it), the signature, its judge on whole sequences, the paths its folds
-# are walked along (ascending, parents included) and, when it holds no
-# belief, its verdicts by state (else None). A plain tuple, which unpacks
-# faster than a named one.
-_Record = Tuple[Formula, Signature, Judge, Tuple[int, ...], Optional[Dict[State, Ternary]]]
+# are walked along (ascending, parents included), when it holds no belief,
+# its verdicts by state (else None), and whether a belief in it is judged on
+# whole view sequences, that is, reads path -1, the sequence itself. A plain
+# tuple, which unpacks faster than a named one.
+_Record = Tuple[Formula, Signature, Judge, Tuple[int, ...], Optional[Dict[State, Ternary]], bool]
 
 
 @dataclass
@@ -252,19 +254,20 @@ class Evaluator:
                 reached = _paths_reached(phi, self._reached)
             numbers: Set[int] = set()
             judge = self._compile(phi, sig, -1, numbers)
-            record = self._formulas[id(phi)] = (phi, sig, judge, tuple(sorted(numbers)),
-                                                None if reached else {})
+            record = self._formulas[id(phi)] = (phi, sig, judge, tuple(sorted(numbers - {-1})),
+                                                None if reached else {}, -1 in numbers)
         return record
 
     def _on_folds(self, formulas: Sequence[Formula]) -> bool:
         """Whether every one of `formulas`, recorded already (as by
         `fold_states`), is judged on a history's last state and its folds
-        alone (`_no_views`)."""
-        return all(_no_views(phi, self._reached) for phi in formulas)
+        alone: whether no belief in them reads path -1, as its record says."""
+        return not any(self._formulas[id(phi)][5] for phi in formulas)
 
     def _compile(self, phi: Formula, sig: Signature, at: int, numbers: Set[int]) -> Judge:
         """The judge of `phi` on the view along path `at` (-1: the sequence
-        itself); the paths its beliefs read are added to `numbers`."""
+        itself); the paths its beliefs read are added to `numbers`, -1 for a
+        belief judged on whole view sequences."""
         if isinstance(phi, Atom):
             def judge(ev, seq, last, folds):
                 return interpret_atom(last, phi)
@@ -344,9 +347,11 @@ class Evaluator:
         as a common belief always is. A belief below an in-bound one reaches
         fewer paths, so only a chain's top is judged on views. A child with
         beliefs read on rows gets no record: compiled on the sequence, it
-        would add paths that every search node steps."""
+        would add paths that every search node steps. So a belief judged on
+        views is a chain's top, read on the sequence itself: path -1."""
         reached, below = self._reached[id(phi)]   # below 0: the child is belief-free
-        if not _on_paths(reached):
+        if reached > _MAX_BELIEF_PATHS:
+            numbers.add(-1)
             return _on_views(phi, sig, below)
         viewers = [(i,) for i in phi.group] if phi.mode is _UNIFORM else [phi.group]
         paths = [self._paths.number(at, _visibility(self.model, sig, members, self._memo))
@@ -354,7 +359,7 @@ class Evaluator:
         numbers.update(paths)
         if not below:
             # belief-free: the verdict is the row's, read from the child's record
-            _, _, child, _, verdicts = self._record(phi.child, sig, 0)
+            _, _, child, _, verdicts, _ = self._record(phi.child, sig, 0)
 
             def judge(ev, seq, last, folds):
                 verdict = _TRUE
@@ -384,12 +389,6 @@ class Evaluator:
         return judge
 
 
-def _on_paths(reached: int) -> bool:
-    """Whether a belief whose chain reaches `reached` paths
-    (`_paths_reached`) is judged on its paths' rows, not on views."""
-    return reached <= _MAX_BELIEF_PATHS
-
-
 def _paths_reached(phi: Formula, table: Dict[int, Tuple[int, int]]) -> int:
     """How many viewer paths the beliefs in `phi` reach, up to
     `_OVER_BOUND`; a common belief counts as that. A path is counted once
@@ -410,19 +409,6 @@ def _paths_reached(phi: Formula, table: Dict[int, Tuple[int, int]]) -> int:
     if isinstance(phi, And):
         return min(_paths_reached(phi.left, table) + _paths_reached(phi.right, table), _OVER_BOUND)
     return 0
-
-
-def _no_views(phi: Formula, table: Dict[int, Tuple[int, int]]) -> bool:
-    """Whether no belief in `phi` is judged on views, by the counts
-    `_paths_reached` kept in `table`; a belief's count bounds those of the
-    beliefs below it, and seeing and knowledge hold none."""
-    if isinstance(phi, GroupBelieves):
-        return _on_paths(table[id(phi)][0])
-    if isinstance(phi, Not):
-        return _no_views(phi.child, table)
-    if isinstance(phi, And):
-        return _no_views(phi.left, table) and _no_views(phi.right, table)
-    return True
 
 
 def _on_state(ev: Evaluator, record: _Record, state: State) -> Ternary:

@@ -504,9 +504,9 @@ def test_searches_with_nested_common_belief_goals_match_the_reference(monkeypatc
     applied = []
     apply_action_ = planner.apply_action
 
-    def counting_apply(evaluator, action, node, successors=None):
+    def counting_apply(evaluator, action, node):
         applied.append(node)
-        return apply_action_(evaluator, action, node, successors)
+        return apply_action_(evaluator, action, node)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     rng = random.Random(53)
@@ -564,9 +564,9 @@ def test_every_node_budget_aborts_where_the_reference_does(monkeypatch):
     applied = []
     apply_action_ = planner.apply_action
 
-    def counting_apply(evaluator, action, node, successors=None):
+    def counting_apply(evaluator, action, node):
         applied.append(node)
-        return apply_action_(evaluator, action, node, successors)
+        return apply_action_(evaluator, action, node)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     rng = random.Random(41)
@@ -687,11 +687,11 @@ def test_every_plan_replays_under_the_oracle():
 # folds) once, with one apply_action per action, and replays the expansion
 # at every other node with that key; every evaluate call is made by such a
 # first expansion (or the root's goal test), and `external_calls` still
-# counts each replayed test. Atoms and effects read only the last state, so
-# one interpret_atom per atom read per distinct (formula, last state) and
-# one _apply_effects per distinct (action, last state) whose precondition
-# holds; a search with a common belief, which expands every node afresh,
-# shows that successor table saving work.
+# counts each replayed test. Atoms read only the last state, so one
+# interpret_atom per atom read per distinct (formula, last state); each
+# apply_action whose precondition holds makes one _apply_effects, so a
+# search without replays, as one with a common-belief precondition, makes
+# one per node expanded and action whose precondition holds there.
 # --------------------------------------------------------------------------
 
 def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
@@ -744,14 +744,14 @@ def test_search_layers_are_called_once_per_unit_of_work(monkeypatch):
                 calls += len(goals)
         return calls
 
-    def counting_apply(evaluator, action, node, successors=None):
+    def counting_apply(evaluator, action, node):
         applied.append(action.name)
         keys.append((node.last, node.folds))
         last = node.last
         if action.precondition is None or \
                 reference(last, action.precondition)[0] is Ternary.TRUE:
             expected_effects.add((action.effects, last))
-        return apply_action_(evaluator, action, node, successors)
+        return apply_action_(evaluator, action, node)
 
     def counting_effects(sig, state, effects):
         effected.append((effects, state))
@@ -794,8 +794,8 @@ def _counted_search(monkeypatch, precondition, goal):
     """The search of an unreachable goal on a small rule-table instance
     whose action `up` has `precondition`, its reference, and the calls it
     made: apply_action by (last, folds), evaluate by formula, _apply_effects
-    by (effects, last), and the (effects, last) of each apply_action past
-    its precondition (the successor table holds the last state then)."""
+    by (effects, last), and the (effects, last) of each apply_action whose
+    precondition holds (it has none, or its one evaluate gave true)."""
     from epiplan import planner, semantics
 
     sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
@@ -808,15 +808,16 @@ def _counted_search(monkeypatch, precondition, goal):
     initial = sig.global_state({"x": 0, "flag": False})
     reference = _reference_plan(model, actions, initial, goals, 4)
 
-    applied, evaluated, effected, passed = [], [], [], []
+    applied, evaluated, verdicts, effected, passed = [], [], [], [], []
     apply_action_ = planner.apply_action
     apply_effects = planner._apply_effects
     evaluate = semantics.Evaluator.evaluate
 
-    def counting_apply(evaluator, action, node, successors=None):
+    def counting_apply(evaluator, action, node):
         applied.append((node.last, node.folds))
-        child = apply_action_(evaluator, action, node, successors)
-        if node.last in successors:
+        judged = len(verdicts)
+        child = apply_action_(evaluator, action, node)
+        if verdicts[judged:] in ([], [Ternary.TRUE]):
             passed.append((action.effects, node.last))
         return child
 
@@ -826,7 +827,8 @@ def _counted_search(monkeypatch, precondition, goal):
 
     def counting_evaluate(self, node, phi):
         evaluated.append(phi)
-        return evaluate(self, node, phi)
+        verdicts.append(evaluate(self, node, phi))
+        return verdicts[-1]
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     monkeypatch.setattr(planner, "_apply_effects", counting_effects)
@@ -834,9 +836,9 @@ def _counted_search(monkeypatch, precondition, goal):
     result = breadth_first_plan(model, actions, initial, goals, max_depth=4)
     assert result.status == UNSOLVABLE
     assert result.external_calls == reference[4]
-    # the successor tables apply an action's effects once per distinct last
-    # state on which its precondition holds
-    assert len(effected) == len(set(passed)) and set(effected) == set(passed)
+    # an action's effects are applied exactly once per apply_action call
+    # whose precondition holds, in call order
+    assert effected == passed
     return result, reference, actions, applied, evaluated, effected, passed
 
 
@@ -894,9 +896,9 @@ def test_a_replayed_expansion_meets_a_common_belief_goal_at_a_later_child(monkey
     expanded_afresh = []
     apply_action_ = planner.apply_action
 
-    def counting_apply(evaluator, action, node, successors=None):
+    def counting_apply(evaluator, action, node):
         expanded_afresh.append(node.plan)
-        return apply_action_(evaluator, action, node, successors)
+        return apply_action_(evaluator, action, node)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
     result, _ = _same_search(model, actions, initial, goals, 6)
@@ -922,13 +924,30 @@ def test_a_replayed_expansion_meets_a_common_belief_goal_at_a_later_child(monkey
 def test_searches_with_preconditions_judged_on_views_expand_every_node(monkeypatch):
     """A common belief in a precondition is judged on whole view sequences,
     so the search expands every node afresh: one apply_action per node and
-    action, and one evaluate per test. The successor tables save work, as
-    last states repeat across nodes."""
+    action, one evaluate per test, and one _apply_effects per apply_action
+    whose precondition holds, though last states repeat across nodes."""
     result, _, actions, applied, evaluated, effected, passed = \
         _counted_search(monkeypatch, "(CB (a b) (< x 3))", "(B a (> x 3))")
     assert len(applied) == result.expanded * len(actions)
     assert len(evaluated) == result.external_calls
-    assert len(effected) < len(passed)
+    assert effected == passed and len(set(passed)) < len(passed)
+
+
+@pytest.mark.parametrize("node_budget", [None, 1])
+@pytest.mark.parametrize("goal", ["(B a (> x 3))", "(CB (a b) (> x 3))"])
+def test_a_domain_with_no_actions_expands_its_root_alone(goal, node_budget):
+    """With no actions, the root's expansion tests no precondition and
+    generates no child, whether the goal is judged on fold states or, as a
+    common belief, on views, where a replay would test it afresh; a search
+    ends unsolvable after it, as the reference does. A budget of one node
+    aborts nothing, for no action is left to try."""
+    sig = Signature(["a", "b"], {"x": range(4), "flag": (False, True)})
+    model = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
+    goals = ((parse_formula(goal, sig), Ternary.TRUE),)
+    initial = sig.global_state({"x": 0, "flag": False})
+    result, _ = _same_search(model, (), initial, goals, 4, node_budget)
+    assert (result.status, result.expanded, result.generated, result.external_calls) == \
+        (UNSOLVABLE, 1, 1, 1)
 
 
 def test_search_nodes_step_each_viewer_path_once_per_child(monkeypatch):

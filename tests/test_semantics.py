@@ -3,9 +3,9 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_belief_free_formula, random_instance
+from helpers import RuleVisibility, random_belief_free_formula, random_instance
 from epiplan.cli import load_benchmark
 from epiplan.core import (
     And,
@@ -427,6 +427,82 @@ class TestPathBound:
         both = Evaluator(number_dom.model).evaluate(plan1, And(deep, common))
         assert both is min(Evaluator(number_dom.model).evaluate(plan1, phi)
                            for phi in (deep, common))
+
+
+# --------------------------------------------------------------------------
+# The replay gate. A search replays expansions only where
+# `Evaluator._on_folds` finds no belief judged on whole view sequences in
+# its formulas; it reads that off their records. The reference below is
+# the rule it replaces, a walk over the formula by the counts that
+# `_paths_reached` keeps: a belief reads views past `_MAX_BELIEF_PATHS`,
+# and its count bounds those of the beliefs below it.
+# --------------------------------------------------------------------------
+
+def _no_views(phi, table):
+    if isinstance(phi, GroupBelieves):
+        return table[id(phi)][0] <= semantics._MAX_BELIEF_PATHS
+    if isinstance(phi, Not):
+        return _no_views(phi.child, table)
+    if isinstance(phi, And):
+        return _no_views(phi.left, table) and _no_views(phi.right, table)
+    return True
+
+
+_GATE_SIG = Signature(["a", "b", "c"], {"x": range(3), "flag": (False, True)})
+_GATE_MODEL = RuleVisibility({("a", "x"): ("flag", True), ("b", "x"): True}, frozenset({"flag"}))
+
+
+def _chain(mode, group, depth, child):
+    for _ in range(depth):
+        child = GroupBelieves(mode, group, child)
+    return child
+
+
+def _gate_formulas():
+    """Formulas over three agents: connectives, seeing and knowledge over
+    belief-free children, beliefs of every mode, and E or D chains of two
+    to five levels; four E levels over all three agents pass the bound."""
+    modes = st.sampled_from(list(GroupMode))
+    groups = st.lists(st.sampled_from(_GATE_SIG.agents), min_size=1, max_size=3,
+                      unique=True).map(tuple)
+    leaves = st.one_of(st.builds(Atom, st.sampled_from(["=", "<"]), st.just("x"),
+                                 st.integers(0, 2)),
+                       st.builds(GroupSeesVar, modes, groups, st.just("x")))
+
+    def connectives(inner):
+        return st.one_of(inner.map(Not), st.builds(And, inner, inner))
+
+    belief_free = st.recursive(leaves, lambda inner: st.one_of(
+        connectives(inner), st.builds(GroupSees, modes, groups, inner),
+        st.builds(GroupKnows, modes, groups, inner)), max_leaves=3)
+    return st.recursive(belief_free, lambda inner: st.one_of(
+        connectives(inner), st.builds(GroupBelieves, modes, groups, inner),
+        st.builds(_chain, st.sampled_from([GroupMode.UNIFORM, GroupMode.DISTRIBUTED]),
+                  groups, st.integers(2, 5), inner)), max_leaves=6)
+
+
+_X0 = Atom("=", "x", 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_gate_formulas(), min_size=1, max_size=3))
+@example([GroupBelieves(GroupMode.COMMON, ("a", "b"), _X0)])
+@example([And(_X0, Not(_chain(GroupMode.UNIFORM, ("a", "b", "c"), 4, _X0)))])
+@example([_chain(GroupMode.UNIFORM, ("a", "b", "c"), 3, _X0),
+          _chain(GroupMode.DISTRIBUTED, ("a", "c"), 5, Believes("b", _X0))])
+@example([And(_chain(GroupMode.UNIFORM, ("a", "b", "c"), 3, _X0),
+              _chain(GroupMode.UNIFORM, ("a", "b", "c"), 3, Not(_X0)))])
+def test_on_folds_is_the_no_views_rule(formulas):
+    evaluator = Evaluator(_GATE_MODEL)
+    evaluator.fold_states(StateSequence([_GATE_SIG.global_state({"x": 0, "flag": False})]),
+                          formulas)
+    expected = []
+    for phi in formulas:
+        table = {}
+        semantics._paths_reached(phi, table)
+        expected.append(_no_views(phi, table))
+        assert evaluator._on_folds([phi]) is expected[-1], phi
+    assert evaluator._on_folds(formulas) is all(expected)
 
 
 class TestErrors:
