@@ -125,10 +125,6 @@ def _read(path: str) -> str:
                              f"({exc.object[exc.start]:#04x}) {exc.reason}") from None
 
 
-def _load_domain(path: str) -> DomainFile:
-    return parse_domain(_read(path))
-
-
 def _goal_text(problem: ProblemFile) -> str:
     parts = []
     for phi, target in problem.goals:
@@ -184,7 +180,7 @@ def _depth_limit(problem: ProblemFile, override: Optional[int] = None) -> int:
 
 
 def _cmd_solve(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = parse_domain(_read(args.domain))
     problem = parse_problem(_read(args.problem), domain)
     max_depth = _depth_limit(problem, args.max_depth)
     result = breadth_first_plan(domain.model, domain.actions, problem.initial,
@@ -208,7 +204,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = parse_domain(_read(args.domain))
     seq = parse_trace(_read(args.trace), domain)
     phi = parse_formula(args.formula, domain.signature)
     evaluator = Evaluator(domain.model)

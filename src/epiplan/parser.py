@@ -322,8 +322,7 @@ def parse_domain(text: str) -> DomainFile:
         parts = line.split()
         key = parts[0]
         if key == "domain":
-            _need(parts, 2, 2, lineno, "domain <name>")
-            name = parts[1]
+            name = _word(parts, lineno, "domain <name>", name)
         elif key == "agents":
             if len(parts) < 2:
                 raise ParseError("agents line needs at least one agent", lineno)
@@ -334,15 +333,13 @@ def parse_domain(text: str) -> DomainFile:
                 raise _word_error(f"variable {var_name!r} declared twice", line, lineno, 1)
             domains[var_name] = values
         elif key == "observation":
-            _need(parts, 2, 2, lineno, "observation <model-name>")
-            model_name = parts[1]
+            model_name = _word(parts, lineno, "observation <model-name>", model_name)
         elif key == "obs-config":
             if len(parts) < 2:
                 raise ParseError("obs-config needs at least one token", lineno)
             obs_config.append(parts[1:])
         elif key == "action":
-            _need(parts, 2, 2, lineno, "action <name>")
-            action_name = parts[1]
+            action_name = _word(parts, lineno, "action <name>")
             pre: Optional[Tuple[List[Token], int]] = None
             effs: List[Tuple[List[str], str, int]] = []
             # the action's lines come from the same reader, up to its `end`
@@ -396,9 +393,15 @@ def parse_domain(text: str) -> DomainFile:
     return DomainFile(name, sig, model, tuple(actions))
 
 
-def _need(parts: List[str], lo: int, hi: int, lineno: int, usage: str) -> None:
-    if not lo <= len(parts) <= hi:
+def _word(parts: List[str], lineno: int, usage: str, given: object = None) -> str:
+    """The one word after a directive's keyword. `given` is what an earlier
+    line of the same once-only directive set, or None if none did; a second
+    line of such a directive is an error."""
+    if len(parts) != 2:
         raise ParseError(f"expected: {usage}", lineno)
+    if given is not None:
+        raise ParseError(f"{parts[0]!r} given twice", lineno)
+    return parts[1]
 
 
 # Most values an integer range `lo..hi` may declare. The parser lists every
@@ -539,11 +542,9 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
         parts = line.split()
         key = parts[0]
         if key == "problem":
-            _need(parts, 2, 2, lineno, "problem <name>")
-            name = parts[1]
+            name = _word(parts, lineno, "problem <name>", name)
         elif key == "domain":
-            _need(parts, 2, 2, lineno, "domain <name>")
-            domain_name = parts[1]
+            domain_name = _word(parts, lineno, "domain <name>", domain_name)
         elif key == "init":
             _assignments(sig, parts, line, lineno, assignments)
         elif key == "goal":
@@ -551,9 +552,8 @@ def parse_problem(text: str, domain: DomainFile) -> ProblemFile:
                 raise ParseError("expected: goal true|false|unknown (<formula>)", lineno)
             goals.append((_formula(_lex(line, lineno)[2:], sig, lineno), _TARGETS[parts[1]]))
         elif key == "max-depth":
-            _need(parts, 2, 2, lineno, "max-depth <N>")
             try:
-                max_depth = int(parts[1])
+                max_depth = int(_word(parts, lineno, "max-depth <N>", max_depth))
             except ValueError:
                 raise ParseError(f"max-depth must be an integer, found {parts[1]!r}",
                                  lineno) from None
@@ -598,15 +598,15 @@ def parse_trace(text: str, domain: DomainFile) -> StateSequence:
         parts = line.split()
         key = parts[0]
         if key == "do":
-            _need(parts, 2, 2, lineno, "do <action-name>")
+            name = _word(parts, lineno, "do <action-name>")
             if node is None:
                 raise ParseError("'do' requires an 'init' line first", lineno)
-            action = action_by_name.get(parts[1])
+            action = action_by_name.get(name)
             if action is None:
-                raise ParseError(f"unknown action {parts[1]!r}", lineno)
+                raise ParseError(f"unknown action {name!r}", lineno)
             successor = apply_action(evaluator, action, node)
             if successor is None:
-                raise ParseError(f"action {parts[1]!r} is not applicable at this point", lineno)
+                raise ParseError(f"action {name!r} is not applicable at this point", lineno)
             node = successor
         elif key in ("init", "state"):
             if key == "init" and (node is not None or states):

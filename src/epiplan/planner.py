@@ -337,18 +337,18 @@ def breadth_first_plan(model: ObservationModel,
             if entry is not None and (node_budget is None or generated + entry[1] < node_budget):
                 kept, made, calls = entry
                 depth = node.depth + 1
-                if retest:
+                # a child at the depth limit is never queued, so it is linked
+                # only to be goal-tested afresh: where the goals read fold
+                # states, the key's first expansion found every child misses
+                # them, so a replay at the limit has nothing to link
+                if retest or depth < max_depth:
                     for name, last, stepped, made_by, calls_by in kept:
                         child = tuple.__new__(SearchNode, (node, name, depth, stepped, last))
-                        if satisfied(child):
+                        if retest and satisfied(child):
                             stats.external_calls += calls_by
                             return finish(SOLVED, child.plan, expanded, generated + made_by)
                         if depth < max_depth:
                             frontier.append(child)
-                elif depth < max_depth:
-                    for name, last, stepped, _, _ in kept:
-                        frontier.append(tuple.__new__(SearchNode,
-                                                      (node, name, depth, stepped, last)))
                 generated += made
                 stats.external_calls += calls
                 continue
@@ -365,10 +365,9 @@ def breadth_first_plan(model: ObservationModel,
             last = child.last
             if last in queued:
                 continue
-            if folds:
-                # kept, so its fold states are needed: one step per path
-                child = tuple.__new__(SearchNode, (node, child.action, child.depth,
-                                                   evaluator.step_folds(folds, last), last))
+            # kept, so its fold states are needed: one step per path
+            child = tuple.__new__(SearchNode, (node, child.action, child.depth,
+                                               evaluator.step_folds(folds, last), last))
             queued[last] = (child.action, last, child.folds, generated - generated_before, tests)
             if satisfied(child):
                 return finish(SOLVED, child.plan, expanded, generated)

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,22 @@ class TestSolve:
         assert main(["solve", str(dom), paths["n1.prob"]]) == 2
         err = capsys.readouterr().err
         assert "line 32" in err and "not in the domain of 'n'" in err
+
+    @pytest.mark.parametrize("which, extra, message", [
+        ("n1.prob", "max-depth 1\nmax-depth 5\nproblem zzz\n", "line 6: 'max-depth' given twice"),
+        ("number.dom", "observation grapevine\n", "line 38: 'observation' given twice"),
+    ])
+    def test_repeated_directive_exit_code(self, paths, capsys, tmp_path, which, extra, message):
+        """A directive a file may hold once is refused at its second line;
+        the last copy does not silently win."""
+        files = dict(paths)
+        files[which] = str(tmp_path / which)
+        with open(paths[which], encoding="utf-8") as source:
+            Path(files[which]).write_text(source.read().rstrip("\n") + "\n" + extra,
+                                          encoding="utf-8")
+        assert main(["solve", files["number.dom"], files["n1.prob"], "--format", "tsv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_too_wide_integer_range_exit_code(self, paths, capsys, tmp_path):
         # one value over the limit

@@ -483,3 +483,66 @@ class TestAssignments:
                           "init n=2 peeking_a=false peeking_b=false\ninit n=1\n"
                           "goal true (= n 2)\n", domain)
         assert err.value.line == 4
+
+
+MINI_PROBLEM = """problem p
+domain mini
+init n=2 peeking_a=false peeking_b=false
+goal true (= n 2)
+max-depth 5
+"""
+
+MINI_TRACE = "init n=1 peeking_a=false peeking_b=false\ndo flip\ndo bump\n"
+
+
+def _parse_file(kind, text):
+    """`text` parsed as a domain file, or as a problem file or trace of
+    MINI_DOMAIN."""
+    if kind == "domain":
+        return parse_domain(text)
+    parse = parse_problem if kind == "problem" else parse_trace
+    return parse(text, parse_domain(MINI_DOMAIN))
+
+
+class TestOneWordDirectives:
+    """Each directive that names one thing takes exactly one word, and one
+    that a file may hold once is refused on its second line."""
+
+    ONE_WORD = [
+        ("domain", "domain mini", "domain <name>"),
+        ("domain", "observation number", "observation <model-name>"),
+        ("domain", "action flip", "action <name>"),
+        ("problem", "problem p", "problem <name>"),
+        ("problem", "domain mini", "domain <name>"),
+        ("problem", "max-depth 5", "max-depth <N>"),
+        ("trace", "do flip", "do <action-name>"),
+    ]
+
+    @pytest.mark.parametrize("words", [0, 2])
+    @pytest.mark.parametrize("kind, line, usage", ONE_WORD)
+    def test_takes_exactly_one_word(self, kind, line, usage, words):
+        text = {"domain": MINI_DOMAIN, "problem": MINI_PROBLEM, "trace": MINI_TRACE}[kind]
+        keyword, word = line.split()
+        lineno = text.split("\n").index(line) + 1
+        bad = text.replace(line, " ".join([keyword] + [word, "extra"][:words]), 1)
+        with pytest.raises(ParseError) as err:
+            _parse_file(kind, bad)
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: expected: {usage}"
+
+    @pytest.mark.parametrize("kind, line", [
+        (kind, line) for kind, line, _ in ONE_WORD if line.split()[0] not in ("action", "do")
+    ])
+    def test_single_valued_directive_refused_on_its_second_line(self, kind, line):
+        text = MINI_DOMAIN if kind == "domain" else MINI_PROBLEM
+        assert _parse_file(kind, text)
+        lineno = text.split("\n").index(line) + 2
+        with pytest.raises(ParseError) as err:
+            _parse_file(kind, text.replace(line, f"{line}\n{line}", 1))
+        assert err.value.line == lineno
+        assert str(err.value) == f"line {lineno}: {line.split()[0]!r} given twice"
+
+    def test_agents_and_do_lines_repeat(self):
+        split = parse_domain(MINI_DOMAIN.replace("agents a b", "agents a\nagents b"))
+        assert split.signature.agents == ("a", "b")
+        assert len(parse_trace(MINI_TRACE.replace("n=1", "n=0") + "do bump\n", split)) == 4

@@ -875,7 +875,10 @@ def test_a_replayed_expansion_meets_a_common_belief_goal_at_a_later_child(monkey
     replays the root's expansion, whose kept children are stay, show and
     set_w, after stay_too (a duplicate of stay) and hide (inapplicable), and
     set_w's child meets the goal there, though it missed it at the root.
-    Status, plan and every count are those of a fresh expansion."""
+    Status, plan and every count are those of a fresh expansion, also with
+    the depth limit at the plan's length: set_w's child is then at the
+    limit, where a child is never queued, and a replay links it all the
+    same, as the goal reads its history, and goal-tests it."""
     from epiplan import planner
 
     sig = Signature(["a", "b"], {"v": (0, 1), "w": (0, 1), "peek": (False, True)})
@@ -901,12 +904,14 @@ def test_a_replayed_expansion_meets_a_common_belief_goal_at_a_later_child(monkey
         return apply_action_(evaluator, action, node)
 
     monkeypatch.setattr(planner, "apply_action", counting_apply)
-    result, _ = _same_search(model, actions, initial, goals, 6)
-    assert result.status == SOLVED
-    assert result.plan == ("show", "set_v1", "hide", "set_v0", "set_w")
-    assert result.common_max > 0
-    # the goal's parent was replayed, not expanded afresh
-    assert () in expanded_afresh and result.plan[:-1] not in expanded_afresh
+    for max_depth in (6, 5):
+        del expanded_afresh[:]
+        result, _ = _same_search(model, actions, initial, goals, max_depth)
+        assert result.status == SOLVED
+        assert result.plan == ("show", "set_v1", "hide", "set_v0", "set_w")
+        assert result.common_max > 0
+        # the goal's parent was replayed, not expanded afresh
+        assert () in expanded_afresh and result.plan[:-1] not in expanded_afresh
     # at the parent's last state, the root's: stay_too repeats stay's child,
     # hide does not apply, and set_w's child is the third one kept
     evaluator = Evaluator(model)
